@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 KINDS = ("sgd_momentum", "adam", "adamw")
 
 
@@ -53,7 +55,7 @@ class _Baseline:
         if params.shape != (self.n,) or grad.shape != (self.n,):
             raise ValueError(f"expected vectors of length {self.n}")
         if not (np.all(np.isfinite(params)) and np.all(np.isfinite(grad))):
-            raise ValueError("non-finite params or gradient")
+            raise NonFiniteError("non-finite params or gradient")
         return params, grad
 
     def on_epoch_end(self) -> None:
@@ -77,23 +79,34 @@ class SGDMomentum(_Baseline):
         return params - self.lr * self.buf
 
 
+class AdamMoments:
+    """Adam's moment estimates; `update` rebinds m, then v, freeing each old one."""
+
+    def __init__(self, n: int, beta1: float, beta2: float):
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self.t = 0
+
+    def update(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fold in one gradient; return the bias-corrected (m_hat, v_hat)."""
+        self.t += 1
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad**2
+        return self.m / (1.0 - self.beta1**self.t), self.v / (1.0 - self.beta2**self.t)
+
+
 class Adam(_Baseline):
     """Bias-corrected Adam; weight decay is folded into the gradient."""
 
     def __init__(self, n: int, config: BaselineConfig):
         super().__init__(n, config)
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        self.t = 0
+        self.moments = AdamMoments(n, config.beta1, config.beta2)
 
     def _delta(self, grad: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        self.t += 1
-        self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * grad
-        self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * grad**2
-        m_hat = self.m / (1.0 - cfg.beta1**self.t)
-        v_hat = self.v / (1.0 - cfg.beta2**self.t)
-        return self.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        m_hat, v_hat = self.moments.update(grad)
+        return self.lr * m_hat / (np.sqrt(v_hat) + self.config.adam_eps)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         params, grad = self._check(params, grad)

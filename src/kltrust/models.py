@@ -9,6 +9,7 @@ cross-entropy; gradients are exact (ReLU subgradient at 0 taken as 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,27 +50,26 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-class MLP:
-    """Fully connected ReLU network; layer_sizes like (784, 256, 10)."""
+class _FlatParams:
+    """Flat layer-major layout shared by the models: each layer's weight, then its bias.
 
-    def __init__(self, layer_sizes, dtype=np.float64):
-        layer_sizes = tuple(int(s) for s in layer_sizes)
-        if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
-            raise ValueError(f"need >= 2 positive layer sizes, got {layer_sizes}")
-        self.layer_sizes = layer_sizes
-        self.num_classes = layer_sizes[-1]
+    `shapes` lists (weight_shape, bias_shape) per layer. Dense weights are
+    (fan_in, fan_out) and conv weights (out, in, kh, kw), so the Kaiming fan-in
+    is the product of a conv weight's trailing axes, or a dense weight's first.
+    """
+
+    def __init__(self, shapes, dtype):
         self.dtype = np.dtype(dtype)
-        self._shapes = []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            self._shapes.append((fan_in, fan_out))
-        self.n_params = sum(i * o + o for i, o in self._shapes)
+        self._shapes = shapes
+        self.n_params = sum(math.prod(ws) + math.prod(bs) for ws, bs in shapes)
 
     def init_params(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         parts = []
-        for fan_in, fan_out in self._shapes:
-            parts.append(_kaiming_uniform(rng, (fan_in, fan_out), fan_in, self.dtype))
-            parts.append(np.zeros(fan_out, dtype=self.dtype))
+        for ws, bs in self._shapes:
+            fan_in = math.prod(ws[1:]) if len(ws) == 4 else ws[0]
+            parts.append(_kaiming_uniform(rng, ws, fan_in, self.dtype))
+            parts.append(np.zeros(bs, dtype=self.dtype))
         return self.flatten(parts)
 
     def flatten(self, parts) -> np.ndarray:
@@ -80,12 +80,29 @@ class MLP:
             raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
         parts = []
         off = 0
-        for fan_in, fan_out in self._shapes:
-            parts.append(flat[off : off + fan_in * fan_out].reshape(fan_in, fan_out))
-            off += fan_in * fan_out
-            parts.append(flat[off : off + fan_out])
-            off += fan_out
+        for ws, bs in self._shapes:
+            for shape in (ws, bs):
+                size = math.prod(shape)
+                parts.append(flat[off : off + size].reshape(shape))
+                off += size
         return parts
+
+    def backward(self, params: np.ndarray, batch: Batch) -> np.ndarray:
+        return self.loss_and_grad(params, batch)[1]
+
+
+class MLP(_FlatParams):
+    """Fully connected ReLU network; layer_sizes like (784, 256, 10)."""
+
+    def __init__(self, layer_sizes, dtype=np.float64):
+        layer_sizes = tuple(int(s) for s in layer_sizes)
+        if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
+            raise ValueError(f"need >= 2 positive layer sizes, got {layer_sizes}")
+        self.layer_sizes = layer_sizes
+        self.num_classes = layer_sizes[-1]
+        super().__init__(
+            [((i, o), (o,)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])], dtype
+        )
 
     def _check_batch(self, batch: Batch) -> np.ndarray:
         x = np.asarray(batch.inputs, dtype=self.dtype)
@@ -130,9 +147,6 @@ class MLP:
             if li > 0:
                 delta = (delta @ w.T) * (pre[li - 1] > 0.0)
         return loss, self.flatten(grads)
-
-    def backward(self, params: np.ndarray, batch: Batch) -> np.ndarray:
-        return self.loss_and_grad(params, batch)[1]
 
 
 def _conv3x3_forward(x, w, b):
@@ -184,7 +198,7 @@ def _pool2_backward(dout, idx, x_shape):
     )
 
 
-class SmallCNN:
+class SmallCNN(_FlatParams):
     """conv3x3(c1) - relu - pool2 - conv3x3(c2) - relu - pool2 - dense."""
 
     def __init__(self, in_shape=(1, 28, 28), num_classes=10, channels=(16, 32),
@@ -195,41 +209,16 @@ class SmallCNN:
         self.in_shape = (int(c), int(h), int(w))
         self.num_classes = int(num_classes)
         self.channels = (int(channels[0]), int(channels[1]))
-        self.dtype = np.dtype(dtype)
         c1, c2 = self.channels
         self._dense_in = c2 * (h // 4) * (w // 4)
-        self._shapes = [
-            ((c1, c, 3, 3), (c1,)),
-            ((c2, c1, 3, 3), (c2,)),
-            ((self._dense_in, self.num_classes), (self.num_classes,)),
-        ]
-        self.n_params = sum(
-            int(np.prod(ws)) + int(np.prod(bs)) for ws, bs in self._shapes
+        super().__init__(
+            [
+                ((c1, c, 3, 3), (c1,)),
+                ((c2, c1, 3, 3), (c2,)),
+                ((self._dense_in, self.num_classes), (self.num_classes,)),
+            ],
+            dtype,
         )
-
-    def init_params(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        parts = []
-        for ws, bs in self._shapes:
-            fan_in = int(np.prod(ws[1:])) if len(ws) == 4 else ws[0]
-            parts.append(_kaiming_uniform(rng, ws, fan_in, self.dtype))
-            parts.append(np.zeros(bs, dtype=self.dtype))
-        return self.flatten(parts)
-
-    def flatten(self, parts) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in parts])
-
-    def unflatten(self, flat: np.ndarray):
-        if flat.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
-        parts = []
-        off = 0
-        for ws, bs in self._shapes:
-            for shape in (ws, bs):
-                size = int(np.prod(shape))
-                parts.append(flat[off : off + size].reshape(shape))
-                off += size
-        return parts
 
     def _check_batch(self, batch: Batch) -> np.ndarray:
         x = np.asarray(batch.inputs, dtype=self.dtype)
@@ -277,8 +266,6 @@ class SmallCNN:
         _, dw1, db1 = _conv3x3_backward(dz1, cols1, w1, x.shape)
         return loss, self.flatten([dw1, db1, dw2, db2, dwd, dbd])
 
-    def backward(self, params: np.ndarray, batch: Batch) -> np.ndarray:
-        return self.loss_and_grad(params, batch)[1]
 
 
 def fd_check(model, params: np.ndarray, batch: Batch, coords, h: float = 1e-5) -> float:

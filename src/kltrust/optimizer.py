@@ -10,10 +10,12 @@ moment estimates instead of the filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import AdamMoments
+from .errors import NonFiniteError
 from .surrogate import SurrogateState, filter_update, init_state, surrogate_params
 from .trust_region import (
     DualSolve,
@@ -58,7 +60,6 @@ class TrustRegionConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    width_tol: float | None = None
 
     def __post_init__(self):
         for name in ("epsilon", "rho", "q", "r", "nu", "lambda_prec",
@@ -113,9 +114,7 @@ class TrustRegionOptimizer:
         self.epoch = 0
         self.epsilon = config.epsilon
         if config.mode == "adam_surrogate":
-            self._m = np.zeros(n)
-            self._v = np.zeros(n)
-            self._t = 0
+            self.moments = AdamMoments(n, config.adam_beta1, config.adam_beta2)
 
     @property
     def n(self) -> int:
@@ -129,11 +128,7 @@ class TrustRegionOptimizer:
     def _surrogate(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cfg = self.config
         if cfg.mode == "adam_surrogate":
-            self._t += 1
-            self._m = cfg.adam_beta1 * self._m + (1.0 - cfg.adam_beta1) * grad
-            self._v = cfg.adam_beta2 * self._v + (1.0 - cfg.adam_beta2) * grad**2
-            m_hat = self._m / (1.0 - cfg.adam_beta1**self._t)
-            v_hat = self._v / (1.0 - cfg.adam_beta2**self._t)
+            m_hat, v_hat = self.moments.update(grad)
             a = np.sqrt(v_hat) + cfg.adam_eps
             return a, m_hat - a * self.dist.mu
         self.filter = filter_update(self.filter, self.dist.mu, grad, cfg.q, cfg.r)
@@ -145,7 +140,7 @@ class TrustRegionOptimizer:
         if grad.shape != (self.n,):
             raise ValueError(f"gradient has shape {grad.shape}, expected ({self.n},)")
         if not np.all(np.isfinite(grad)):
-            raise ValueError(f"non-finite gradient at step {self.step_count}")
+            raise NonFiniteError(f"non-finite gradient at step {self.step_count}")
         if cfg.coupled_decay and cfg.weight_decay > 0.0:
             grad = grad + cfg.weight_decay * self.dist.mu
 
@@ -161,7 +156,7 @@ class TrustRegionOptimizer:
             mu_new = primal_mean(a, b, self.dist, cfg.fixed_eta, tr)
             res = DualSolve(cfg.fixed_eta, mu_new, kl_mean_term(mu_new, self.dist), 0)
         else:
-            res = solve_eta(a, b, self.dist, tr, self.eta_warm, width_tol=cfg.width_tol)
+            res = solve_eta(a, b, self.dist, tr, self.eta_warm)
 
         mu_new = res.mu
         if not cfg.coupled_decay and cfg.weight_decay > 0.0:

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalFault
 
-class FilterConsistencyError(RuntimeError):
+
+class FilterConsistencyError(NumericalFault, RuntimeError):
     """Filter covariance lost positive definiteness (numerical fault)."""
 
 

@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalFault
+
 ETA_MIN = 1e-12
 ETA_MAX = 1e12
 
 
-class DualSolverError(RuntimeError):
+class DualSolverError(NumericalFault, RuntimeError):
     """Bracket expansion hit [ETA_MIN, ETA_MAX] without a sign change."""
 
     def __init__(self, message: str, lo: float, hi: float):

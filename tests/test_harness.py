@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from kltrust import presets
+from kltrust.baselines import BaselineConfig, make_baseline
 from kltrust.cli import main as cli_main
+from kltrust.data import SyntheticQuadraticTask, synthetic_grad
 from kltrust.harness import (
+    QUADRATIC_PARAMS,
     MetricsRecord,
     RunConfig,
     aggregate,
@@ -16,6 +19,8 @@ from kltrust.harness import (
     summarize,
     verify_hparams,
 )
+from kltrust.optimizer import TrustRegionConfig, TrustRegionOptimizer
+from kltrust.surrogate import FilterConsistencyError
 
 
 def synth_config(tmp_path, optimizer="trust_region", seeds=(0, 1), **kw):
@@ -73,6 +78,17 @@ def test_config_validation():
         RunConfig(task="synthetic_quadratic", optimizer="adam", variant="fixed-eta")
     with pytest.raises(ValueError):
         RunConfig(task="synthetic_quadratic", optimizer="adam", seeds=())
+    with pytest.raises(ValueError, match="batch_size"):
+        RunConfig(task="synthetic_quadratic", optimizer="adam", batch_size=0)
+    with pytest.raises(ValueError, match="eval_every"):
+        RunConfig(task="fashion_mnist_mlp", optimizer="adam", eval_every=0)
+    with pytest.raises(ValueError, match="steps"):
+        RunConfig(task="synthetic_quadratic", optimizer="adam", task_params={"steps": 5})
+    with pytest.raises(ValueError, match="noise_scale"):
+        RunConfig(task="fashion_mnist_mlp", optimizer="adam", task_params={"noise_scale": 1})
+    # every key the quadratic reads is accepted
+    RunConfig(task="synthetic_quadratic", optimizer="adam",
+              task_params=dict.fromkeys(QUADRATIC_PARAMS, 1))
 
 
 def test_default_milestones_at_half_and_three_quarters():
@@ -156,14 +172,33 @@ def test_summarize_matches_shipped_summary(tmp_path):
                 assert abs(mine[key] - theirs[key]) < 1e-12
 
 
+def _broken_filter(*args, **kwargs):
+    raise FilterConsistencyError("covariance not positive definite")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverging_seed_is_isolated(tmp_path):
-    cfg = synth_config(
-        tmp_path, optimizer="sgd", seeds=(0, 1),
-        hyperparams={"learning_rate": 1e30},
+def test_diverging_seed_is_isolated(tmp_path, monkeypatch):
+    # noise draws of 1e308 overflow the gradient while the loss stays finite
+    overflow = {"steps_per_epoch": 10, "noise_scale": 1e308}
+    cases = (
+        ("sgd", {"hyperparams": {"learning_rate": 1e30}}, "non-finite loss"),
+        ("adam", {"hyperparams": {"learning_rate": 0.05}, "task_params": overflow},
+         "non-finite params or gradient"),
+        ("trust_region", {"task_params": overflow}, "non-finite gradient"),
+        ("trust_region", {"variant": "adam-surrogate", "task_params": overflow},
+         "non-finite gradient"),
+        ("trust_region", {"fault": _broken_filter}, "positive definite"),
     )
-    result = run(cfg)
-    assert set(result.summary["failed_seeds"]) == {"0", "1"}
+    for i, (optimizer, kw, message) in enumerate(cases):
+        with monkeypatch.context() as m:
+            if "fault" in kw:
+                m.setattr("kltrust.optimizer.filter_update", kw.pop("fault"))
+            cfg = synth_config(tmp_path, optimizer=optimizer, seeds=(0, 1),
+                               out_dir=str(tmp_path / f"case{i}"), **kw)
+            result = run(cfg)
+        failed = result.summary["failed_seeds"]
+        assert set(failed) == {"0", "1"}, (optimizer, kw)
+        assert all(message in reason for reason in failed.values()), failed
     cfg_mixed = synth_config(tmp_path, optimizer="sgd", seeds=(0,),
                              hyperparams={"learning_rate": 0.05},
                              out_dir=str(tmp_path / "ok"))
@@ -183,6 +218,66 @@ def test_completed_epochs_survive_late_divergence(tmp_path):
     epochs_present = [r.epoch for r in read_metrics_csv(result.csv_path)]
     assert epochs_present  # earlier epochs of the failed seed are retained
     assert max(epochs_present) < 3
+
+
+def _quadratic(seed):
+    n = 10
+    return SyntheticQuadraticTask(
+        theta_star=np.resize([0.5, -0.5], n),
+        diag=np.logspace(np.log10(0.1), np.log10(10.0), n),
+        noise_scale=0.5,
+        seed=seed,
+    ), np.random.default_rng([seed, 90210]).normal(0.0, 1.0, n)
+
+
+def _batch_grad(task, point, step, batch_size=4):
+    draws = range(step * batch_size, (step + 1) * batch_size)
+    return np.mean([synthetic_grad(task, point, d) for d in draws], axis=0)
+
+
+def test_harness_matches_hand_loop_adam(tmp_path):
+    hp = {"learning_rate": 0.05, "weight_decay": 0.01}
+    cfg = synth_config(tmp_path, optimizer="adam", seeds=(3,), epochs=3,
+                       milestones=(1,), hyperparams=hp)
+    rows = read_metrics_csv(run(cfg).csv_path)
+    task, params = _quadratic(3)
+    opt = make_baseline(10, BaselineConfig(kind="adam", schedule_milestones=(1,), **hp))
+    step = 0
+    assert [r.epoch for r in rows] == [0, 1, 2]
+    for row in rows:
+        losses = []
+        for _ in range(10):
+            grad = _batch_grad(task, params, step)
+            losses.append(task.loss(params))
+            params = opt.step(params, grad)
+            step += 1
+        opt.on_epoch_end()
+        assert row.train_loss == float(np.mean(losses))
+        assert row.eta_star is None and row.c_mu is None and row.bisect_iters is None
+
+
+def test_harness_matches_hand_loop_trust_region(tmp_path):
+    cfg = synth_config(tmp_path, seeds=(3,), epochs=3, milestones=(1,),
+                       hyperparams={"epsilon": 0.02})
+    rows = read_metrics_csv(run(cfg).csv_path)
+    task, mu0 = _quadratic(3)
+    opt = TrustRegionOptimizer(
+        10, TrustRegionConfig(epsilon=0.02, schedule_milestones=(1,)), mu0
+    )
+    step = 0
+    assert [r.epoch for r in rows] == [0, 1, 2]
+    for row in rows:
+        losses, diags = [], []
+        for _ in range(10):
+            grad = _batch_grad(task, opt.mean, step)
+            losses.append(task.loss(opt.mean))
+            diags.append(opt.step(grad))
+            step += 1
+        opt.on_epoch_end()
+        assert row.train_loss == float(np.mean(losses))
+        assert row.eta_star == float(np.mean([d.eta_star for d in diags]))
+        assert row.c_mu == float(np.mean([d.c_mu for d in diags]))
+        assert row.bisect_iters == float(np.mean([d.bisect_iters for d in diags]))
 
 
 def test_ablation_run_tags_variant(tmp_path):

@@ -145,7 +145,7 @@ def test_adam_surrogate_mode_bypasses_filter():
         diag = opt.step(rng.normal(size=3))
         assert diag.clamped == 0  # sqrt(v_hat) + eps is always positive
     assert np.array_equal(opt.filter.a, np.zeros(3))  # untouched
-    assert opt._t == 10
+    assert opt.moments.t == 10
 
 
 # ---------------------------------------------------------------------------
