@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -48,8 +49,27 @@ TASKS = (
     "cifar10_cnn",
     "cifar100_cnn",
 )
-# task_params the synthetic quadratic reads; the dataset tasks take none
-QUADRATIC_PARAMS = ("n", "diag_range", "noise_scale", "steps_per_epoch")
+
+
+def _finite(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _count(x) -> bool:
+    return isinstance(x, numbers.Integral) and _finite(x) and x >= 1
+
+
+# task_params the synthetic quadratic reads, each with its check and the rule
+# it enforces; the dataset tasks take none
+QUADRATIC_PARAMS = {
+    "n": (_count, "an integer >= 1"),
+    "diag_range": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                   and all(map(_finite, v)) and 0.0 < v[0] <= v[1],
+                   "two finite values 0 < lo <= hi"),
+    "noise_scale": (lambda v: _finite(v) and v >= 0.0, "finite and >= 0"),
+    "steps_per_epoch": (_count, "an integer >= 1"),
+}
+
 
 @dataclass(frozen=True)
 class MetricsRecord:
@@ -99,6 +119,10 @@ class RunConfig:
         unknown = set(self.task_params) - set(allowed)
         if unknown:
             raise ValueError(f"unknown task_params for {self.task}: {sorted(unknown)}")
+        for key, value in self.task_params.items():
+            check, rule = QUADRATIC_PARAMS[key]
+            if not check(value):
+                raise ValueError(f"task_params.{key} must be {rule}, got {value!r}")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .baselines import AdamMoments
 from .errors import NonFiniteError
-from .surrogate import SurrogateState, filter_update, init_state, surrogate_params
+from .surrogate import SurrogateState, filter_update, init_state
 from .trust_region import (
     DualSolve,
     ParameterDistribution,
@@ -28,10 +28,6 @@ from .trust_region import (
 )
 
 MODES = ("standard", "fixed_eta", "adam_surrogate")
-
-# eta_warm floor after an interior (eta* = 0) step; bracket expansion
-# recovers any scale from here in O(log) evaluations
-ETA_WARM_FLOOR = 1e-6
 
 
 @dataclass
@@ -109,7 +105,6 @@ class TrustRegionOptimizer:
             mu0.copy(), np.full(n, config.sigma2_init, dtype=np.float64)
         )
         self.filter: SurrogateState = init_state(n, config.p0)
-        self.eta_warm = 1.0
         self.step_count = 0
         self.epoch = 0
         self.epsilon = config.epsilon
@@ -132,7 +127,8 @@ class TrustRegionOptimizer:
             a = np.sqrt(v_hat) + cfg.adam_eps
             return a, m_hat - a * self.dist.mu
         self.filter = filter_update(self.filter, self.dist.mu, grad, cfg.q, cfg.r)
-        return surrogate_params(self.filter)
+        # the solver only reads (a, b) and clamping copies a, so no copies here
+        return self.filter.a, self.filter.b
 
     def step(self, grad: np.ndarray) -> StepDiagnostics:
         cfg = self.config
@@ -156,14 +152,13 @@ class TrustRegionOptimizer:
             mu_new = primal_mean(a, b, self.dist, cfg.fixed_eta, tr)
             res = DualSolve(cfg.fixed_eta, mu_new, kl_mean_term(mu_new, self.dist), 0)
         else:
-            res = solve_eta(a, b, self.dist, tr, self.eta_warm)
+            res = solve_eta(a, b, self.dist, tr)
 
         mu_new = res.mu
         if not cfg.coupled_decay and cfg.weight_decay > 0.0:
             mu_new = mu_new * (1.0 - cfg.weight_decay)
 
         self.dist = ParameterDistribution(mu_new, sigma2_new)
-        self.eta_warm = max(res.eta_star, ETA_WARM_FLOOR)
         self.step_count += 1
         return StepDiagnostics(res.eta_star, res.c_mu, res.iterations, clamped)
 

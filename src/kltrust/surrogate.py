@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import NumericalFault
 
+# dimensions per block of filter_update: the block's temporaries stay in
+# cache instead of each one streaming an n-vector through memory
+BLOCK = 8192
+
 
 class FilterConsistencyError(NumericalFault, RuntimeError):
     """Filter covariance lost positive definiteness (numerical fault)."""
@@ -40,14 +44,19 @@ class SurrogateState:
         return self.a.shape[0]
 
     def validate(self) -> None:
+        """Raise FilterConsistencyError unless the state is finite and every
+        covariance is positive definite."""
         vecs = (self.a, self.b, self.p11, self.p12, self.p22)
         if any(v.shape != (self.n,) for v in vecs):
             raise ValueError("state vectors must share one length")
-        if not all(np.all(np.isfinite(v)) for v in vecs):
-            raise ValueError("state contains non-finite entries")
-        det = self.p11 * self.p22 - self.p12**2
-        if np.any(self.p11 <= 0.0) or np.any(self.p22 <= 0.0) or np.any(det <= 0.0):
-            raise FilterConsistencyError("covariance not positive definite")
+        # p11 > 0 and det > 0 imply p22 > 0, and finite p11 and det imply
+        # finite p12 and p22. NaN fails every comparison, and a sum is finite
+        # only when every entry is (or it leaves the float range, also a fault)
+        det = self.p11 * self.p22
+        det -= self.p12 * self.p12
+        total = self.a.sum() + self.b.sum() + self.p11.sum() + det.sum()
+        if not (min(self.p11.min(), det.min()) > 0.0 and np.isfinite(total)):
+            raise FilterConsistencyError("covariance not positive definite or state non-finite")
 
 
 def init_state(n: int, p0: float) -> SurrogateState:
@@ -76,13 +85,15 @@ def filter_update(
 ) -> SurrogateState:
     """One vectorized Kalman step on every dimension.
 
-    Per dimension, with H = (mu_j, 1):
+    Per dimension, with H = (mu_j, 1) and t = P- H^T:
         P- = P + q*I
-        v  = H P- H^T + r
-        K  = P- H^T / v
-        m <- m + K * (g_j - H m)
-        P <- P- - v * K K^T
-    Returns a new state; the input state is not mutated.
+        t  = (mu_j p11- + p12, mu_j p12 + p22-)
+        v  = H t + r
+        m <- m + t * (g_j - H m) / v
+        P <- P- - t t^T / v
+    The dimensions are updated BLOCK at a time. Returns a new state; the
+    input state is not mutated. Raises FilterConsistencyError when the new
+    covariance is not positive definite or the new state is not finite.
     """
     mu = np.asarray(mu, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -97,25 +108,29 @@ def filter_update(
     if not np.isfinite(r) or r <= 0.0:
         raise ValueError(f"measurement variance r must be > 0, got {r}")
 
-    p11 = state.p11 + q
-    p12 = state.p12.copy()
-    p22 = state.p22 + q
-
-    # innovation variance; >= r analytically, clamped against underflow
-    v = mu * (mu * p11 + 2.0 * p12) + p22 + r
-    np.maximum(v, r, out=v)
-
-    k1 = (mu * p11 + p12) / v
-    k2 = (mu * p12 + p22) / v
-
-    resid = g - (mu * state.a + state.b)
-    new = SurrogateState(
-        a=state.a + k1 * resid,
-        b=state.b + k2 * resid,
-        p11=p11 - v * k1 * k1,
-        p12=p12 - v * k1 * k2,
-        p22=p22 - v * k2 * k2,
-    )
+    new = SurrogateState(*(np.empty(state.n) for _ in range(5)))
+    v_sum = 0.0
+    for lo in range(0, state.n, BLOCK):
+        s = slice(lo, lo + BLOCK)
+        m, a, b, p12 = mu[s], state.a[s], state.b[s], state.p12[s]
+        p11 = state.p11[s] + q
+        p22 = state.p22[s] + q
+        t1 = m * p11 + p12
+        t2 = m * p12 + p22
+        # innovation variance; >= r analytically, clamped against underflow
+        v = np.maximum(m * t1 + t2 + r, r)
+        v_sum += v.sum()
+        resid = g[s] - (m * a + b)
+        k1 = t1 / v
+        k2 = t2 / v
+        new.a[s] = a + k1 * resid
+        new.b[s] = b + k2 * resid
+        new.p11[s] = p11 - k1 * t1
+        new.p12[s] = p12 - k1 * t2
+        new.p22[s] = p22 - k2 * t2
+    # an overflowed v zeroes the gain and would leave the state silently unchanged
+    if not np.isfinite(v_sum):
+        raise FilterConsistencyError("innovation variance overflowed")
     new.validate()
     return new
 

@@ -1,4 +1,4 @@
-"""Closed-form primal updates and the dual bisection for the KL trust region.
+"""Closed-form primal updates and the secular-equation dual for the KL trust region.
 
 A diagonal Gaussian over parameters is updated by minimizing the expected
 quadratic surrogate plus covariance/prior regularizers, subject to a bound
@@ -8,9 +8,9 @@ epsilon on the mean part of the KL divergence to the previous distribution:
 
 The mean and variance have closed forms given the Lagrange multiplier eta of
 that constraint; the variance is eta-free. eta itself is the root of
-g'(eta) = C_mu(mu(eta)) - epsilon, found by warm-started bisection. C_mu(eta)
-is non-increasing, so the root is unique when it exists; when g' < 0
-everywhere the optimum is interior and eta* = 0.
+C_mu(eta) = epsilon, the secular equation of a trust-region subproblem,
+solved by Newton's method (More & Sorensen 1983, "Computing a trust region
+step"). When C_mu(0) <= epsilon the optimum is interior and eta* = 0.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ ETA_MAX = 1e12
 
 
 class DualSolverError(NumericalFault, RuntimeError):
-    """Bracket expansion hit [ETA_MIN, ETA_MAX] without a sign change."""
+    """Newton did not reach the band: the root lies beyond ETA_MAX, the
+    surrogate is non-finite, or max_iter ran out. [lo, hi] is the last
+    iterate, left of the root, and ETA_MAX."""
 
     def __init__(self, message: str, lo: float, hi: float):
         super().__init__(message)
@@ -152,89 +154,62 @@ def solve_eta(
     b: np.ndarray,
     prev: ParameterDistribution,
     tr: TrustRegionParams,
-    eta_warm: float = 1.0,
-    width_tol: float | None = None,
-    max_iter: int = 200,
+    max_iter: int = 50,
 ) -> DualSolve:
     """Find eta* >= 0 and the corresponding constrained mean.
 
-    Brackets the root of g' around the warm seed (bounds eta_warm/3 and
-    3*eta_warm, expanded geometrically by 3 per side within
-    [ETA_MIN, ETA_MAX]), then bisects on the arithmetic midpoint until
-    |g'(eta)| <= 0.1 * epsilon. A positive `width_tol` additionally permits
-    stopping once the bracket is narrower than it; the returned point is then
-    clamped to the feasible side (C_mu <= epsilon) if the midpoint overshoots,
-    so C_mu(eta*) <= 1.1 * epsilon holds on every exit path.
+    With s = sigma2_prev, w = s * (a + rho*lambda) and
+    g~ = (a + rho*lambda) * mu_prev + b, the mean step is
+    mu(eta) - mu_prev = -s * g~ / (w + eta), so
 
-    When g' < 0 everywhere, the surrogate optimum lies inside the region:
-    returns eta* = 0 when the eta = 0 mean is defined (all a_j + rho*lambda
-    > 0), otherwise the smallest expanded bracket bound.
+        C(eta) = 1/2 * sum_j s_j g~_j^2 / (w_j + eta)^2
+
+    (the trust-region secular equation). Newton's method on the concave,
+    increasing phi(eta) = 1/sqrt(C(eta)) - 1/sqrt(epsilon) starts at
+    eta = 0, or at ETA_MIN when some w_j < ETA_MIN, and its iterates rise
+    monotonically toward the root without passing it; it stops once
+    |C - epsilon| <= 0.1 * epsilon, so C_mu(eta*) <= 1.1 * epsilon on every
+    exit. The first evaluation is the interior test: when C <= epsilon there
+    the step is returned with eta* = 0 (or ETA_MIN) and no iterations.
+    `iterations` counts Newton steps.
     """
-    if eta_warm <= 0.0 or not math.isfinite(eta_warm):
-        eta_warm = 1.0
-    band = 0.1 * tr.epsilon
-    rl = tr.rho * tr.lambda_prec
+    eps = tr.epsilon
+    w = a + tr.rho * tr.lambda_prec
+    z = w * prev.mu
+    z += b
+    w *= prev.sigma2
+    root_s = np.sqrt(prev.sigma2)
+    z *= root_s
+    # z = sqrt(s) * g~, so p = z / (w + eta) gives C = 1/2 p.p and
+    # -C'(eta) = p.(p / (w + eta)): one pass each over two work buffers
+    d = np.empty_like(w)
+    p = np.empty_like(w)
 
-    def result(eta: float, iterations: int) -> DualSolve:
-        mu = primal_mean(a, b, prev, eta, tr)
-        return DualSolve(eta, mu, kl_mean_term(mu, prev), iterations)
+    def secular(eta: float) -> float:
+        np.add(w, eta, out=d)
+        np.divide(z, d, out=p)
+        return 0.5 * float(np.dot(p, p))
 
-    # interior optimum: the unconstrained (eta = 0) step already satisfies
-    # the bound, so the multiplier is zero
-    if np.all(a + rl > 0.0):
-        mu0 = primal_mean(a, b, prev, 0.0, tr)
-        c0 = kl_mean_term(mu0, prev)
-        if c0 <= tr.epsilon:
-            return DualSolve(0.0, mu0, c0, 0)
-
-    lo = max(eta_warm / 3.0, ETA_MIN)
-    hi = min(3.0 * eta_warm, ETA_MAX)
-    g_lo = dual_derivative(lo, a, b, prev, tr)
-    g_hi = dual_derivative(hi, a, b, prev, tr)
-
-    # expand upward while the constraint is still violated at hi
-    while g_hi > 0.0:
-        if hi >= ETA_MAX:
+    # below ETA_MIN a w_j makes the eta = 0 step undefined (w_j = 0) or
+    # overflow C and C', so the solve starts at the smallest multiplier
+    eta = 0.0 if w.min() >= ETA_MIN else ETA_MIN
+    c = secular(eta)
+    iterations = 0
+    done = c <= eps  # a NaN C is not done, and its Newton step fails below
+    while not done:
+        np.divide(p, d, out=d)
+        # numpy division: a zero C' gives an infinite step, which fails below
+        step = float(2.0 * c * (math.sqrt(c / eps) - 1.0) / np.dot(p, d))
+        iterations += 1
+        if not (eta + step <= ETA_MAX and iterations <= max_iter):
             raise DualSolverError(
-                f"constraint still violated at eta={hi:g} "
-                f"(g'={g_hi:g}); surrogate is pathological",
-                lo,
-                hi,
+                f"Newton step {iterations} from eta={eta:g} (C_mu={c:g}) leaves "
+                f"eta <= {ETA_MAX:g} or max_iter={max_iter}; surrogate is pathological",
+                eta,
+                ETA_MAX,
             )
-        lo, g_lo = hi, g_hi
-        hi = min(hi * 3.0, ETA_MAX)
-        g_hi = dual_derivative(hi, a, b, prev, tr)
-
-    # expand downward while even lo is inside the region
-    while g_lo <= 0.0:
-        if lo <= ETA_MIN:
-            # interior optimum with eta = 0 undefined (some a_j + rl == 0):
-            # settle for the smallest admissible multiplier
-            return result(lo, 0)
-        hi, g_hi = lo, g_lo
-        lo = max(lo / 3.0, ETA_MIN)
-        g_lo = dual_derivative(lo, a, b, prev, tr)
-
-    if abs(g_lo) <= band:
-        return result(lo, 0)
-    if abs(g_hi) <= band:
-        return result(hi, 0)
-
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        g_mid = dual_derivative(mid, a, b, prev, tr)
-        if abs(g_mid) <= band:
-            return result(mid, it)
-        if g_mid > 0.0:
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-        if width_tol is not None and hi - lo < width_tol:
-            # coarse exit: keep the step inside the region if mid overshoots
-            return result(mid if g_mid <= 0.0 else hi, it)
-
-    raise DualSolverError(
-        f"bisection failed to reach |g'| <= {band:g} in {max_iter} iterations",
-        lo,
-        hi,
-    )
+        eta += step
+        c = secular(eta)
+        done = abs(c - eps) <= 0.1 * eps
+    p *= root_s
+    return DualSolve(eta, prev.mu - p, c, iterations)

@@ -106,11 +106,12 @@ def test_criterion_01_kalman_oracle_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# 2. trust-region constraint on randomized instances + warm-start iterations
+# 2. trust-region constraint on randomized instances + Newton iterations
 # ---------------------------------------------------------------------------
 
 def test_criterion_02_constraint_satisfaction_and_iterations():
     rng = np.random.default_rng(7_77)
+    instance_iters = []
     for _ in range(1000):
         n = int(rng.integers(1, 101))
         a = rng.uniform(0.0, 10.0, size=n)
@@ -125,12 +126,14 @@ def test_criterion_02_constraint_satisfaction_and_iterations():
             nu=float(rng.uniform(0.5, 2.0)),
             lambda_prec=float(rng.uniform(0.0, 0.01)),
         )
-        res = solve_eta(a, b, prev, tr, eta_warm=float(10 ** rng.uniform(-2.0, 2.0)))
+        res = solve_eta(a, b, prev, tr)
+        instance_iters.append(res.iterations)
         inside = res.eta_star == 0.0 and res.c_mu <= eps
         on_band = abs(res.c_mu - eps) <= 0.1 * eps + 1e-15
         assert inside or on_band
+    assert max(instance_iters) <= 4
 
-    # warm-started trajectory: drive the optimizer on a noisy quadratic
+    # trajectory: drive the optimizer on a noisy quadratic
     task = SyntheticQuadraticTask(
         theta_star=np.resize([0.5, -0.5], 10),
         diag=np.logspace(-1, 1, 10),
@@ -151,7 +154,8 @@ def test_criterion_02_constraint_satisfaction_and_iterations():
     assert median_all <= 6.0
     if constrained_iters:
         assert float(np.median(constrained_iters)) <= 6.0
-    _report(2, f"1000/1000 instances in band; median bisection iterations {median_all:.1f}")
+    _report(2, f"1000/1000 instances in band in <= {max(instance_iters)} Newton iterations; "
+               f"trajectory median {median_all:.1f}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +420,7 @@ def test_criterion_09_ablation_harness(tmp_path, monkeypatch):
     eta = 3.0
     grads = np.random.default_rng(40).normal(size=(40, 5))
 
-    def forced(a, b, prev, tr, eta_warm=1.0, width_tol=None, max_iter=200):
+    def forced(a, b, prev, tr, max_iter=50):
         mu = primal_mean(a, b, prev, eta, tr)
         return DualSolve(eta, mu, kl_mean_term(mu, prev), 0)
 

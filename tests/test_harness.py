@@ -86,9 +86,20 @@ def test_config_validation():
         RunConfig(task="synthetic_quadratic", optimizer="adam", task_params={"steps": 5})
     with pytest.raises(ValueError, match="noise_scale"):
         RunConfig(task="fashion_mnist_mlp", optimizer="adam", task_params={"noise_scale": 1})
-    # every key the quadratic reads is accepted
-    RunConfig(task="synthetic_quadratic", optimizer="adam",
-              task_params=dict.fromkeys(QUADRATIC_PARAMS, 1))
+    bad_values = (
+        ("steps_per_epoch", 0), ("steps_per_epoch", 2.5), ("n", 0), ("n", -3),
+        ("noise_scale", -1.0), ("noise_scale", float("nan")), ("noise_scale", float("inf")),
+        ("diag_range", (0.0, 1.0)), ("diag_range", (2.0, 1.0)), ("diag_range", (1.0,)),
+        ("diag_range", 1), ("diag_range", (1.0, float("inf"))),
+        ("diag_range", (float("nan"), 1.0)),
+    )
+    for key, value in bad_values:
+        with pytest.raises(ValueError, match=key):
+            RunConfig(task="synthetic_quadratic", optimizer="adam", task_params={key: value})
+    # every key the quadratic reads is accepted, at its edge values
+    edge = {"n": 1, "steps_per_epoch": 1, "noise_scale": 0.0, "diag_range": [2.0, 2.0]}
+    assert set(edge) == set(QUADRATIC_PARAMS)
+    RunConfig(task="synthetic_quadratic", optimizer="adam", task_params=edge)
 
 
 def test_default_milestones_at_half_and_three_quarters():

@@ -21,7 +21,6 @@ def test_init_defaults():
     assert np.array_equal(opt.dist.sigma2, [0.01, 0.01])
     assert np.array_equal(opt.filter.p11, [5e-5, 5e-5])
     assert np.array_equal(opt.filter.p22, [5e-5, 5e-5])
-    assert opt.eta_warm == 1.0
     assert opt.step_count == 0 and opt.epoch == 0
 
 
@@ -209,7 +208,7 @@ def test_mode_equivalence_standard_vs_fixed(monkeypatch):
     eta = 2.5
     grads = np.random.default_rng(12).normal(size=(30, 4))
 
-    def forced_solve(a, b, prev, tr, eta_warm=1.0, width_tol=None, max_iter=200):
+    def forced_solve(a, b, prev, tr, max_iter=50):
         mu = primal_mean(a, b, prev, eta, tr)
         return DualSolve(eta, mu, kl_mean_term(mu, prev), 0)
 

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kltrust import surrogate
+from kltrust.errors import NumericalFault
 from kltrust.surrogate import (
     FilterConsistencyError,
     SurrogateState,
@@ -151,6 +155,19 @@ def test_pd_violation_raises_consistency_error():
     )
     with pytest.raises(FilterConsistencyError):
         bad.validate()
+    nonfinite = init_state(2, 1.0)
+    nonfinite.b[1] = np.nan
+    with pytest.raises(FilterConsistencyError):
+        nonfinite.validate()
+
+
+def test_overflowing_mean_is_a_numerical_fault():
+    # finite inputs whose innovation variance overflows: the seed fails as a
+    # numerical fault instead of the filter keeping a silently wrong state
+    state = init_state(2, 5e-5)
+    with np.errstate(over="ignore"), pytest.raises(FilterConsistencyError) as exc:
+        filter_update(state, np.array([1e160, 0.5]), np.array([1.0, 1.0]), 0.01, 1.0)
+    assert isinstance(exc.value, NumericalFault)
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +220,36 @@ def test_pd_preserved_over_long_runs():
     assert np.all(state.p11 > 0) and np.all(state.p22 > 0) and np.all(det > 0)
 
 
-def test_dimensions_update_independently():
+@settings(max_examples=200, deadline=None)
+@given(
+    p0=st.floats(1e-6, 1.0),
+    q=st.one_of(st.just(0.0), st.floats(0.0, 0.1, allow_subnormal=False)),
+    r=st.floats(1e-2, 10.0),
+    steps=st.lists(
+        st.tuples(*[st.floats(-1e3, 1e3, allow_subnormal=False)] * 2), min_size=1, max_size=30
+    ),
+)
+def test_covariance_stays_pd_over_random_sequences(p0, q, r, steps):
+    state = init_state(1, p0)
+    for mu, g in steps:
+        state = filter_update(state, np.array([mu]), np.array([g]), q, r)
+    det = state.p11 * state.p22 - state.p12**2
+    assert state.p11[0] > 0.0 and state.p22[0] > 0.0 and det[0] > 0.0
+
+
+def test_dimensions_update_independently(monkeypatch):
     rng = np.random.default_rng(5)
     mu = rng.normal(size=6)
     g = rng.normal(size=6)
     state = init_state(6, 0.3)
-    joint = filter_update(state, mu, g, 0.02, 1.3)
-    for j in range(6):
-        single = filter_update(init_state(1, 0.3), mu[j : j + 1], g[j : j + 1], 0.02, 1.3)
-        assert joint.a[j] == single.a[0]
-        assert joint.p12[j] == single.p12[0]
+    # one block, then two blocks with the second one partial
+    for block in (surrogate.BLOCK, 4):
+        monkeypatch.setattr(surrogate, "BLOCK", block)
+        joint = filter_update(state, mu, g, 0.02, 1.3)
+        for j in range(6):
+            single = filter_update(init_state(1, 0.3), mu[j : j + 1], g[j : j + 1], 0.02, 1.3)
+            for name in ("a", "b", "p11", "p12", "p22"):
+                assert getattr(joint, name)[j] == getattr(single, name)[0]
 
 
 def test_permutation_equivariance():

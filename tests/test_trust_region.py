@@ -2,6 +2,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kltrust.trust_region import (
     ETA_MIN,
@@ -167,7 +169,7 @@ def test_solve_analytic_root():
     a, b = np.array([0.0]), np.array([-1.0])
     prev = dist([0.0], [1.0])
     tr = params(epsilon=0.02)
-    res = solve_eta(a, b, prev, tr, eta_warm=4.0)
+    res = solve_eta(a, b, prev, tr)
     assert res.eta_star == pytest.approx(5.0, rel=0.06)
     assert res.mu[0] == pytest.approx(0.2, rel=0.06)
     assert abs(res.c_mu - 0.02) <= 0.1 * 0.02
@@ -202,14 +204,6 @@ def test_solve_pathological_surrogate_raises():
     assert exc.value.hi == pytest.approx(1e12)
 
 
-def test_solve_width_tol_exit_stays_feasible():
-    a, b = np.array([0.0]), np.array([-1.0])
-    prev = dist([0.0], [1.0])
-    tr = params(epsilon=0.02)
-    res = solve_eta(a, b, prev, tr, eta_warm=4.0, width_tol=5.0)
-    assert res.c_mu <= 1.1 * tr.epsilon
-
-
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
@@ -219,7 +213,7 @@ def test_constraint_satisfied_on_random_instances():
     for _ in range(200):
         eps = float(10 ** rng.uniform(-3, -1))
         a, b, prev, tr = random_instance(rng, eps)
-        res = solve_eta(a, b, prev, tr, eta_warm=float(10 ** rng.uniform(-2, 2)))
+        res = solve_eta(a, b, prev, tr)
         if res.eta_star == 0.0:
             assert res.c_mu <= eps
         else:
@@ -249,24 +243,57 @@ def test_limit_laws():
     assert np.allclose(newton, -b / a, rtol=1e-10)
 
 
-def test_warm_start_consistency():
-    rng = np.random.default_rng(31)
-    a, b, prev, tr = random_instance(rng, 0.01)
-    ref = solve_eta(a, b, prev, tr, eta_warm=1.0)
-    if ref.eta_star == 0.0:
-        pytest.skip("instance landed interior; warm start irrelevant")
-    c_mus = []
-    for seed in (0.1 * ref.eta_star, ref.eta_star, 10.0 * ref.eta_star):
-        c_mus.append(solve_eta(a, b, prev, tr, eta_warm=seed).c_mu)
-    for c in c_mus:
-        assert abs(c - tr.epsilon) <= 0.1 * tr.epsilon
-
-
 def test_variance_unaffected_by_solver_calls():
     rng = np.random.default_rng(47)
     a, b, prev, tr = random_instance(rng, 0.02)
     before = primal_variance(a, prev, tr)
-    solve_eta(a, b, prev, tr, eta_warm=0.5)
-    solve_eta(a, b, prev, tr, eta_warm=500.0)
+    solve_eta(a, b, prev, tr)
     after = primal_variance(a, prev, tr)
     assert np.array_equal(before, after)
+
+
+# ---------------------------------------------------------------------------
+# properties of the Newton solve, against the primal_mean/kl_mean_term
+# reference, including a_j + rho*lambda = 0 corners
+# ---------------------------------------------------------------------------
+
+def floats(lo, hi):
+    # subnormals would test the reference's underflow, not the solver
+    return st.floats(lo, hi, allow_subnormal=False)
+
+
+@st.composite
+def dual_instances(draw):
+    n = draw(st.integers(1, 20))
+    vec = lambda elem: draw(st.lists(elem, min_size=n, max_size=n))
+    a = np.array(vec(st.one_of(st.just(0.0), floats(0.0, 100.0))))
+    b = np.array(vec(floats(-100.0, 100.0)))
+    prev = dist(vec(floats(-10.0, 10.0)), vec(floats(1e-4, 10.0)))
+    tr = TrustRegionParams(
+        epsilon=draw(floats(1e-3, 1e-1)),
+        rho=draw(st.one_of(st.just(0.0), floats(0.0, 1.0))),
+        nu=1.0,
+        lambda_prec=draw(st.one_of(st.just(0.0), floats(0.0, 0.01))),
+    )
+    return a, b, prev, tr
+
+
+@settings(max_examples=300, deadline=None)
+@given(dual_instances())
+def test_solve_properties(instance):
+    a, b, prev, tr = instance
+    eps = tr.epsilon
+    res = solve_eta(a, b, prev, tr)
+    assert res.eta_star >= 0.0
+    assert res.c_mu <= 1.1 * eps
+    if res.iterations == 0:
+        # interior: eta* = 0, or ETA_MIN where the eta = 0 step is undefined
+        assert res.eta_star in (0.0, ETA_MIN)
+        assert res.c_mu <= eps
+    else:
+        assert abs(res.c_mu - eps) <= 0.1 * eps
+    ref = primal_mean(a, b, prev, res.eta_star, tr)
+    # both forms round relative to the magnitudes they combine
+    assert np.all(np.abs(res.mu - ref) <= 1e-10 * (np.abs(ref) + np.abs(prev.mu)))
+    # kl_mean_term subtracts mu_prev again, losing up to an ulp of it
+    assert res.c_mu == pytest.approx(kl_mean_term(res.mu, prev), rel=1e-10, abs=1e-10 * eps)
