@@ -6,4 +6,5 @@ class NumericalFault(Exception):
 
 
 class NonFiniteError(NumericalFault, ValueError):
-    """A gradient or parameter vector has a NaN or infinite entry."""
+    """A gradient, parameter or variance vector has a NaN or infinite entry,
+    or a variance update a non-positive one."""

@@ -156,7 +156,8 @@ class TrustRegionOptimizer:
 
         mu_new = res.mu
         if not cfg.coupled_decay and cfg.weight_decay > 0.0:
-            mu_new = mu_new * (1.0 - cfg.weight_decay)
+            # in place: the mean is the solve's own fresh array
+            mu_new *= 1.0 - cfg.weight_decay
 
         self.dist = ParameterDistribution(mu_new, sigma2_new)
         self.step_count += 1

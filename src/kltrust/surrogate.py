@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import NumericalFault
 
-# dimensions per block of filter_update: the block's temporaries stay in
-# cache instead of each one streaming an n-vector through memory
+# dimensions per block of filter_update (and of solve_eta's setup): the
+# block's temporaries stay in cache instead of each one streaming an n-vector
+# through memory
 BLOCK = 8192
 
 
@@ -91,9 +92,11 @@ def filter_update(
         v  = H t + r
         m <- m + t * (g_j - H m) / v
         P <- P- - t t^T / v
-    The dimensions are updated BLOCK at a time. Returns a new state; the
-    input state is not mutated. Raises FilterConsistencyError when the new
-    covariance is not positive definite or the new state is not finite.
+    The dimensions are updated BLOCK at a time, and each block is checked
+    as SurrogateState.validate checks a state while it is still in cache.
+    Returns a new state; the input state is not mutated. Raises
+    FilterConsistencyError when the new covariance is not positive definite,
+    the new state is not finite or an innovation variance overflowed.
     """
     mu = np.asarray(mu, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -108,30 +111,45 @@ def filter_update(
     if not np.isfinite(r) or r <= 0.0:
         raise ValueError(f"measurement variance r must be > 0, got {r}")
 
-    new = SurrogateState(*(np.empty(state.n) for _ in range(5)))
-    v_sum = 0.0
-    for lo in range(0, state.n, BLOCK):
-        s = slice(lo, lo + BLOCK)
+    n = state.n
+    new = SurrogateState(*(np.empty(n) for _ in range(5)))
+    # one set of block buffers for every block; P- is staged in new.p11/p22
+    scratch = np.empty((6, min(BLOCK, n)))
+    low, total = np.inf, 0.0
+    for lo in range(0, n, BLOCK):
+        s = slice(lo, min(lo + BLOCK, n))
+        t1, t2, v, resid, k, x = scratch[:, : s.stop - lo]
         m, a, b, p12 = mu[s], state.a[s], state.b[s], state.p12[s]
-        p11 = state.p11[s] + q
-        p22 = state.p22[s] + q
-        t1 = m * p11 + p12
-        t2 = m * p12 + p22
+        p11 = np.add(state.p11[s], q, out=new.p11[s])
+        p22 = np.add(state.p22[s], q, out=new.p22[s])
+        np.multiply(m, p11, out=t1)
+        t1 += p12
+        np.multiply(m, p12, out=t2)
+        t2 += p22
         # innovation variance; >= r analytically, clamped against underflow
-        v = np.maximum(m * t1 + t2 + r, r)
-        v_sum += v.sum()
-        resid = g[s] - (m * a + b)
-        k1 = t1 / v
-        k2 = t2 / v
-        new.a[s] = a + k1 * resid
-        new.b[s] = b + k2 * resid
-        new.p11[s] = p11 - k1 * t1
-        new.p12[s] = p12 - k1 * t2
-        new.p22[s] = p22 - k2 * t2
-    # an overflowed v zeroes the gain and would leave the state silently unchanged
-    if not np.isfinite(v_sum):
-        raise FilterConsistencyError("innovation variance overflowed")
-    new.validate()
+        np.multiply(m, t1, out=v)
+        v += t2
+        v += r
+        np.maximum(v, r, out=v)
+        np.multiply(m, a, out=resid)
+        resid += b
+        np.subtract(g[s], resid, out=resid)
+        np.divide(t1, v, out=k)  # the gain's first entry
+        np.add(a, np.multiply(k, resid, out=x), out=new.a[s])
+        np.subtract(p12, np.multiply(k, t2, out=x), out=new.p12[s])
+        p11 -= np.multiply(k, t1, out=x)
+        np.divide(t2, v, out=k)  # its second entry
+        np.add(b, np.multiply(k, resid, out=x), out=new.b[s])
+        p22 -= np.multiply(k, t2, out=x)
+        # SurrogateState.validate on the block while it is in cache, and the
+        # innovation variance: an overflowed v zeroes the gain and would leave
+        # the state silently unchanged. A NaN can slip past min() but not sum()
+        det = np.multiply(p11, p22, out=t1)
+        det -= np.multiply(new.p12[s], new.p12[s], out=x)
+        low = min(low, p11.min(), det.min())
+        total += new.a[s].sum() + new.b[s].sum() + p11.sum() + det.sum() + v.sum()
+    if not (low > 0.0 and np.isfinite(total)):
+        raise FilterConsistencyError("covariance not positive definite or state non-finite")
     return new
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault
+from .errors import NonFiniteError, NumericalFault
+from .surrogate import BLOCK
 
 ETA_MIN = 1e-12
 ETA_MAX = 1e12
@@ -48,7 +49,7 @@ class ParameterDistribution:
         if self.mu.shape != self.sigma2.shape or self.mu.ndim != 1:
             raise ValueError("mu and sigma2 must be 1-d vectors of equal length")
         if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.sigma2))):
-            raise ValueError("distribution contains non-finite entries")
+            raise NonFiniteError("distribution contains non-finite entries")
         if np.any(self.sigma2 <= 0.0):
             raise ValueError("sigma2 must be strictly positive")
 
@@ -126,9 +127,11 @@ def primal_variance(
 
     sigma2_j = (rho + nu) / (a_j + rho * lambda_prec + nu / sigma2_prev_j)
     """
-    out = (tr.rho + tr.nu) / (a + tr.rho * tr.lambda_prec + tr.nu / prev.sigma2)
-    if np.any(out <= 0.0):
-        raise ValueError("variance update produced a non-positive entry; a_j < 0?")
+    out = np.add(a, tr.rho * tr.lambda_prec)
+    out += tr.nu / prev.sigma2
+    np.divide(tr.rho + tr.nu, out, out=out)
+    if not out.min() > 0.0:  # also false for a NaN
+        raise NonFiniteError("variance update produced a non-positive or NaN entry; a_j < 0?")
     return out
 
 
@@ -174,12 +177,21 @@ def solve_eta(
     `iterations` counts Newton steps.
     """
     eps = tr.epsilon
-    w = a + tr.rho * tr.lambda_prec
-    z = w * prev.mu
-    z += b
-    w *= prev.sigma2
-    root_s = np.sqrt(prev.sigma2)
-    z *= root_s
+    rl = tr.rho * tr.lambda_prec
+    n = prev.n
+    w, z, root_s = np.empty(n), np.empty(n), np.empty(n)
+    w_min = np.inf
+    # one sweep, BLOCK dimensions at a time, so each block is read from memory once
+    for lo in range(0, n, BLOCK):
+        s = slice(lo, lo + BLOCK)
+        ws, zs, rs = w[s], z[s], root_s[s]
+        np.add(a[s], rl, out=ws)
+        np.multiply(ws, prev.mu[s], out=zs)
+        zs += b[s]
+        ws *= prev.sigma2[s]
+        np.sqrt(prev.sigma2[s], out=rs)
+        zs *= rs
+        w_min = min(w_min, ws.min())
     # z = sqrt(s) * g~, so p = z / (w + eta) gives C = 1/2 p.p and
     # -C'(eta) = p.(p / (w + eta)): one pass each over two work buffers
     d = np.empty_like(w)
@@ -192,7 +204,7 @@ def solve_eta(
 
     # below ETA_MIN a w_j makes the eta = 0 step undefined (w_j = 0) or
     # overflow C and C', so the solve starts at the smallest multiplier
-    eta = 0.0 if w.min() >= ETA_MIN else ETA_MIN
+    eta = 0.0 if w_min >= ETA_MIN else ETA_MIN
     c = secular(eta)
     iterations = 0
     done = c <= eps  # a NaN C is not done, and its Newton step fails below
@@ -212,4 +224,4 @@ def solve_eta(
         c = secular(eta)
         done = abs(c - eps) <= 0.1 * eps
     p *= root_s
-    return DualSolve(eta, prev.mu - p, c, iterations)
+    return DualSolve(eta, np.subtract(prev.mu, p, out=p), c, iterations)

@@ -44,6 +44,9 @@ def test_every_seam_exists_and_the_quadratic_cells_call_them(tmp_path):
     assert names.count("baselines.step") == steps
     # every step averages batch_size draws, in both cells
     assert names.count("data.synthetic_grad") == 2 * steps * 3
+    # once per trust-region step: a fused stage that drops or repeats a call
+    # would otherwise quietly change its per-layer metric
     for name in ("surrogate.filter_update", "trust_region.primal_variance",
-                 "trust_region.solve_eta", "harness.write_metrics_csv"):
-        assert name in names, name
+                 "trust_region.solve_eta"):
+        assert names.count(name) == steps, name
+    assert "harness.write_metrics_csv" in names

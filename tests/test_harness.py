@@ -21,6 +21,7 @@ from kltrust.harness import (
 )
 from kltrust.optimizer import TrustRegionConfig, TrustRegionOptimizer
 from kltrust.surrogate import FilterConsistencyError
+from kltrust.trust_region import primal_variance, solve_eta
 
 
 def synth_config(tmp_path, optimizer="trust_region", seeds=(0, 1), **kw):
@@ -187,6 +188,16 @@ def _broken_filter(*args, **kwargs):
     raise FilterConsistencyError("covariance not positive definite")
 
 
+def _nan_mean_solver(*args, **kwargs):
+    res = solve_eta(*args, **kwargs)
+    res.mu[0] = np.nan
+    return res
+
+
+def _negative_curvature_variance(a, prev, tr):
+    return primal_variance(a - 1e6, prev, tr)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_seed_is_isolated(tmp_path, monkeypatch):
     # noise draws of 1e308 overflow the gradient while the loss stays finite
@@ -198,12 +209,18 @@ def test_diverging_seed_is_isolated(tmp_path, monkeypatch):
         ("trust_region", {"task_params": overflow}, "non-finite gradient"),
         ("trust_region", {"variant": "adam-surrogate", "task_params": overflow},
          "non-finite gradient"),
-        ("trust_region", {"fault": _broken_filter}, "positive definite"),
+        ("trust_region", {"fault": ("filter_update", _broken_filter)}, "positive definite"),
+        # a non-finite mean reaches ParameterDistribution, a negative curvature
+        # primal_variance: both raise NonFiniteError
+        ("trust_region", {"fault": ("solve_eta", _nan_mean_solver)}, "non-finite entries"),
+        ("trust_region", {"fault": ("primal_variance", _negative_curvature_variance)},
+         "non-positive or NaN"),
     )
     for i, (optimizer, kw, message) in enumerate(cases):
         with monkeypatch.context() as m:
             if "fault" in kw:
-                m.setattr("kltrust.optimizer.filter_update", kw.pop("fault"))
+                seam, fault = kw.pop("fault")
+                m.setattr(f"kltrust.optimizer.{seam}", fault)
             cfg = synth_config(tmp_path, optimizer=optimizer, seeds=(0, 1),
                                out_dir=str(tmp_path / f"case{i}"), **kw)
             result = run(cfg)

@@ -110,6 +110,22 @@ def test_coupled_decay_feeds_gradient_not_mean():
     assert opt.filter.b[0] != 0.0
 
 
+@pytest.mark.parametrize("mode", ["standard", "fixed_eta", "adam_surrogate"])
+def test_step_leaves_the_arrays_a_caller_holds_unchanged(mode):
+    # the harness holds point = opt.mean across step(), and the step writes
+    # its results in place: only into arrays it has just allocated
+    cfg = TrustRegionConfig(mode=mode, fixed_eta=1.0, weight_decay=0.01)
+    rng = np.random.default_rng(4)
+    opt = TrustRegionOptimizer(6, cfg, mu0=rng.normal(size=6))
+    for _ in range(3):
+        held = [opt.mean, opt.dist.sigma2, *vars(opt.filter).values()]
+        copies = [x.copy() for x in held]
+        opt.step(rng.normal(size=6))
+        assert opt.mean is not held[0]
+        for x, before in zip(held, copies):
+            assert np.array_equal(x, before)
+
+
 def test_rejects_non_finite_gradient_with_step_index():
     opt = TrustRegionOptimizer(1, TrustRegionConfig(), mu0=np.zeros(1))
     opt.step(np.array([1.0]))

@@ -252,6 +252,69 @@ def test_dimensions_update_independently(monkeypatch):
                 assert getattr(joint, name)[j] == getattr(single, name)[0]
 
 
+def unfused_update(state, mu, g, q, r):
+    """filter_update's arithmetic as whole-vector expressions, and its v."""
+    p11 = state.p11 + q
+    p22 = state.p22 + q
+    t1 = mu * p11 + state.p12
+    t2 = mu * state.p12 + p22
+    v = np.maximum(mu * t1 + t2 + r, r)
+    resid = g - (mu * state.a + state.b)
+    k1, k2 = t1 / v, t2 / v
+    new = SurrogateState(
+        state.a + k1 * resid, state.b + k2 * resid,
+        p11 - k1 * t1, state.p12 - k1 * t2, p22 - k2 * t2,
+    )
+    return new, v
+
+
+def oracle_fault(state, v):
+    """The unfolded check: SurrogateState.validate, then a finite sum of v."""
+    try:
+        state.validate()
+    except FilterConsistencyError:
+        return True
+    return not np.isfinite(v.sum())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_folded_check_catches_a_fault_in_every_block(monkeypatch):
+    # n = 10 at BLOCK = 4 is blocks of 4, 4 and 2 dimensions
+    monkeypatch.setattr(surrogate, "BLOCK", 4)
+    rng = np.random.default_rng(9)
+    mu, g = rng.normal(size=10), rng.normal(size=10)
+    state = init_state(10, 0.3)
+    state = filter_update(state, rng.normal(size=10), rng.normal(size=10), 0.02, 1.3)
+
+    def negative_det(s, m, j):
+        s.p12[j] = 2.0 * np.sqrt(s.p11[j] * s.p22[j]) + 1.0
+        m[j] = 0.0
+
+    def nan_p12(s, m, j):
+        s.p12[j] = np.nan
+
+    def overflowing_v(s, m, j):
+        m[j] = 1e160
+
+    for fault in (negative_det, nan_p12, overflowing_v):
+        for j in (1, 5, 9):  # the first, the middle and the last, partial block
+            bad = SurrogateState(*(np.copy(x) for x in vars(state).values()))
+            m = mu.copy()
+            fault(bad, m, j)
+            ref, v = unfused_update(bad, m, g, 0.02, 1.3)
+            assert oracle_fault(ref, v), (fault.__name__, j)
+            with pytest.raises(FilterConsistencyError):
+                filter_update(bad, m, g, 0.02, 1.3)
+
+    # and where nothing is wrong the blocked update is the unfused one, bitwise
+    ref, _ = unfused_update(state, mu, g, 0.02, 1.3)
+    for block in (4, 8192):
+        monkeypatch.setattr(surrogate, "BLOCK", block)
+        new = filter_update(state, mu, g, 0.02, 1.3)
+        for name in ("a", "b", "p11", "p12", "p22"):
+            assert np.array_equal(getattr(new, name), getattr(ref, name)), (block, name)
+
+
 def test_permutation_equivariance():
     rng = np.random.default_rng(6)
     mu = rng.normal(size=8)

@@ -1,10 +1,13 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kltrust import trust_region
+from kltrust.errors import NonFiniteError
 from kltrust.trust_region import (
     ETA_MIN,
     DualSolverError,
@@ -49,8 +52,10 @@ def test_distribution_rejects_nonpositive_variance():
         dist([0.0], [0.0])
     with pytest.raises(ValueError):
         dist([0.0], [-1.0])
-    with pytest.raises(ValueError):
-        dist([np.inf], [1.0])
+    # non-finite entries are numerical faults, which are ValueErrors too
+    for mu, sigma2 in (([np.inf], [1.0]), ([np.nan], [1.0]), ([0.0], [np.inf])):
+        with pytest.raises(NonFiniteError):
+            dist(mu, sigma2)
 
 
 def test_params_validation():
@@ -112,6 +117,13 @@ def test_variance_high_curvature_stays_positive():
     tr = params(rho=1.0, nu=1.0, lam=1.0)
     out = primal_variance(np.array([1e12]), dist([0.0], [1.0]), tr)
     assert 0.0 < out[0] == pytest.approx(2.0 / 1e12, rel=1e-9)
+
+
+def test_variance_rejects_non_positive_or_nan_entries():
+    tr = params(rho=1.0, nu=1.0, lam=0.0)
+    for a in ([-2.0, 1.0], [np.nan, 1.0], [1.0, -1.5]):
+        with pytest.raises(NonFiniteError):
+            primal_variance(np.array(a), dist([0.0, 0.0], [1.0, 1.0]), tr)
 
 
 def test_variance_signature_has_no_eta():
@@ -196,6 +208,25 @@ def test_solve_undefined_eta_zero_returns_min_bracket():
     res = solve_eta(np.array([0.0]), np.array([0.0]), dist([0.5], [1.0]), params(epsilon=0.01))
     assert res.eta_star == ETA_MIN
     assert res.mu[0] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_blocked_setup_matches_one_block(monkeypatch):
+    rng = np.random.default_rng(31)
+    a, b = rng.uniform(0.0, 10.0, size=10), rng.uniform(-10.0, 10.0, size=10)
+    prev = dist(rng.uniform(-1.0, 1.0, size=10), rng.uniform(1e-4, 1.0, size=10))
+    for tr in (params(epsilon=0.01, rho=0.1, lam=0.01), params(epsilon=1e3)):
+        # a_j = b_j = 0 in the last, partial block of 4 + 4 + 2: with
+        # rho*lambda = 0 the solve must start from ETA_MIN, as 0/0 at eta = 0
+        # would raise DualSolverError
+        a[-1] = b[-1] = 0.0
+        whole = solve_eta(a, b, prev, tr)
+        monkeypatch.setattr(trust_region, "BLOCK", 4)
+        blocked = solve_eta(a, b, prev, tr)
+        monkeypatch.undo()
+        assert (blocked.eta_star, blocked.c_mu, blocked.iterations) == (
+            whole.eta_star, whole.c_mu, whole.iterations)
+        assert np.array_equal(blocked.mu, whole.mu)
+    assert whole.eta_star >= ETA_MIN
 
 
 def test_solve_pathological_surrogate_raises():
@@ -297,3 +328,31 @@ def test_solve_properties(instance):
     assert np.all(np.abs(res.mu - ref) <= 1e-10 * (np.abs(ref) + np.abs(prev.mu)))
     # kl_mean_term subtracts mu_prev again, losing up to an ulp of it
     assert res.c_mu == pytest.approx(kl_mean_term(res.mu, prev), rel=1e-10, abs=1e-10 * eps)
+
+
+def c_mu_and_rounding(a, b, prev, eta, tr):
+    """C_mu(eta) by the reference, and a bound on the rounding in it."""
+    mu = primal_mean(a, b, prev, eta, tr)
+    c = kl_mean_term(mu, prev)
+    ulp = np.finfo(float).eps
+    denom = a + eta / prev.sigma2 + tr.rho * tr.lambda_prec
+    d = np.abs(mu - prev.mu)
+    # primal_mean rounds relative to the terms of its quotient, the step
+    # relative to itself; the bound on d then carries through d^2/s and the sum
+    delta = 8 * ulp * ((eta * np.abs(prev.mu) / prev.sigma2 + np.abs(b)) / denom + d)
+    err = 0.5 * np.sum((2.0 * d + delta) * delta / prev.sigma2) + 4 * len(a) * ulp * c
+    return c, err
+
+
+@settings(max_examples=300, deadline=None)
+@given(dual_instances(), st.lists(st.one_of(st.just(0.0), floats(ETA_MIN, 1e6)),
+                                  min_size=2, max_size=2))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # C overflows near a_j = 0
+def test_c_mu_monotone_in_eta(instance, etas):
+    a, b, prev, tr = instance
+    lo, hi = sorted(etas)
+    # at eta = 0 the mean is undefined where a_j + rho*lambda = 0
+    assume(np.all(a + lo / prev.sigma2 + tr.rho * tr.lambda_prec > 0.0))
+    c_lo, err_lo = c_mu_and_rounding(a, b, prev, lo, tr)
+    c_hi, err_hi = c_mu_and_rounding(a, b, prev, hi, tr)
+    assert c_lo == math.inf or c_lo >= c_hi - (err_lo + err_hi)
