@@ -80,7 +80,7 @@ class SGDMomentum(_Baseline):
 
 
 class AdamMoments:
-    """Adam's moment estimates; `update` rebinds m, then v, freeing each old one."""
+    """Adam's moment estimates; `update` writes m and v in place."""
 
     def __init__(self, n: int, beta1: float, beta2: float):
         self.beta1 = beta1
@@ -90,11 +90,20 @@ class AdamMoments:
         self.t = 0
 
     def update(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fold in one gradient; return the bias-corrected (m_hat, v_hat)."""
+        """Fold in one gradient; return the bias-corrected (m_hat, v_hat) as
+        new arrays the caller may overwrite."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad**2
-        return self.m / (1.0 - self.beta1**self.t), self.v / (1.0 - self.beta2**self.t)
+        # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2, with
+        # the same roundings as those expressions
+        x = np.multiply(grad, 1.0 - self.beta1)
+        self.m *= self.beta1
+        self.m += x
+        np.multiply(grad, grad, out=x)
+        x *= 1.0 - self.beta2
+        self.v *= self.beta2
+        self.v += x
+        m_hat = np.divide(self.m, 1.0 - self.beta1**self.t, out=x)
+        return m_hat, self.v / (1.0 - self.beta2**self.t)
 
 
 class Adam(_Baseline):
@@ -105,8 +114,13 @@ class Adam(_Baseline):
         self.moments = AdamMoments(n, config.beta1, config.beta2)
 
     def _delta(self, grad: np.ndarray) -> np.ndarray:
+        """lr * m_hat / (sqrt(v_hat) + eps), written into update's buffers."""
         m_hat, v_hat = self.moments.update(grad)
-        return self.lr * m_hat / (np.sqrt(v_hat) + self.config.adam_eps)
+        denom = np.sqrt(v_hat, out=v_hat)
+        denom += self.config.adam_eps
+        m_hat *= self.lr
+        m_hat /= denom
+        return m_hat
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         params, grad = self._check(params, grad)

@@ -1,7 +1,9 @@
 """Dataset ingestion (IDX and CIFAR binaries), batching, synthetic objectives.
 
-Pixels are normalized by 1/255 only; the choice is recorded on the Dataset
-so runs are self-describing. Mini-batch order is a pure function of
+A split keeps its pixels as the uint8 array the files hold; the rows a
+minibatch or an eval chunk reads are scaled by 1/255 to float64 as they are
+read. That is the only normalization, and it is recorded on the Dataset so
+runs are self-describing. Mini-batch order is a pure function of
 (seed, epoch) and the final partial batch is kept.
 """
 
@@ -28,17 +30,33 @@ _FASHION_MNIST_FILES = {
 
 @dataclass
 class Dataset:
-    inputs: np.ndarray
+    """One split: uint8 pixels, scaled by 1/255 as rows are read, or float
+    inputs (datasets built in memory), read as they are."""
+
+    pixels: np.ndarray
     labels: np.ndarray
     split: str
     normalization: str = "pixel/255"
 
     def __post_init__(self):
-        if self.inputs.shape[0] != self.labels.shape[0]:
+        if self.pixels.shape[0] != self.labels.shape[0]:
             raise ValueError("inputs and labels must have equal length")
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return self.pixels.shape[0]
+
+    def rows(self, idx) -> np.ndarray:
+        """The inputs at `idx` (an index array or a slice) as model inputs."""
+        if self.pixels.dtype == np.uint8:
+            # bitwise equal to astype(float64) / 255
+            return np.divide(self.pixels[idx], 255.0)
+        return self.pixels[idx]
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """Every row as model inputs; for uint8 pixels, a new float64 array
+        of the whole split."""
+        return self.rows(slice(None))
 
 
 def _read_bytes(path) -> bytes:
@@ -54,6 +72,15 @@ def load_idx(path) -> np.ndarray:
     Image files (magic 0x00000803) come back as float64 scaled by 1/255 in
     the header-declared shape; label files (magic 0x00000801) as int64.
     """
+    data = _read_idx(path)
+    if data.dtype == np.uint8:
+        return np.divide(data, 255.0)
+    return data
+
+
+def _read_idx(path) -> np.ndarray:
+    """load_idx without the scaling: images stay the file's uint8 bytes
+    (a read-only view of them, no copy); labels come back as int64."""
     raw = _read_bytes(path)
     if len(raw) < 4:
         raise ValueError(f"{path}: too short for an IDX header")
@@ -81,7 +108,7 @@ def load_idx(path) -> np.ndarray:
     data = np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(dims)
     if magic == IDX_LABELS_MAGIC:
         return data.astype(np.int64)
-    return data.astype(np.float64) / 255.0
+    return data
 
 
 def load_fashion_mnist(root) -> tuple[Dataset, Dataset]:
@@ -98,7 +125,7 @@ def load_fashion_mnist(root) -> tuple[Dataset, Dataset]:
                 paths.append(gz)
             else:
                 raise FileNotFoundError(f"missing dataset file {plain} (or .gz)")
-        out.append(Dataset(load_idx(paths[0]), load_idx(paths[1]), split=split))
+        out.append(Dataset(_read_idx(paths[0]), _read_idx(paths[1]), split=split))
     return out[0], out[1]
 
 
@@ -110,8 +137,7 @@ def _parse_cifar_records(raw: bytes, label_bytes: int, path) -> tuple[np.ndarray
         )
     data = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record)
     labels = data[:, label_bytes - 1].astype(np.int64)  # fine label is last
-    pixels = data[:, label_bytes:].astype(np.float64) / 255.0
-    return pixels.reshape(-1, 3, 32, 32), labels
+    return data[:, label_bytes:].reshape(-1, 3, 32, 32), labels
 
 
 def load_cifar_binary(directory, which: int) -> tuple[Dataset, Dataset]:
@@ -148,7 +174,7 @@ def minibatches(dataset: Dataset, batch_size: int, seed: int, epoch: int) -> Ite
     perm = np.random.default_rng([seed, epoch]).permutation(len(dataset))
     for start in range(0, len(dataset), batch_size):
         idx = perm[start : start + batch_size]
-        yield Batch(dataset.inputs[idx], dataset.labels[idx])
+        yield Batch(dataset.rows(idx), dataset.labels[idx])
 
 
 @dataclass(frozen=True)

@@ -171,7 +171,8 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 def _with_channel(ds: Dataset) -> Dataset:
-    return Dataset(ds.inputs[:, None, :, :], ds.labels, ds.split, ds.normalization)
+    """The split with a channel axis: a view of the same pixels."""
+    return Dataset(ds.pixels[:, None, :, :], ds.labels, ds.split, ds.normalization)
 
 
 def _build_dataset_task(config: RunConfig):
@@ -271,7 +272,8 @@ def _make_optimizer(config: RunConfig, n: int, mu0: np.ndarray):
 def _evaluate_accuracy(model, params: np.ndarray, test: Dataset, chunk: int = 512) -> float:
     correct = 0
     for start in range(0, len(test), chunk):
-        batch = Batch(test.inputs[start : start + chunk], test.labels[start : start + chunk])
+        rows = slice(start, start + chunk)
+        batch = Batch(test.rows(rows), test.labels[rows])
         _, logits = model.forward_loss(params, batch)
         correct += int(np.sum(logits.argmax(axis=1) == batch.targets))
     return correct / len(test)

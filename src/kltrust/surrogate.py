@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault
+from .errors import NonFiniteError, NumericalFault
 
 # dimensions per block of filter_update (and of solve_eta's setup): the
 # block's temporaries stay in cache instead of each one streaming an n-vector
@@ -95,6 +95,7 @@ def filter_update(
     The dimensions are updated BLOCK at a time, and each block is checked
     as SurrogateState.validate checks a state while it is still in cache.
     Returns a new state; the input state is not mutated. Raises
+    NonFiniteError when mu or g is not finite, and otherwise
     FilterConsistencyError when the new covariance is not positive definite,
     the new state is not finite or an innovation variance overflowed.
     """
@@ -104,8 +105,6 @@ def filter_update(
         raise ValueError(
             f"expected vectors of length {state.n}, got {mu.shape} and {g.shape}"
         )
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(g))):
-        raise ValueError("mu and g must be finite")
     if not np.isfinite(q) or q < 0.0:
         raise ValueError(f"drift variance q must be >= 0, got {q}")
     if not np.isfinite(r) or r <= 0.0:
@@ -143,12 +142,16 @@ def filter_update(
         p22 -= np.multiply(k, t2, out=x)
         # SurrogateState.validate on the block while it is in cache, and the
         # innovation variance: an overflowed v zeroes the gain and would leave
-        # the state silently unchanged. A NaN can slip past min() but not sum()
+        # the state silently unchanged. A NaN can slip past min() but not sum().
+        # A NaN or inf in mu or g always reaches a or b (0 * inf is NaN), so
+        # the sum checks the inputs too
         det = np.multiply(p11, p22, out=t1)
         det -= np.multiply(new.p12[s], new.p12[s], out=x)
         low = min(low, p11.min(), det.min())
         total += new.a[s].sum() + new.b[s].sum() + p11.sum() + det.sum() + v.sum()
     if not (low > 0.0 and np.isfinite(total)):
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(g))):
+            raise NonFiniteError("mu and g must be finite")
         raise FilterConsistencyError("covariance not positive definite or state non-finite")
     return new
 

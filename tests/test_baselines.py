@@ -125,6 +125,22 @@ def test_adamw_three_step_oracle():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_adam_moments_update_in_place():
+    # m and v are written in place, and the held point is never overwritten
+    for cls, kind in ((Adam, "adam"), (AdamW, "adamw")):
+        cfg = BaselineConfig(kind=kind, learning_rate=0.05, weight_decay=0.02)
+        opt = cls(3, cfg)
+        m, v = opt.moments.m, opt.moments.v
+        params = np.ones(3)
+        for g in np.random.default_rng(4).normal(size=(3, 3)):
+            held = params.copy()
+            new = opt.step(params, g)
+            assert opt.moments.m is m and opt.moments.v is v
+            assert np.array_equal(params, held) and new is not params
+            params = new
+        assert opt.moments.t == 3 and np.all(v > 0.0)
+
+
 def test_adam_equals_adamw_without_decay():
     gs = np.random.default_rng(1).normal(size=(20, 3))
     cfg_a = BaselineConfig(kind="adam", learning_rate=0.01)

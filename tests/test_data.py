@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from kltrust.data import (
     minibatches,
     synthetic_grad,
 )
+from kltrust.harness import _evaluate_accuracy, _with_channel
+from kltrust.models import MLP, Batch
 
 
 def write_idx_images(path, arr):
@@ -190,6 +193,93 @@ def test_minibatches_cover_dataset_once(indexed_dataset):
 def test_minibatch_bad_size(indexed_dataset):
     with pytest.raises(ValueError):
         list(minibatches(indexed_dataset, 0, seed=0, epoch=0))
+
+
+# ---------------------------------------------------------------------------
+# source-precision storage: uint8 pixels, scaled as rows are read
+# ---------------------------------------------------------------------------
+
+def write_fashion_mnist(root, train, test, seed=5):
+    rng = np.random.default_rng(seed)
+    for split, n in (("train", train), ("t10k", test)):
+        write_idx_images(root / f"{split}-images-idx3-ubyte",
+                         rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8))
+        write_idx_labels(root / f"{split}-labels-idx1-ubyte",
+                         rng.integers(0, 10, size=n, dtype=np.uint8))
+
+
+def test_minibatches_of_a_loaded_split_equal_load_idx_rows(tmp_path):
+    write_fashion_mnist(tmp_path, 37, 3)
+    train, _ = load_fashion_mnist(tmp_path)
+    scaled = Dataset(load_idx(tmp_path / "train-images-idx3-ubyte"), train.labels, "train")
+    for epoch in (0, 1):
+        pairs = zip(minibatches(train, 8, seed=2, epoch=epoch),
+                    minibatches(scaled, 8, seed=2, epoch=epoch), strict=True)
+        for got, want in pairs:
+            assert got.inputs.dtype == np.float64
+            assert np.array_equal(got.inputs.view(np.int64), want.inputs.view(np.int64))
+            assert np.array_equal(got.targets, want.targets)
+
+
+def test_evaluation_reads_uint8_and_float_splits_alike(tmp_path):
+    write_fashion_mnist(tmp_path, 3, 70)
+    _, loaded = load_fashion_mnist(tmp_path)
+    model = MLP((784, 16, 10))
+    params = np.random.default_rng(3).normal(scale=0.1, size=model.n_params)
+    # label every image with the class the model predicts from its scaled
+    # pixels, so only reading the rows scaled scores 1
+    _, logits = model.forward_loss(params, Batch(load_idx(tmp_path / "t10k-images-idx3-ubyte"),
+                                                 loaded.labels))
+    test = Dataset(loaded.pixels, logits.argmax(axis=1), "test")
+    as_float = Dataset(test.inputs, test.labels, "test")
+    for chunk in (16, 512):  # several chunks, the last partial, and one
+        assert _evaluate_accuracy(model, params, test, chunk=chunk) == 1.0
+        assert _evaluate_accuracy(model, params, as_float, chunk=chunk) == 1.0
+
+
+def test_loaders_keep_source_precision(tmp_path):
+    write_fashion_mnist(tmp_path, 6, 2)
+    train, test = load_fashion_mnist(tmp_path)
+    for ds, n in ((train, 6), (test, 2)):
+        assert ds.pixels.dtype == np.uint8 and ds.pixels.nbytes == n * 784
+        assert ds.inputs.dtype == np.float64 and ds.inputs.max() <= 1.0
+    channel = _with_channel(train)
+    assert channel.pixels.shape == (6, 1, 28, 28)
+    assert np.shares_memory(channel.pixels, train.pixels)
+    assert np.array_equal(channel.rows([4, 0])[:, 0], train.rows([4, 0]))
+
+    rng = np.random.default_rng(2)
+    for i in range(1, 6):
+        write_cifar10_batch(tmp_path / f"data_batch_{i}.bin", [i, 0, 3], rng)
+    write_cifar10_batch(tmp_path / "test_batch.bin", [7], rng)
+    for ds, n in zip(load_cifar_binary(tmp_path, 10), (15, 1)):
+        assert ds.pixels.dtype == np.uint8 and ds.pixels.nbytes == n * 3072
+
+
+def test_float_dataset_is_not_rescaled():
+    inputs = np.linspace(-3.0, 300.0, 12).reshape(6, 2)
+    ds = Dataset(inputs, np.arange(6), split="train")
+    assert np.array_equal(ds.rows([5, 1]), inputs[[5, 1]])
+    assert np.array_equal(ds.inputs, inputs)
+    batches = list(minibatches(ds, 4, seed=0, epoch=0))
+    got = np.concatenate([b.inputs for b in batches])
+    order = np.concatenate([b.targets for b in batches])
+    assert np.array_equal(got, inputs[order])
+
+
+def test_loading_holds_no_float_copy_of_a_split(tmp_path):
+    # a float64 copy of the pixels would be 8x their bytes; the traced peak
+    # of a load stays below twice the uint8 bytes
+    write_fashion_mnist(tmp_path, 2048, 256)
+    pixel_bytes = (2048 + 256) * 784
+    tracemalloc.start()
+    try:
+        train, test = load_fashion_mnist(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert train.pixels.nbytes + test.pixels.nbytes == pixel_bytes
+    assert peak < 2 * pixel_bytes, peak / pixel_bytes
 
 
 # ---------------------------------------------------------------------------

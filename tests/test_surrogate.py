@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kltrust import surrogate
-from kltrust.errors import NumericalFault
+from kltrust.errors import NonFiniteError, NumericalFault
 from kltrust.surrogate import (
     FilterConsistencyError,
     SurrogateState,
@@ -313,6 +313,37 @@ def test_folded_check_catches_a_fault_in_every_block(monkeypatch):
         new = filter_update(state, mu, g, 0.02, 1.3)
         for name in ("a", "b", "p11", "p12", "p22"):
             assert np.array_equal(getattr(new, name), getattr(ref, name)), (block, name)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_input_in_every_block_is_caught(monkeypatch):
+    # the inputs are checked by the block loop's finite sum, not up front:
+    # n = 10 at BLOCK = 4 is blocks of 4, 4 and 2 dimensions
+    monkeypatch.setattr(surrogate, "BLOCK", 4)
+    rng = np.random.default_rng(10)
+    mu, g = rng.normal(size=10), rng.normal(size=10)
+    fresh = init_state(10, 0.3)
+    warm = filter_update(fresh, rng.normal(size=10), rng.normal(size=10), 0.02, 1.3)
+
+    def bad_mu(m, gg, j, value):
+        m[j] = value
+
+    def bad_g(m, gg, j, value):
+        gg[j] = value
+
+    def bad_g_zero_gain(m, gg, j, value):
+        # on the fresh state (p12 = 0) mu_j = 0 zeroes the gain's first entry,
+        # and the inf reaches a as 0 * inf = NaN
+        m[j], gg[j] = 0.0, value
+
+    for state in (fresh, warm):
+        for fault in (bad_mu, bad_g, bad_g_zero_gain):
+            for value in (np.nan, np.inf, -np.inf):
+                for j in (1, 5, 9):  # the first, the middle and the last, partial block
+                    m, gg = mu.copy(), g.copy()
+                    fault(m, gg, j, value)
+                    with pytest.raises(NonFiniteError):
+                        filter_update(state, m, gg, 0.02, 1.3)
 
 
 def test_permutation_equivariance():
