@@ -13,7 +13,7 @@ from .data import (
 from .harness import RunConfig, ablation_run, run, summarize, verify_hparams
 from .models import MLP, Batch, SmallCNN, fd_check
 from .optimizer import StepDiagnostics, TrustRegionConfig, TrustRegionOptimizer
-from .surrogate import SurrogateState, filter_update, init_state, surrogate_params
+from .surrogate import SurrogateState, filter_update, init_state
 from .trust_region import (
     DualSolve,
     DualSolverError,
@@ -63,7 +63,6 @@ __all__ = [
     "run",
     "solve_eta",
     "summarize",
-    "surrogate_params",
     "synthetic_grad",
     "verify_hparams",
 ]

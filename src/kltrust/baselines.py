@@ -43,20 +43,26 @@ class BaselineConfig:
 
 
 class _Baseline:
-    def __init__(self, n: int, config: BaselineConfig):
+    """Holds the point `mean`; `step(grad)` binds it to a new array, so a
+    caller may hold the previous point across the step."""
+
+    def __init__(self, n: int, config: BaselineConfig, mu0: np.ndarray):
+        mu0 = np.asarray(mu0, dtype=np.float64)
+        if mu0.shape != (n,):
+            raise ValueError(f"mu0 has shape {mu0.shape}, expected ({n},)")
         self.n = n
         self.config = config
+        self.mean = mu0
         self.lr = config.learning_rate
         self.epoch = 0
 
-    def _check(self, params: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        params = np.asarray(params, dtype=np.float64)
+    def _check(self, grad: np.ndarray) -> np.ndarray:
         grad = np.asarray(grad, dtype=np.float64)
-        if params.shape != (self.n,) or grad.shape != (self.n,):
-            raise ValueError(f"expected vectors of length {self.n}")
-        if not (np.all(np.isfinite(params)) and np.all(np.isfinite(grad))):
+        if grad.shape != (self.n,):
+            raise ValueError(f"gradient has shape {grad.shape}, expected ({self.n},)")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(grad))):
             raise NonFiniteError("non-finite params or gradient")
-        return params, grad
+        return grad
 
     def on_epoch_end(self) -> None:
         self.epoch += 1
@@ -67,16 +73,16 @@ class _Baseline:
 class SGDMomentum(_Baseline):
     """Heavy-ball SGD; weight decay is folded into the gradient."""
 
-    def __init__(self, n: int, config: BaselineConfig):
-        super().__init__(n, config)
+    def __init__(self, n: int, config: BaselineConfig, mu0: np.ndarray):
+        super().__init__(n, config, mu0)
         self.buf = np.zeros(n)
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        params, grad = self._check(params, grad)
+    def step(self, grad: np.ndarray) -> None:
+        grad = self._check(grad)
         if self.config.weight_decay > 0.0:
-            grad = grad + self.config.weight_decay * params
+            grad = grad + self.config.weight_decay * self.mean
         self.buf = self.config.momentum * self.buf + grad
-        return params - self.lr * self.buf
+        self.mean = self.mean - self.lr * self.buf
 
 
 class AdamMoments:
@@ -109,8 +115,8 @@ class AdamMoments:
 class Adam(_Baseline):
     """Bias-corrected Adam; weight decay is folded into the gradient."""
 
-    def __init__(self, n: int, config: BaselineConfig):
-        super().__init__(n, config)
+    def __init__(self, n: int, config: BaselineConfig, mu0: np.ndarray):
+        super().__init__(n, config, mu0)
         self.moments = AdamMoments(n, config.beta1, config.beta2)
 
     def _delta(self, grad: np.ndarray) -> np.ndarray:
@@ -122,23 +128,23 @@ class Adam(_Baseline):
         m_hat /= denom
         return m_hat
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        params, grad = self._check(params, grad)
+    def step(self, grad: np.ndarray) -> None:
+        grad = self._check(grad)
         if self.config.weight_decay > 0.0:
-            grad = grad + self.config.weight_decay * params
-        return params - self._delta(grad)
+            grad = grad + self.config.weight_decay * self.mean
+        self.mean = self.mean - self._delta(grad)
 
 
 class AdamW(Adam):
-    """Adam with decoupled decay applied to params before the Adam delta."""
+    """Adam with decoupled decay applied to the point before the Adam delta."""
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        params, grad = self._check(params, grad)
+    def step(self, grad: np.ndarray) -> None:
+        grad = self._check(grad)
         if self.config.weight_decay > 0.0:
-            params = params * (1.0 - self.lr * self.config.weight_decay)
-        return params - self._delta(grad)
+            self.mean = self.mean * (1.0 - self.lr * self.config.weight_decay)
+        self.mean = self.mean - self._delta(grad)
 
 
-def make_baseline(n: int, config: BaselineConfig) -> _Baseline:
+def make_baseline(n: int, config: BaselineConfig, mu0: np.ndarray) -> _Baseline:
     cls = {"sgd_momentum": SGDMomentum, "adam": Adam, "adamw": AdamW}[config.kind]
-    return cls(n, config)
+    return cls(n, config, mu0)

@@ -45,7 +45,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "run":
-        config = RunConfig.from_json(args.config)
         overrides = {}
         if args.seeds is not None:
             overrides["seeds"] = args.seeds
@@ -53,8 +52,13 @@ def main(argv=None) -> int:
             overrides["out_dir"] = args.out
         if args.variant is not None:
             overrides["variant"] = args.variant
-        if overrides:
-            config = RunConfig(**{**dataclasses.asdict(config), **overrides})
+        try:
+            config = RunConfig.from_json(args.config)
+            if overrides:
+                config = RunConfig(**{**dataclasses.asdict(config), **overrides})
+        except (FileNotFoundError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         try:
             result = run(config)
         except FileNotFoundError as exc:

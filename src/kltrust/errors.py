@@ -7,4 +7,5 @@ class NumericalFault(Exception):
 
 class NonFiniteError(NumericalFault, ValueError):
     """A gradient, parameter or variance vector has a NaN or infinite entry,
-    or a variance update a non-positive one."""
+    a variance update a non-positive one, or a mean update a non-positive
+    denominator."""

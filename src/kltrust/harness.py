@@ -86,6 +86,11 @@ class MetricsRecord:
 
 CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
+# each column's parser, from the field's declared type; an empty cell is None
+_CELL_PARSERS = {"int": int, "float": float, "str": str,
+                 "float | None": lambda cell: float(cell) if cell else None}
+_COLUMN_PARSERS = tuple((f.name, _CELL_PARSERS[f.type]) for f in fields(MetricsRecord))
+
 
 @dataclass
 class RunConfig:
@@ -127,7 +132,19 @@ class RunConfig:
         if not self.seeds:
             raise ValueError("need at least one seed")
         if self.milestones is not None:
-            self.milestones = tuple(int(m) for m in self.milestones)
+            ms = tuple(self.milestones)
+            if not (all(map(_count, ms)) and all(a < b for a, b in zip(ms, ms[1:]))):
+                raise ValueError(f"milestones must be strictly increasing integers >= 1: {ms}")
+            self.milestones = tuple(int(m) for m in ms)
+        # the harness sets mode, kind and schedule_milestones itself
+        config_cls = TrustRegionConfig if self.optimizer == "trust_region" else BaselineConfig
+        settable = {f.name for f in fields(config_cls)} - {"mode", "kind", "schedule_milestones"}
+        unknown = set(self.resolved_hyperparams()) - settable
+        if unknown:
+            raise ValueError(
+                f"unknown hyperparams for {self.optimizer}: {sorted(unknown)}; "
+                f"known: {sorted(settable)}"
+            )
 
     @property
     def effective_milestones(self) -> tuple[int, ...]:
@@ -237,32 +254,16 @@ def _seed_task(config: RunConfig, seed: int, dataset_task):
     return model, lambda epoch: minibatches(train, config.batch_size, seed, epoch), test
 
 
-class _BaselineStepper:
-    """Holds a baseline's point, so it steps like the trust region: step(grad)."""
-
-    def __init__(self, baseline, params: np.ndarray):
-        self.baseline = baseline
-        self.mean = params
-
-    def step(self, grad: np.ndarray) -> None:
-        self.mean = self.baseline.step(self.mean, grad)
-
-    def on_epoch_end(self) -> None:
-        self.baseline.on_epoch_end()
-
-
 def _make_optimizer(config: RunConfig, n: int, mu0: np.ndarray):
     hp = config.resolved_hyperparams()
     milestones = config.effective_milestones
     if config.optimizer == "trust_region":
         mode = VARIANTS[config.variant]
-        if mode == "fixed_eta" and "fixed_eta" not in hp:
-            raise ValueError("fixed-eta variant requires hyperparams.fixed_eta")
         cfg = TrustRegionConfig(mode=mode, schedule_milestones=milestones, **hp)
         return TrustRegionOptimizer(n, cfg, mu0)
     kind = "sgd_momentum" if config.optimizer == "sgd" else config.optimizer
     cfg = BaselineConfig(kind=kind, schedule_milestones=milestones, **hp)
-    return _BaselineStepper(make_baseline(n, cfg), mu0)
+    return make_baseline(n, cfg, mu0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +370,7 @@ def read_metrics_csv(path) -> list[MetricsRecord]:
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
         for rec in reader:
-            rows.append(
-                MetricsRecord(
-                    seed=int(rec["seed"]),
-                    epoch=int(rec["epoch"]),
-                    train_loss=float(rec["train_loss"]),
-                    test_accuracy=float(rec["test_accuracy"]) if rec["test_accuracy"] else None,
-                    wall_seconds=float(rec["wall_seconds"]),
-                    eta_star=float(rec["eta_star"]) if rec["eta_star"] else None,
-                    c_mu=float(rec["c_mu"]) if rec["c_mu"] else None,
-                    bisect_iters=float(rec["bisect_iters"]) if rec["bisect_iters"] else None,
-                    variant=rec["variant"],
-                )
-            )
+            rows.append(MetricsRecord(**{col: parse(rec[col]) for col, parse in _COLUMN_PARSERS}))
     return rows
 
 

@@ -48,7 +48,6 @@ class TrustRegionConfig:
     sigma2_init: float = 0.01
     p0: float = 0.00005
     weight_decay: float = 0.0
-    coupled_decay: bool = False
     epsilon_decay_factor: float = 0.006
     schedule_milestones: tuple[int, ...] = ()
     mode: str = "standard"
@@ -137,8 +136,6 @@ class TrustRegionOptimizer:
             raise ValueError(f"gradient has shape {grad.shape}, expected ({self.n},)")
         if not np.all(np.isfinite(grad)):
             raise NonFiniteError(f"non-finite gradient at step {self.step_count}")
-        if cfg.coupled_decay and cfg.weight_decay > 0.0:
-            grad = grad + cfg.weight_decay * self.dist.mu
 
         a, b = self._surrogate(grad)
         clamped = int(np.count_nonzero(a < 0.0))
@@ -155,7 +152,7 @@ class TrustRegionOptimizer:
             res = solve_eta(a, b, self.dist, tr)
 
         mu_new = res.mu
-        if not cfg.coupled_decay and cfg.weight_decay > 0.0:
+        if cfg.weight_decay > 0.0:
             # in place: the mean is the solve's own fresh array
             mu_new *= 1.0 - cfg.weight_decay
 

@@ -121,4 +121,4 @@ def get_preset(algorithm: str, task: str) -> dict:
     try:
         return dict(TUNED[algorithm][task])
     except KeyError:
-        raise KeyError(f"no preset for algorithm={algorithm!r}, task={task!r}") from None
+        raise ValueError(f"no preset for algorithm={algorithm!r}, task={task!r}") from None

@@ -154,8 +154,3 @@ def filter_update(
             raise NonFiniteError("mu and g must be finite")
         raise FilterConsistencyError("covariance not positive definite or state non-finite")
     return new
-
-
-def surrogate_params(state: SurrogateState) -> tuple[np.ndarray, np.ndarray]:
-    """Current MAP coefficients (a, b), read-only copies."""
-    return state.a.copy(), state.b.copy()

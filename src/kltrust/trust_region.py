@@ -25,11 +25,12 @@ from .surrogate import BLOCK
 
 ETA_MIN = 1e-12
 ETA_MAX = 1e12
+MAX_ITER = 50  # Newton steps before a solve fails; about 2 are typical
 
 
 class DualSolverError(NumericalFault, RuntimeError):
     """Newton did not reach the band: the root lies beyond ETA_MAX, the
-    surrogate is non-finite, or max_iter ran out. [lo, hi] is the last
+    surrogate is non-finite, or MAX_ITER steps ran out. [lo, hi] is the last
     iterate, left of the root, and ETA_MAX."""
 
     def __init__(self, message: str, lo: float, hi: float):
@@ -104,6 +105,8 @@ def primal_mean(
 ) -> np.ndarray:
     """Optimal mean for a fixed multiplier eta >= 0 (a_j >= 0 expected).
 
+    Raises NonFiniteError naming the first dimension whose denominator is <= 0.
+
     mu_j(eta) = (eta * mu_prev_j / sigma2_prev_j - b_j)
                 / (a_j + eta / sigma2_prev_j + rho * lambda_prec)
     """
@@ -111,7 +114,7 @@ def primal_mean(
     denom = a + eta / prev.sigma2 + rl
     if np.any(denom <= 0.0):
         j = int(np.nonzero(denom <= 0.0)[0][0])
-        raise ValueError(
+        raise NonFiniteError(
             f"non-positive denominator in dimension {j}: "
             f"a={a[j]}, eta={eta}, rho*lambda={rl}"
         )
@@ -157,7 +160,6 @@ def solve_eta(
     b: np.ndarray,
     prev: ParameterDistribution,
     tr: TrustRegionParams,
-    max_iter: int = 50,
 ) -> DualSolve:
     """Find eta* >= 0 and the corresponding constrained mean.
 
@@ -213,10 +215,10 @@ def solve_eta(
         # numpy division: a zero C' gives an infinite step, which fails below
         step = float(2.0 * c * (math.sqrt(c / eps) - 1.0) / np.dot(p, d))
         iterations += 1
-        if not (eta + step <= ETA_MAX and iterations <= max_iter):
+        if not (eta + step <= ETA_MAX and iterations <= MAX_ITER):
             raise DualSolverError(
                 f"Newton step {iterations} from eta={eta:g} (C_mu={c:g}) leaves "
-                f"eta <= {ETA_MAX:g} or max_iter={max_iter}; surrogate is pathological",
+                f"eta <= {ETA_MAX:g} or MAX_ITER={MAX_ITER}; surrogate is pathological",
                 eta,
                 ETA_MAX,
             )

@@ -322,33 +322,30 @@ def test_criterion_07_baseline_oracles():
     gs = [0.9, -0.4, 1.7]
 
     opt = SGDMomentum(1, BaselineConfig("sgd_momentum", 0.08, momentum=0.9,
-                                        weight_decay=0.01))
-    theta = np.array([0.5])
+                                        weight_decay=0.01), np.array([0.5]))
     for g, want in zip(gs, sgd_oracle(0.5, gs, 0.08, 0.9, 0.01)):
-        theta = opt.step(theta, np.array([g]))
-        assert theta[0] == pytest.approx(want, abs=1e-12)
+        opt.step(np.array([g]))
+        assert opt.mean[0] == pytest.approx(want, abs=1e-12)
 
     opt = Adam(1, BaselineConfig("adam", 0.02, beta1=0.9, beta2=0.999,
-                                 weight_decay=0.03))
-    theta = np.array([0.5])
+                                 weight_decay=0.03), np.array([0.5]))
     for g, want in zip(gs, adam_oracle(0.5, gs, 0.02, 0.9, 0.999, 1e-8, 0.03, False)):
-        theta = opt.step(theta, np.array([g]))
-        assert theta[0] == pytest.approx(want, abs=1e-12)
+        opt.step(np.array([g]))
+        assert opt.mean[0] == pytest.approx(want, abs=1e-12)
 
     opt = AdamW(1, BaselineConfig("adamw", 0.02, beta1=0.9, beta2=0.999,
-                                  weight_decay=0.03))
-    theta = np.array([0.5])
+                                  weight_decay=0.03), np.array([0.5]))
     for g, want in zip(gs, adam_oracle(0.5, gs, 0.02, 0.9, 0.999, 1e-8, 0.03, True)):
-        theta = opt.step(theta, np.array([g]))
-        assert theta[0] == pytest.approx(want, abs=1e-12)
+        opt.step(np.array([g]))
+        assert opt.mean[0] == pytest.approx(want, abs=1e-12)
 
     # Adam and AdamW coincide without weight decay
-    a = Adam(2, BaselineConfig("adam", 0.01))
-    w = AdamW(2, BaselineConfig("adamw", 0.01))
-    pa = pw = np.ones(2)
+    a = Adam(2, BaselineConfig("adam", 0.01), np.ones(2))
+    w = AdamW(2, BaselineConfig("adamw", 0.01), np.ones(2))
     for g in np.random.default_rng(2).normal(size=(25, 2)):
-        pa, pw = a.step(pa, g), w.step(pw, g)
-        assert np.array_equal(pa, pw)
+        a.step(g)
+        w.step(g)
+        assert np.array_equal(a.mean, w.mean)
     _report(7, "3-step oracles match at 1e-12; Adam == AdamW at wd=0")
 
 
@@ -420,7 +417,7 @@ def test_criterion_09_ablation_harness(tmp_path, monkeypatch):
     eta = 3.0
     grads = np.random.default_rng(40).normal(size=(40, 5))
 
-    def forced(a, b, prev, tr, max_iter=50):
+    def forced(a, b, prev, tr):
         mu = primal_mean(a, b, prev, eta, tr)
         return DualSolve(eta, mu, kl_mean_term(mu, prev), 0)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kltrust.baselines import Adam, AdamW, BaselineConfig, SGDMomentum, make_baseline
+from kltrust.errors import NonFiniteError
 
 
 # ---------------------------------------------------------------------------
@@ -38,12 +39,12 @@ def adam_oracle(theta, gs, lr, b1, b2, eps, wd, decoupled):
     return out
 
 
-def run(opt, theta0, gs):
-    theta = np.array([theta0])
+def run(cls, cfg, theta0, gs):
+    opt = cls(1, cfg, np.array([theta0]))
     out = []
     for g in gs:
-        theta = opt.step(theta, np.array([g]))
-        out.append(theta[0])
+        opt.step(np.array([g]))
+        out.append(opt.mean[0])
     return out
 
 
@@ -53,7 +54,7 @@ def run(opt, theta0, gs):
 
 def test_sgd_momentum_two_steps():
     cfg = BaselineConfig(kind="sgd_momentum", learning_rate=0.1, momentum=0.9)
-    traj = run(SGDMomentum(1, cfg), 0.0, [1.0, 1.0])
+    traj = run(SGDMomentum, cfg, 0.0, [1.0, 1.0])
     assert traj[0] == pytest.approx(-0.1, rel=1e-14)
     assert traj[1] == pytest.approx(-0.29, rel=1e-14)
 
@@ -63,7 +64,7 @@ def test_sgd_three_step_oracle():
         kind="sgd_momentum", learning_rate=0.03, momentum=0.85, weight_decay=0.01
     )
     gs = [1.0, -0.4, 2.2]
-    traj = run(SGDMomentum(1, cfg), 0.7, gs)
+    traj = run(SGDMomentum, cfg, 0.7, gs)
     expect = sgd_oracle(0.7, gs, 0.03, 0.85, 0.01)
     for got, want in zip(traj, expect):
         assert got == pytest.approx(want, abs=1e-12)
@@ -71,13 +72,13 @@ def test_sgd_three_step_oracle():
 
 def test_sgd_zero_momentum_is_plain_sgd():
     cfg = BaselineConfig(kind="sgd_momentum", learning_rate=0.2)
-    traj = run(SGDMomentum(1, cfg), 1.0, [0.5])
+    traj = run(SGDMomentum, cfg, 1.0, [0.5])
     assert traj[0] == pytest.approx(1.0 - 0.2 * 0.5, rel=1e-14)
 
 
 def test_sgd_zero_gradient_noop():
     cfg = BaselineConfig(kind="sgd_momentum", learning_rate=0.2, momentum=0.9)
-    traj = run(SGDMomentum(1, cfg), 1.5, [0.0])
+    traj = run(SGDMomentum, cfg, 1.5, [0.0])
     assert traj[0] == 1.5
 
 
@@ -87,19 +88,19 @@ def test_sgd_zero_gradient_noop():
 
 def test_adam_first_step_is_lr():
     cfg = BaselineConfig(kind="adam", learning_rate=0.1)
-    traj = run(Adam(1, cfg), 0.0, [1.0])
+    traj = run(Adam, cfg, 0.0, [1.0])
     assert traj[0] == pytest.approx(-0.1, rel=1e-6)
 
 
 def test_adam_zero_gradient_noop():
     cfg = BaselineConfig(kind="adam", learning_rate=0.1)
-    traj = run(Adam(1, cfg), 0.3, [0.0])
+    traj = run(Adam, cfg, 0.3, [0.0])
     assert traj[0] == 0.3
 
 
 def test_adamw_pure_decay():
     cfg = BaselineConfig(kind="adamw", learning_rate=0.1, weight_decay=0.01)
-    traj = run(AdamW(1, cfg), 1.0, [0.0])
+    traj = run(AdamW, cfg, 1.0, [0.0])
     assert traj[0] == pytest.approx(0.999, rel=1e-14)
 
 
@@ -108,7 +109,7 @@ def test_adam_three_step_oracle():
         kind="adam", learning_rate=0.05, beta1=0.8, beta2=0.95, weight_decay=0.02
     )
     gs = [1.0, -0.3, 0.7]
-    traj = run(Adam(1, cfg), -0.2, gs)
+    traj = run(Adam, cfg, -0.2, gs)
     expect = adam_oracle(-0.2, gs, 0.05, 0.8, 0.95, 1e-8, 0.02, decoupled=False)
     for got, want in zip(traj, expect):
         assert got == pytest.approx(want, abs=1e-12)
@@ -119,7 +120,7 @@ def test_adamw_three_step_oracle():
         kind="adamw", learning_rate=0.05, beta1=0.8, beta2=0.95, weight_decay=0.02
     )
     gs = [1.0, -0.3, 0.7]
-    traj = run(AdamW(1, cfg), -0.2, gs)
+    traj = run(AdamW, cfg, -0.2, gs)
     expect = adam_oracle(-0.2, gs, 0.05, 0.8, 0.95, 1e-8, 0.02, decoupled=True)
     for got, want in zip(traj, expect):
         assert got == pytest.approx(want, abs=1e-12)
@@ -129,15 +130,14 @@ def test_adam_moments_update_in_place():
     # m and v are written in place, and the held point is never overwritten
     for cls, kind in ((Adam, "adam"), (AdamW, "adamw")):
         cfg = BaselineConfig(kind=kind, learning_rate=0.05, weight_decay=0.02)
-        opt = cls(3, cfg)
+        opt = cls(3, cfg, np.ones(3))
         m, v = opt.moments.m, opt.moments.v
-        params = np.ones(3)
         for g in np.random.default_rng(4).normal(size=(3, 3)):
+            params = opt.mean
             held = params.copy()
-            new = opt.step(params, g)
+            opt.step(g)
             assert opt.moments.m is m and opt.moments.v is v
-            assert np.array_equal(params, held) and new is not params
-            params = new
+            assert np.array_equal(params, held) and opt.mean is not params
         assert opt.moments.t == 3 and np.all(v > 0.0)
 
 
@@ -145,12 +145,11 @@ def test_adam_equals_adamw_without_decay():
     gs = np.random.default_rng(1).normal(size=(20, 3))
     cfg_a = BaselineConfig(kind="adam", learning_rate=0.01)
     cfg_w = BaselineConfig(kind="adamw", learning_rate=0.01)
-    a, w = Adam(3, cfg_a), AdamW(3, cfg_w)
-    pa = pw = np.ones(3)
+    a, w = Adam(3, cfg_a, np.ones(3)), AdamW(3, cfg_w, np.ones(3))
     for g in gs:
-        pa = a.step(pa, g)
-        pw = w.step(pw, g)
-        assert np.array_equal(pa, pw)
+        a.step(g)
+        w.step(g)
+        assert np.array_equal(a.mean, w.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ def test_lr_decays_at_milestones():
     cfg = BaselineConfig(
         kind="sgd_momentum", learning_rate=1.0, schedule_milestones=(1, 3)
     )
-    opt = SGDMomentum(1, cfg)
+    opt = SGDMomentum(1, cfg, np.zeros(1))
     opt.on_epoch_end()
     assert opt.lr == pytest.approx(0.1, rel=1e-14)
     opt.on_epoch_end()
@@ -171,12 +170,16 @@ def test_lr_decays_at_milestones():
 
 
 def test_rejects_non_finite_input():
-    cfg = BaselineConfig(kind="adam", learning_rate=0.1)
-    opt = Adam(1, cfg)
-    with pytest.raises(ValueError):
-        opt.step(np.array([np.inf]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        opt.step(np.array([1.0]), np.array([np.nan]))
+    for kind in ("sgd_momentum", "adam", "adamw"):
+        cfg = BaselineConfig(kind=kind, learning_rate=0.1)
+        with pytest.raises(NonFiniteError):
+            make_baseline(1, cfg, np.array([np.inf])).step(np.array([1.0]))
+        with pytest.raises(NonFiniteError):
+            make_baseline(1, cfg, np.array([1.0])).step(np.array([np.nan]))
+        with pytest.raises(ValueError, match="shape"):
+            make_baseline(1, cfg, np.zeros(2))
+        with pytest.raises(ValueError, match="shape"):
+            make_baseline(1, cfg, np.zeros(1)).step(np.zeros(2))
 
 
 def test_config_validation():
@@ -190,5 +193,7 @@ def test_config_validation():
 
 def test_factory_dispatch():
     for kind, cls in (("sgd_momentum", SGDMomentum), ("adam", Adam), ("adamw", AdamW)):
-        opt = make_baseline(2, BaselineConfig(kind=kind, learning_rate=0.1))
+        mu0 = np.zeros(2)
+        opt = make_baseline(2, BaselineConfig(kind=kind, learning_rate=0.1), mu0)
         assert type(opt) is cls
+        assert opt.mean is mu0  # the point is held, not copied

@@ -18,6 +18,7 @@ from kltrust.harness import (
     run,
     summarize,
     verify_hparams,
+    write_metrics_csv,
 )
 from kltrust.optimizer import TrustRegionConfig, TrustRegionOptimizer
 from kltrust.surrogate import FilterConsistencyError
@@ -66,6 +67,20 @@ def test_single_seed_has_null_se():
     assert out[0]["two_se_test_accuracy"] is None
 
 
+def test_metrics_csv_round_trip(tmp_path):
+    # every optional column both empty and set, floats at full precision; the
+    # reprs compare the parsed types too (an int seed read back as 3.0 fails)
+    rows = [
+        record(3, 0, None),
+        MetricsRecord(seed=4, epoch=1, train_loss=0.1 + 0.2, test_accuracy=1 / 3,
+                      wall_seconds=2.5e-7, eta_star=1e12, c_mu=0.011000000000000001,
+                      bisect_iters=1.75, variant="adam-surrogate"),
+    ]
+    path = tmp_path / "rows.csv"
+    write_metrics_csv(path, rows)
+    assert list(map(repr, read_metrics_csv(path))) == list(map(repr, rows))
+
+
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
@@ -87,6 +102,31 @@ def test_config_validation():
         RunConfig(task="synthetic_quadratic", optimizer="adam", task_params={"steps": 5})
     with pytest.raises(ValueError, match="noise_scale"):
         RunConfig(task="fashion_mnist_mlp", optimizer="adam", task_params={"noise_scale": 1})
+    # hyperparams must be fields of the optimizer's config, after the preset
+    # merge; the fields the harness sets itself are not settable
+    bad_hyperparams = (
+        ("trust_region", None, {"learning_rate": 0.1}, "learning_rate"),
+        ("adam", None, {"epsilon": 0.01}, "epsilon"),
+        ("sgd", None, {"beta": 0.9}, "beta"),
+        ("adamw", None, {"kind": "adam"}, "kind"),
+        ("trust_region", None, {"mode": "fixed_eta"}, "mode"),
+        ("trust_region", None, {"schedule_milestones": (1,)}, "schedule_milestones"),
+        ("adam", "mnist_mlp", {}, "no preset"),
+    )
+    for optimizer, preset, hp, message in bad_hyperparams:
+        with pytest.raises(ValueError, match=message):
+            RunConfig(task="synthetic_quadratic", optimizer=optimizer, preset=preset,
+                      hyperparams=hp)
+    RunConfig(task="synthetic_quadratic", optimizer="trust_region", preset="cifar10_cnn",
+              hyperparams={"fixed_eta": 1.0, "adam_eps": 1e-6})
+    RunConfig(task="synthetic_quadratic", optimizer="sgd",
+              hyperparams={"momentum": 0.9, "lr_decay_factor": 0.5})
+    for milestones in ((3, 1), (1, 1), (0, 2), (-2,), (1.5,), (True,), (1, 2.0)):
+        with pytest.raises(ValueError, match="milestones"):
+            RunConfig(task="synthetic_quadratic", optimizer="adam", milestones=milestones)
+    cfg = RunConfig(task="synthetic_quadratic", optimizer="adam",
+                    milestones=[np.int64(1), 4])
+    assert cfg.milestones == (1, 4) and all(type(m) is int for m in cfg.milestones)
     bad_values = (
         ("steps_per_epoch", 0), ("steps_per_epoch", 2.5), ("n", 0), ("n", -3),
         ("noise_scale", -1.0), ("noise_scale", float("nan")), ("noise_scale", float("inf")),
@@ -215,6 +255,11 @@ def test_diverging_seed_is_isolated(tmp_path, monkeypatch):
         ("trust_region", {"fault": ("solve_eta", _nan_mean_solver)}, "non-finite entries"),
         ("trust_region", {"fault": ("primal_variance", _negative_curvature_variance)},
          "non-positive or NaN"),
+        # with eta = 0 and no prior a slope clamped to 0 zeroes a denominator
+        ("trust_region", {"variant": "fixed-eta",
+                          "hyperparams": {"fixed_eta": 0.0, "rho": 0.0},
+                          "task_params": {"steps_per_epoch": 10, "noise_scale": 5.0}},
+         "non-positive denominator"),
     )
     for i, (optimizer, kw, message) in enumerate(cases):
         with monkeypatch.context() as m:
@@ -263,21 +308,25 @@ def _batch_grad(task, point, step, batch_size=4):
     return np.mean([synthetic_grad(task, point, d) for d in draws], axis=0)
 
 
-def test_harness_matches_hand_loop_adam(tmp_path):
-    hp = {"learning_rate": 0.05, "weight_decay": 0.01}
-    cfg = synth_config(tmp_path, optimizer="adam", seeds=(3,), epochs=3,
+@pytest.mark.parametrize("optimizer, kind, hp", [
+    ("sgd", "sgd_momentum", {"learning_rate": 0.05, "momentum": 0.9, "weight_decay": 0.01}),
+    ("adam", "adam", {"learning_rate": 0.05, "weight_decay": 0.01}),
+    ("adamw", "adamw", {"learning_rate": 0.05, "weight_decay": 0.01}),
+], ids=["sgd", "adam", "adamw"])
+def test_harness_matches_hand_loop_baseline(tmp_path, optimizer, kind, hp):
+    cfg = synth_config(tmp_path, optimizer=optimizer, seeds=(3,), epochs=3,
                        milestones=(1,), hyperparams=hp)
     rows = read_metrics_csv(run(cfg).csv_path)
-    task, params = _quadratic(3)
-    opt = make_baseline(10, BaselineConfig(kind="adam", schedule_milestones=(1,), **hp))
+    task, mu0 = _quadratic(3)
+    opt = make_baseline(10, BaselineConfig(kind=kind, schedule_milestones=(1,), **hp), mu0)
     step = 0
     assert [r.epoch for r in rows] == [0, 1, 2]
     for row in rows:
         losses = []
         for _ in range(10):
-            grad = _batch_grad(task, params, step)
-            losses.append(task.loss(params))
-            params = opt.step(params, grad)
+            grad = _batch_grad(task, opt.mean, step)
+            losses.append(task.loss(opt.mean))
+            opt.step(grad)
             step += 1
         opt.on_epoch_end()
         assert row.train_loss == float(np.mean(losses))
@@ -444,6 +493,25 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     assert "metrics:" in out and "summary:" in out
     assert cli_main(["summarize", "--in", str(tmp_path / "runs")]) == 0
     assert "per_epoch" in capsys.readouterr().out
+
+
+def test_cli_rejected_config_is_an_error_line(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    base = {"task": "synthetic_quadratic", "optimizer": "trust_region",
+            "out_dir": str(tmp_path / "runs")}
+    for bad in ({"hyperparams": {"learning_rate": 0.1}}, {"milestones": [3, 1]},
+                {"bogus_key": 1}):
+        cfg_path.write_text(json.dumps({**base, **bad}))
+        assert cli_main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    # an override that the config rejects, and a config file that is not there
+    cfg_path.write_text(json.dumps({**base, "optimizer": "adam",
+                                    "hyperparams": {"learning_rate": 0.1}}))
+    assert cli_main(["run", "--config", str(cfg_path), "--variant", "fixed-eta"]) == 2
+    assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.count("error: ") == 2
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_variant_override(tmp_path):

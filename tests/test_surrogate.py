@@ -10,7 +10,6 @@ from kltrust.surrogate import (
     SurrogateState,
     filter_update,
     init_state,
-    surrogate_params,
 )
 
 
@@ -115,9 +114,8 @@ def test_noiseless_line_recovers_coefficients():
     rng = np.random.default_rng(3)
     mus = rng.uniform(-3.0, 3.0, size=20)
     state = run_filter(mus, 2.0 * mus - 4.0, q=0.0, r=1e-6, p0=1.0)
-    a, b = surrogate_params(state)
-    assert a[0] == pytest.approx(2.0, abs=1e-3)
-    assert b[0] == pytest.approx(-4.0, abs=1e-3)
+    assert state.a[0] == pytest.approx(2.0, abs=1e-3)
+    assert state.b[0] == pytest.approx(-4.0, abs=1e-3)
 
 
 def test_posterior_variance_shrinks_on_observed_direction():
@@ -171,20 +169,13 @@ def test_overflowing_mean_is_a_numerical_fault():
 
 
 # ---------------------------------------------------------------------------
-# surrogate_params
+# fresh state
 # ---------------------------------------------------------------------------
 
 def test_params_of_fresh_state_are_zero():
-    a, b = surrogate_params(init_state(4, 1.0))
-    assert np.array_equal(a, np.zeros(4))
-    assert np.array_equal(b, np.zeros(4))
-
-
-def test_params_do_not_alias_state():
-    state = run_filter([1.0], [1.0], q=0.01, r=1.0, p0=5e-5)
-    a, _ = surrogate_params(state)
-    a[0] = 99.0
-    assert state.a[0] == pytest.approx(0.009851975296539556, rel=1e-12)
+    state = init_state(4, 1.0)
+    assert np.array_equal(state.a, np.zeros(4))
+    assert np.array_equal(state.b, np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
