@@ -7,6 +7,9 @@ step-decay learning-rate schedule driven by on_epoch_end.
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +17,42 @@ import numpy as np
 from .errors import NonFiniteError
 
 KINDS = ("sgd_momentum", "adam", "adamw")
+
+
+# the value rules every config shares, here in the module the others import
+
+def finite(x) -> bool:
+    """A real number within the float range (so not NaN); a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and (
+        abs(x) <= sys.float_info.max if isinstance(x, numbers.Integral) else math.isfinite(x))
+
+
+def count(x) -> bool:
+    """An integer >= 1; a bool is not one."""
+    return isinstance(x, numbers.Integral) and finite(x) and x >= 1
+
+
+_RULES = {"positive": (lambda v: v > 0.0, "> 0"),
+          "non_negative": (lambda v: v >= 0.0, ">= 0"),
+          "unit": (lambda v: 0.0 <= v < 1.0, "in [0, 1)")}
+
+
+def check_reals(config, **names_by_rule) -> None:
+    """Raise ValueError naming the first field that is not finite within its rule."""
+    for rule, names in names_by_rule.items():
+        ok, text = _RULES[rule]
+        for name in names:
+            v = getattr(config, name)
+            if not (finite(v) and ok(v)):
+                raise ValueError(f"{name} must be finite and {text}, got {v!r}")
+
+
+def check_milestones(values, name: str) -> tuple[int, ...]:
+    """`values` as a tuple of ints; they must be strictly increasing integers >= 1."""
+    ms = tuple(values) if isinstance(values, (list, tuple)) else None
+    if ms is None or not (all(map(count, ms)) and all(a < b for a, b in zip(ms, ms[1:]))):
+        raise ValueError(f"{name} must be strictly increasing integers >= 1, got {values!r}")
+    return tuple(map(int, ms))
 
 
 @dataclass
@@ -31,15 +70,10 @@ class BaselineConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("momentum", "beta1", "beta2"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {v}")
-        if self.adam_eps <= 0.0 or self.weight_decay < 0.0 or self.lr_decay_factor <= 0.0:
-            raise ValueError("adam_eps > 0, weight_decay >= 0, lr_decay_factor > 0 required")
-        self.schedule_milestones = tuple(self.schedule_milestones)
+        check_reals(self, positive=("learning_rate", "adam_eps", "lr_decay_factor"),
+                    non_negative=("weight_decay",), unit=("momentum", "beta1", "beta2"))
+        self.schedule_milestones = check_milestones(self.schedule_milestones,
+                                                    "schedule_milestones")
 
 
 class _Baseline:

@@ -7,7 +7,7 @@ import dataclasses
 import json
 import sys
 
-from .harness import RunConfig, run, summarize, verify_hparams
+from .harness import VARIANTS, RunConfig, run, summarize, verify_hparams
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -28,11 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to a JSON run config")
     p_run.add_argument("--seeds", type=_parse_seeds, help="override seeds, e.g. 0,1,2")
     p_run.add_argument("--out", help="override output directory")
-    p_run.add_argument(
-        "--variant",
-        choices=("standard", "fixed-eta", "adam-surrogate"),
-        help="override trust-region variant",
-    )
+    p_run.add_argument("--variant", choices=VARIANTS, help="override trust-region variant")
 
     sub.add_parser("verify-hparams", help="check shipped presets against the tuned tables")
 
@@ -52,16 +48,13 @@ def main(argv=None) -> int:
             overrides["out_dir"] = args.out
         if args.variant is not None:
             overrides["variant"] = args.variant
+        # run() records numerical faults per seed; what else it raises is the data's
         try:
             config = RunConfig.from_json(args.config)
             if overrides:
                 config = RunConfig(**{**dataclasses.asdict(config), **overrides})
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
             result = run(config)
-        except FileNotFoundError as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"metrics: {result.csv_path}")

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import presets
-from .baselines import BaselineConfig, make_baseline
+from .baselines import BaselineConfig, check_milestones, count, finite, make_baseline
 from .data import (
     Dataset,
     SyntheticQuadraticTask,
@@ -51,23 +51,15 @@ TASKS = (
 )
 
 
-def _finite(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _count(x) -> bool:
-    return isinstance(x, numbers.Integral) and _finite(x) and x >= 1
-
-
 # task_params the synthetic quadratic reads, each with its check and the rule
 # it enforces; the dataset tasks take none
 QUADRATIC_PARAMS = {
-    "n": (_count, "an integer >= 1"),
+    "n": (count, "an integer >= 1"),
     "diag_range": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-                   and all(map(_finite, v)) and 0.0 < v[0] <= v[1],
+                   and all(map(finite, v)) and 0.0 < v[0] <= v[1],
                    "two finite values 0 < lo <= hi"),
-    "noise_scale": (lambda v: _finite(v) and v >= 0.0, "finite and >= 0"),
-    "steps_per_epoch": (_count, "an integer >= 1"),
+    "noise_scale": (lambda v: finite(v) and v >= 0.0, "finite and >= 0"),
+    "steps_per_epoch": (count, "an integer >= 1"),
 }
 
 
@@ -118,8 +110,14 @@ class RunConfig:
         if self.variant != "standard" and self.optimizer != "trust_region":
             raise ValueError("ablation variants only apply to the trust_region optimizer")
         for name in ("epochs", "batch_size", "eval_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if not count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+            setattr(self, name, int(getattr(self, name)))
+        for name, kind in (("hyperparams", dict), ("task_params", dict),
+                           ("out_dir", (str, os.PathLike)),
+                           ("data_dir", (str, os.PathLike, type(None)))):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} has the wrong type: {getattr(self, name)!r}")
         allowed = QUADRATIC_PARAMS if self.task == "synthetic_quadratic" else ()
         unknown = set(self.task_params) - set(allowed)
         if unknown:
@@ -128,23 +126,13 @@ class RunConfig:
             check, rule = QUADRATIC_PARAMS[key]
             if not check(value):
                 raise ValueError(f"task_params.{key} must be {rule}, got {value!r}")
-        self.seeds = tuple(int(s) for s in self.seeds)
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        if not (isinstance(self.seeds, (list, tuple)) and self.seeds and all(
+                isinstance(s, numbers.Integral) and finite(s) and s >= 0 for s in self.seeds)):
+            raise ValueError(f"seeds must be a non-empty list of integers >= 0: {self.seeds!r}")
+        self.seeds = tuple(map(int, self.seeds))
         if self.milestones is not None:
-            ms = tuple(self.milestones)
-            if not (all(map(_count, ms)) and all(a < b for a, b in zip(ms, ms[1:]))):
-                raise ValueError(f"milestones must be strictly increasing integers >= 1: {ms}")
-            self.milestones = tuple(int(m) for m in ms)
-        # the harness sets mode, kind and schedule_milestones itself
-        config_cls = TrustRegionConfig if self.optimizer == "trust_region" else BaselineConfig
-        settable = {f.name for f in fields(config_cls)} - {"mode", "kind", "schedule_milestones"}
-        unknown = set(self.resolved_hyperparams()) - settable
-        if unknown:
-            raise ValueError(
-                f"unknown hyperparams for {self.optimizer}: {sorted(unknown)}; "
-                f"known: {sorted(settable)}"
-            )
+            self.milestones = check_milestones(self.milestones, "milestones")
+        self.optimizer_config()  # checks every hyperparameter's name and value
 
     @property
     def effective_milestones(self) -> tuple[int, ...]:
@@ -152,6 +140,18 @@ class RunConfig:
             return self.milestones
         half, three_quarters = self.epochs // 2, (3 * self.epochs) // 4
         return tuple(sorted({m for m in (half, three_quarters) if m >= 1}))
+
+    def optimizer_config(self) -> TrustRegionConfig | BaselineConfig:
+        """The optimizer's config: resolved hyperparams, mode or kind, milestones."""
+        hp, milestones = self.resolved_hyperparams(), self.effective_milestones
+        try:
+            if self.optimizer == "trust_region":
+                return TrustRegionConfig(mode=VARIANTS[self.variant],
+                                         schedule_milestones=milestones, **hp)
+            kind = "sgd_momentum" if self.optimizer == "sgd" else self.optimizer
+            return BaselineConfig(kind=kind, schedule_milestones=milestones, **hp)
+        except TypeError as exc:  # a name the config does not take, or lacks
+            raise ValueError(f"hyperparams for {self.optimizer}: {exc}") from None
 
     def resolved_hyperparams(self) -> dict:
         out = {}
@@ -166,14 +166,10 @@ class RunConfig:
     @classmethod
     def from_json(cls, path) -> "RunConfig":
         raw = json.loads(Path(path).read_text())
-        known = cls.__dataclass_fields__
-        unknown = set(raw) - set(known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("seeds", "milestones"):
-            if raw.get(key) is not None:
-                raw[key] = tuple(raw[key])
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except TypeError as exc:  # a key that is not a field, a missing one, a bad type
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -254,18 +250,6 @@ def _seed_task(config: RunConfig, seed: int, dataset_task):
     return model, lambda epoch: minibatches(train, config.batch_size, seed, epoch), test
 
 
-def _make_optimizer(config: RunConfig, n: int, mu0: np.ndarray):
-    hp = config.resolved_hyperparams()
-    milestones = config.effective_milestones
-    if config.optimizer == "trust_region":
-        mode = VARIANTS[config.variant]
-        cfg = TrustRegionConfig(mode=mode, schedule_milestones=milestones, **hp)
-        return TrustRegionOptimizer(n, cfg, mu0)
-    kind = "sgd_momentum" if config.optimizer == "sgd" else config.optimizer
-    cfg = BaselineConfig(kind=kind, schedule_milestones=milestones, **hp)
-    return make_baseline(n, cfg, mu0)
-
-
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -284,7 +268,8 @@ def _run_seed(
     config: RunConfig, model, batches, test, seed: int, rows: list[MetricsRecord]
 ) -> None:
     """Train one seed, appending one row per epoch."""
-    opt = _make_optimizer(config, model.n_params, model.init_params(seed))
+    make = TrustRegionOptimizer if config.optimizer == "trust_region" else make_baseline
+    opt = make(model.n_params, config.optimizer_config(), model.init_params(seed))
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         losses, diags = [], []

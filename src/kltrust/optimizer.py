@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import AdamMoments
+from .baselines import AdamMoments, check_milestones, check_reals
 from .errors import NonFiniteError
 from .surrogate import SurrogateState, filter_update, init_state
 from .trust_region import (
@@ -57,28 +57,16 @@ class TrustRegionConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("epsilon", "rho", "q", "r", "nu", "lambda_prec",
-                     "sigma2_init", "p0", "weight_decay", "epsilon_decay_factor"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-        for name in ("epsilon", "nu", "sigma2_init", "p0", "epsilon_decay_factor", "r"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("rho", "lambda_prec", "q", "weight_decay"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        self.schedule_milestones = tuple(self.schedule_milestones)
-        if any(b >= a for a, b in zip(self.schedule_milestones[1:],
-                                      self.schedule_milestones[:-1])):
-            raise ValueError("schedule_milestones must be strictly increasing")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "fixed_eta":
-            if self.fixed_eta is None or self.fixed_eta < 0.0:
-                raise ValueError("fixed_eta mode requires fixed_eta >= 0")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ValueError("adam betas must lie in [0, 1)")
+        # fixed_eta is optional outside its mode, checked wherever it is set
+        fixed = ("fixed_eta",) if self.mode == "fixed_eta" or self.fixed_eta is not None else ()
+        check_reals(self, positive=("epsilon", "r", "nu", "sigma2_init", "p0",
+                                    "epsilon_decay_factor", "adam_eps"),
+                    non_negative=("rho", "q", "lambda_prec", "weight_decay") + fixed,
+                    unit=("adam_beta1", "adam_beta2"))
+        self.schedule_milestones = check_milestones(self.schedule_milestones,
+                                                    "schedule_milestones")
 
     def trust_region(self, epsilon: float) -> TrustRegionParams:
         return TrustRegionParams(epsilon, self.rho, self.nu, self.lambda_prec)

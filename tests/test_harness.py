@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -98,6 +99,23 @@ def test_config_validation():
         RunConfig(task="synthetic_quadratic", optimizer="adam", batch_size=0)
     with pytest.raises(ValueError, match="eval_every"):
         RunConfig(task="fashion_mnist_mlp", optimizer="adam", eval_every=0)
+    # counts and seeds must be integers (a bool is not one; a seed may be 0)
+    # in the float range, the two tables dicts and the directories paths
+    bad_settings = (
+        ("epochs", 2.5), ("epochs", True), ("epochs", "5"), ("batch_size", 2.5),
+        ("eval_every", 1.5), ("seeds", (1.7,)), ("seeds", (-1,)), ("seeds", (True,)),
+        ("seeds", 5), ("epochs", 10**400), ("hyperparams", 5), ("task_params", [1]),
+        ("out_dir", 5), ("data_dir", ["data"]),
+    )
+    for key, value in bad_settings:
+        with pytest.raises(ValueError, match=key):
+            RunConfig(task="synthetic_quadratic", optimizer="adam",
+                      **{"hyperparams": {"learning_rate": 0.1}, key: value})
+    cfg = RunConfig(task="synthetic_quadratic", optimizer="adam",
+                    hyperparams={"learning_rate": 0.1}, seeds=[np.int64(0), 7],
+                    epochs=np.int64(3))
+    assert cfg.seeds == (0, 7) and all(type(s) is int for s in cfg.seeds)
+    assert type(cfg.epochs) is int
     with pytest.raises(ValueError, match="steps"):
         RunConfig(task="synthetic_quadratic", optimizer="adam", task_params={"steps": 5})
     with pytest.raises(ValueError, match="noise_scale"):
@@ -120,13 +138,7 @@ def test_config_validation():
     RunConfig(task="synthetic_quadratic", optimizer="trust_region", preset="cifar10_cnn",
               hyperparams={"fixed_eta": 1.0, "adam_eps": 1e-6})
     RunConfig(task="synthetic_quadratic", optimizer="sgd",
-              hyperparams={"momentum": 0.9, "lr_decay_factor": 0.5})
-    for milestones in ((3, 1), (1, 1), (0, 2), (-2,), (1.5,), (True,), (1, 2.0)):
-        with pytest.raises(ValueError, match="milestones"):
-            RunConfig(task="synthetic_quadratic", optimizer="adam", milestones=milestones)
-    cfg = RunConfig(task="synthetic_quadratic", optimizer="adam",
-                    milestones=[np.int64(1), 4])
-    assert cfg.milestones == (1, 4) and all(type(m) is int for m in cfg.milestones)
+              hyperparams={"learning_rate": 0.1, "momentum": 0.9, "lr_decay_factor": 0.5})
     bad_values = (
         ("steps_per_epoch", 0), ("steps_per_epoch", 2.5), ("n", 0), ("n", -3),
         ("noise_scale", -1.0), ("noise_scale", float("nan")), ("noise_scale", float("inf")),
@@ -140,7 +152,88 @@ def test_config_validation():
     # every key the quadratic reads is accepted, at its edge values
     edge = {"n": 1, "steps_per_epoch": 1, "noise_scale": 0.0, "diag_range": [2.0, 2.0]}
     assert set(edge) == set(QUADRATIC_PARAMS)
-    RunConfig(task="synthetic_quadratic", optimizer="adam", task_params=edge)
+    RunConfig(task="synthetic_quadratic", optimizer="adam", task_params=edge,
+              hyperparams={"learning_rate": 0.1})
+
+
+def test_run_config_checks_optimizer_values():
+    # the optimizer's config is built with the RunConfig, not per seed in run()
+    bad = (
+        ("trust_region", "fixed-eta", {}, "fixed_eta"),
+        ("trust_region", "standard", {"epsilon": -1.0}, "epsilon"),
+        ("trust_region", "standard", {"epsilon": "big"}, "epsilon"),
+        ("adam", "standard", {}, "learning_rate"),
+        ("sgd", "standard", {"learning_rate": 0.1, "weight_decay": float("nan")},
+         "weight_decay"),
+    )
+    for optimizer, variant, hp, message in bad:
+        with pytest.raises(ValueError, match=message):
+            RunConfig(task="synthetic_quadratic", optimizer=optimizer, variant=variant,
+                      hyperparams=hp)
+    cfg = RunConfig(task="synthetic_quadratic", optimizer="sgd", epochs=4,
+                    hyperparams={"learning_rate": 0.1})
+    opt_cfg = cfg.optimizer_config()
+    assert isinstance(opt_cfg, BaselineConfig) and opt_cfg.kind == "sgd_momentum"
+    assert opt_cfg.schedule_milestones == cfg.effective_milestones == (2, 3)
+
+
+def _milestones_of(cls, milestones):
+    """The milestones each config class stores, given `milestones`."""
+    if cls is RunConfig:
+        return RunConfig(task="synthetic_quadratic", optimizer="adam",
+                         hyperparams={"learning_rate": 0.1}, milestones=milestones).milestones
+    if cls is TrustRegionConfig:
+        return TrustRegionConfig(schedule_milestones=milestones).schedule_milestones
+    return BaselineConfig(kind="adam", learning_rate=0.1,
+                          schedule_milestones=milestones).schedule_milestones
+
+
+@pytest.mark.parametrize("cls", [RunConfig, TrustRegionConfig, BaselineConfig],
+                         ids=lambda cls: cls.__name__)
+def test_milestones_follow_one_rule(cls):
+    for milestones in ((3, 1), (1, 1), (0, 2), (-2,), (1.5,), (True,), (1, 2.0), 3):
+        with pytest.raises(ValueError, match="milestones"):
+            _milestones_of(cls, milestones)
+    stored = _milestones_of(cls, [np.int64(1), 4])
+    assert stored == (1, 4) and all(type(m) is int for m in stored)
+    assert _milestones_of(cls, ()) == ()
+
+
+# every numeric field of the optimizer configs, with a finite value outside its rule
+NUMERIC_FIELDS = {
+    TrustRegionConfig: {
+        "epsilon": 0.0, "rho": -1.0, "q": -1e-9, "r": 0.0, "nu": 0.0, "lambda_prec": -1.0,
+        "sigma2_init": 0.0, "p0": -1.0, "weight_decay": -0.1, "epsilon_decay_factor": 0.0,
+        "fixed_eta": -1.0, "adam_beta1": 1.0, "adam_beta2": -0.1, "adam_eps": -1.0,
+    },
+    BaselineConfig: {
+        "learning_rate": 0.0, "momentum": 1.0, "beta1": -0.1, "beta2": 1.0,
+        "adam_eps": 0.0, "weight_decay": -1.0, "lr_decay_factor": 0.0,
+    },
+}
+REQUIRED = {TrustRegionConfig: {}, BaselineConfig: {"kind": "adam", "learning_rate": 0.1}}
+
+
+def test_numeric_field_list_is_complete():
+    for cls, bad in NUMERIC_FIELDS.items():
+        assert set(bad) == {f.name for f in fields(cls) if f.type in ("float", "float | None")}
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (cls, name, value)
+    for cls, bad in NUMERIC_FIELDS.items() for name, out_of_range in bad.items()
+    for value in (float("nan"), float("inf"), -float("inf"), 10**400, out_of_range, "1.0", True)
+], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+def test_optimizer_config_rejects_bad_numbers(cls, name, value):
+    with pytest.raises(ValueError, match=name):
+        cls(**{**REQUIRED[cls], name: value})
+
+
+def test_optimizer_configs_accept_their_edge_values():
+    TrustRegionConfig(rho=0, q=0.0, lambda_prec=0.0, weight_decay=0.0, fixed_eta=0.0,
+                      adam_beta1=0.0, adam_beta2=np.float32(0.5), epsilon=np.float64(1e-300))
+    BaselineConfig(kind="sgd_momentum", learning_rate=1, momentum=0.0, weight_decay=0,
+                   beta1=0.0, beta2=0.0)
 
 
 def test_default_milestones_at_half_and_three_quarters():
@@ -370,9 +463,8 @@ def test_ablation_run_tags_variant(tmp_path):
 
 
 def test_fixed_eta_variant_requires_value(tmp_path):
-    cfg = synth_config(tmp_path, variant="fixed-eta")
     with pytest.raises(ValueError, match="fixed_eta"):
-        run(cfg)
+        synth_config(tmp_path, variant="fixed-eta")
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +603,49 @@ def test_cli_rejected_config_is_an_error_line(tmp_path, capsys):
     assert cli_main(["run", "--config", str(cfg_path), "--variant", "fixed-eta"]) == 2
     assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     assert capsys.readouterr().err.count("error: ") == 2
+    assert not (tmp_path / "runs").exists()
+
+
+def _bad_idx_magic(root):
+    path = root / "fashion_mnist" / "train-images-idx3-ubyte"
+    path.write_bytes(struct.pack(">I", 0x00000805) + path.read_bytes()[4:])
+    return {"task": "fashion_mnist_mlp", "data_dir": str(root)}
+
+
+# each case's config change, and the word its error line must contain
+CLI_BAD_CONFIGS = {
+    "no-optimizer": (lambda root: {"optimizer": None}, "optimizer"),
+    "epochs-string": (lambda root: {"epochs": "5"}, "epochs"),
+    "seeds-int": (lambda root: {"seeds": 5}, "seeds"),
+    "epsilon-string": (lambda root: {"hyperparams": {"epsilon": "big"}}, "epsilon"),
+    "bad-idx-magic": (_bad_idx_magic, "magic"),
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_BAD_CONFIGS))
+def test_cli_bad_config_is_one_error_line(case, fake_fashion_root, tmp_path, capsys):
+    change, word = CLI_BAD_CONFIGS[case]
+    cfg = {"task": "synthetic_quadratic", "optimizer": "trust_region", "epochs": 1,
+           "milestones": [], "out_dir": str(tmp_path / "runs"), **change(fake_fashion_root)}
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_checks_hyperparams_before_looking_for_data(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": "fashion_mnist_mlp", "optimizer": "trust_region",
+        "hyperparams": {"rho": -1.0}, "data_dir": str(tmp_path / "nowhere"),
+        "out_dir": str(tmp_path / "runs"),
+    }))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rho must be") and err.count("\n") == 1, err
     assert not (tmp_path / "runs").exists()
 
 
