@@ -101,6 +101,12 @@ class RunConfig:
     data_dir: str | None = None
 
     def __post_init__(self):
+        for name, kind in (("hyperparams", dict), ("task_params", dict),
+                           ("variant", str), ("preset", (str, type(None))),
+                           ("out_dir", (str, os.PathLike)),
+                           ("data_dir", (str, os.PathLike, type(None)))):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} has the wrong type: {getattr(self, name)!r}")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; known: {TASKS}")
         if self.optimizer not in OPTIMIZERS:
@@ -113,11 +119,6 @@ class RunConfig:
             if not count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
             setattr(self, name, int(getattr(self, name)))
-        for name, kind in (("hyperparams", dict), ("task_params", dict),
-                           ("out_dir", (str, os.PathLike)),
-                           ("data_dir", (str, os.PathLike, type(None)))):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} has the wrong type: {getattr(self, name)!r}")
         allowed = QUADRATIC_PARAMS if self.task == "synthetic_quadratic" else ()
         unknown = set(self.task_params) - set(allowed)
         if unknown:
@@ -265,11 +266,12 @@ def _evaluate_accuracy(model, params: np.ndarray, test: Dataset, chunk: int = 51
 
 
 def _run_seed(
-    config: RunConfig, model, batches, test, seed: int, rows: list[MetricsRecord]
+    config: RunConfig, opt_config, model, batches, test, seed: int,
+    rows: list[MetricsRecord],
 ) -> None:
     """Train one seed, appending one row per epoch."""
     make = TrustRegionOptimizer if config.optimizer == "trust_region" else make_baseline
-    opt = make(model.n_params, config.optimizer_config(), model.init_params(seed))
+    opt = make(model.n_params, opt_config, model.init_params(seed))
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         losses, diags = [], []
@@ -365,6 +367,9 @@ def read_metrics_csv(path) -> list[MetricsRecord]:
 
 def run(config: RunConfig) -> RunResult:
     """Execute the (seed) grid for one (task, optimizer, variant) cell."""
+    # built once, before any data loads, so a config edited after construction
+    # is checked again up front; optimizers only read it
+    opt_config = config.optimizer_config()
     synthetic = config.task == "synthetic_quadratic"
     dataset_task = None if synthetic else _build_dataset_task(config)
 
@@ -373,7 +378,7 @@ def run(config: RunConfig) -> RunResult:
     for seed in config.seeds:
         model, batches, test = _seed_task(config, seed, dataset_task)
         try:
-            _run_seed(config, model, batches, test, seed, rows)
+            _run_seed(config, opt_config, model, batches, test, seed, rows)
         except NumericalFault as exc:
             failed[str(seed)] = str(exc)
 

@@ -3,8 +3,10 @@
 Two small architectures: a ReLU MLP and a conv-pool-conv-pool-dense CNN.
 Parameters live in a single flat vector with a deterministic layer-major
 (W then b) layout, so flatten(unflatten(v)) round-trips exactly and the
-models compose with vector-space optimizers. Losses are mean softmax
-cross-entropy; gradients are exact (ReLU subgradient at 0 taken as 0).
+models compose with vector-space optimizers. Each backward pass writes
+every layer's gradient straight into that layer's view of one fresh flat
+vector. Losses are mean softmax cross-entropy; gradients are exact (ReLU
+subgradient at 0 taken as 0).
 """
 
 from __future__ import annotations
@@ -87,6 +89,11 @@ class _FlatParams:
                 off += size
         return parts
 
+    def _empty_grad(self):
+        """A fresh flat gradient vector and its per-layer views, for a backward pass to fill."""
+        grad = np.empty(self.n_params, dtype=self.dtype)
+        return grad, self.unflatten(grad)
+
     def backward(self, params: np.ndarray, batch: Batch) -> np.ndarray:
         return self.loss_and_grad(params, batch)[1]
 
@@ -139,14 +146,13 @@ class MLP(_FlatParams):
         x = self._check_batch(batch)
         parts, acts, pre = self._forward(params, x)
         loss, delta = _softmax_ce(acts[-1], batch.targets)
-        grads = [None] * len(parts)
+        grad, views = self._empty_grad()
         for li in reversed(range(len(self._shapes))):
-            w = parts[2 * li]
-            grads[2 * li] = acts[li].T @ delta
-            grads[2 * li + 1] = delta.sum(axis=0)
+            np.matmul(acts[li].T, delta, out=views[2 * li])
+            delta.sum(axis=0, out=views[2 * li + 1])
             if li > 0:
-                delta = (delta @ w.T) * (pre[li - 1] > 0.0)
-        return loss, self.flatten(grads)
+                delta = (delta @ parts[2 * li].T) * (pre[li - 1] > 0.0)
+        return loss, grad
 
 
 def _conv3x3_forward(x, w, b):
@@ -162,17 +168,18 @@ def _conv3x3_forward(x, w, b):
     return out, cols
 
 
-def _conv3x3_backward(dout, cols, w, x_shape):
+def _conv3x3_backward(dout, cols, w, x_shape, dw, db):
+    """Writes the weight and bias gradients into dw and db; returns the input's."""
     B, C, H, W = x_shape
-    dw = np.einsum("bfhw,bcijhw->fcij", dout, cols, optimize=True)
-    db = dout.sum(axis=(0, 2, 3))
+    np.einsum("bfhw,bcijhw->fcij", dout, cols, optimize=True, out=dw)
+    dout.sum(axis=(0, 2, 3), out=db)
     dxp = np.zeros((B, C, H + 2, W + 2), dtype=dout.dtype)
     for i in range(3):
         for j in range(3):
             dxp[:, :, i : i + H, j : j + W] += np.einsum(
                 "bfhw,fc->bchw", dout, w[:, :, i, j], optimize=True
             )
-    return dxp[:, :, 1:-1, 1:-1], dw, db
+    return dxp[:, :, 1:-1, 1:-1]
 
 
 def _pool2_forward(x):
@@ -252,19 +259,20 @@ class SmallCNN(_FlatParams):
         logits, cache = self._forward(params, x)
         w1, w2, wd, x, z1, cols1, idx1, p1, z2, cols2, idx2, a2, flat = cache
         loss, dlogits = _softmax_ce(logits, batch.targets)
+        grad, (dw1, db1, dw2, db2, dwd, dbd) = self._empty_grad()
 
-        dwd = flat.T @ dlogits
-        dbd = dlogits.sum(axis=0)
+        np.matmul(flat.T, dlogits, out=dwd)
+        dlogits.sum(axis=0, out=dbd)
         dp2 = (dlogits @ wd.T).reshape(a2.shape[0], a2.shape[1],
                                        a2.shape[2] // 2, a2.shape[3] // 2)
         da2 = _pool2_backward(dp2, idx2, a2.shape)
         dz2 = da2 * (z2 > 0.0)
-        dp1, dw2, db2 = _conv3x3_backward(dz2, cols2, w2, p1.shape)
+        dp1 = _conv3x3_backward(dz2, cols2, w2, p1.shape, dw2, db2)
         da1 = _pool2_backward(dp1, idx1, (x.shape[0], w1.shape[0],
                                           x.shape[2], x.shape[3]))
         dz1 = da1 * (z1 > 0.0)
-        _, dw1, db1 = _conv3x3_backward(dz1, cols1, w1, x.shape)
-        return loss, self.flatten([dw1, db1, dw2, db2, dwd, dbd])
+        _conv3x3_backward(dz1, cols1, w1, x.shape, dw1, db1)
+        return loss, grad
 
 
 

@@ -105,7 +105,8 @@ def test_config_validation():
         ("epochs", 2.5), ("epochs", True), ("epochs", "5"), ("batch_size", 2.5),
         ("eval_every", 1.5), ("seeds", (1.7,)), ("seeds", (-1,)), ("seeds", (True,)),
         ("seeds", 5), ("epochs", 10**400), ("hyperparams", 5), ("task_params", [1]),
-        ("out_dir", 5), ("data_dir", ["data"]),
+        ("out_dir", 5), ("data_dir", ["data"]), ("variant", []), ("preset", []),
+        ("preset", {}),
     )
     for key, value in bad_settings:
         with pytest.raises(ValueError, match=key):
@@ -175,6 +176,15 @@ def test_run_config_checks_optimizer_values():
     opt_cfg = cfg.optimizer_config()
     assert isinstance(opt_cfg, BaselineConfig) and opt_cfg.kind == "sgd_momentum"
     assert opt_cfg.schedule_milestones == cfg.effective_milestones == (2, 3)
+
+
+def test_run_checks_a_config_edited_after_construction(tmp_path):
+    cfg = RunConfig(task="fashion_mnist_mlp", optimizer="trust_region",
+                    data_dir=str(tmp_path / "nowhere"), out_dir=str(tmp_path / "runs"))
+    cfg.hyperparams["epsilon"] = -1.0
+    with pytest.raises(ValueError, match="epsilon"):  # not the missing data's OSError
+        run(cfg)
+    assert not (tmp_path / "runs").exists()
 
 
 def _milestones_of(cls, milestones):

@@ -1,9 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kltrust.models import MLP, Batch, SmallCNN, fd_check
+from kltrust.models import (
+    MLP,
+    Batch,
+    SmallCNN,
+    _conv3x3_backward,
+    _pool2_backward,
+    _softmax_ce,
+    fd_check,
+)
 
 
 def scalar_mlp_loss(model, params, x, y):
@@ -132,6 +141,66 @@ def test_zero_last_layer_blocks_upstream_gradient(tiny_batch):
     grads = model.unflatten(model.backward(params, tiny_batch))
     assert np.all(grads[0] == 0.0) and np.all(grads[1] == 0.0)
     assert np.any(grads[2] != 0.0)  # dW2 = h^T delta is generally nonzero
+
+
+def reference_grad(model, params, batch):
+    """Each layer's gradient as its own array, concatenated in the flat layout."""
+    x = np.asarray(batch.inputs, dtype=model.dtype)
+    if isinstance(model, MLP):
+        parts, acts, pre = model._forward(params, x)
+        _, delta = _softmax_ce(acts[-1], batch.targets)
+        grads = [None] * len(parts)
+        for li in reversed(range(len(parts) // 2)):
+            grads[2 * li] = acts[li].T @ delta
+            grads[2 * li + 1] = delta.sum(axis=0)
+            if li > 0:
+                delta = (delta @ parts[2 * li].T) * (pre[li - 1] > 0.0)
+        return np.concatenate([g.ravel() for g in grads])
+    logits, cache = model._forward(params, x)
+    w1, w2, wd, x, z1, cols1, idx1, p1, z2, cols2, idx2, a2, flat = cache
+    _, dlogits = _softmax_ce(logits, batch.targets)
+    dp2 = (dlogits @ wd.T).reshape(a2.shape[0], a2.shape[1], a2.shape[2] // 2, a2.shape[3] // 2)
+    dz2 = _pool2_backward(dp2, idx2, a2.shape) * (z2 > 0.0)
+    dp1 = _conv3x3_backward(dz2, cols2, w2, p1.shape, np.empty_like(w2), np.empty(w2.shape[0]))
+    dz1 = _pool2_backward(dp1, idx1, z1.shape) * (z1 > 0.0)
+    grads = [np.einsum("bfhw,bcijhw->fcij", dz1, cols1, optimize=True), dz1.sum(axis=(0, 2, 3)),
+             np.einsum("bfhw,bcijhw->fcij", dz2, cols2, optimize=True), dz2.sum(axis=(0, 2, 3)),
+             flat.T @ dlogits, dlogits.sum(axis=0)]
+    return np.concatenate([g.ravel() for g in grads])
+
+
+@pytest.mark.parametrize("model,in_shape", [
+    (MLP((784, 256, 10)), (128, 784)),
+    (MLP((20, 16, 8, 5)), (33, 20)),
+    (SmallCNN(in_shape=(1, 28, 28), num_classes=10), (8, 1, 28, 28)),
+    (SmallCNN(in_shape=(3, 8, 8), num_classes=7, channels=(4, 6)), (5, 3, 8, 8)),
+], ids=["mlp-784-256-10", "mlp-4-layer", "cnn-1x28x28", "cnn-3x8x8"])
+def test_gradient_is_written_once_into_a_fresh_vector(model, in_shape):
+    rng = np.random.default_rng(13)
+    params = model.init_params(seed=3)
+    batch = Batch(rng.normal(size=in_shape), rng.integers(0, model.num_classes, in_shape[0]))
+    _, previous = model.loss_and_grad(params, batch)
+    _, grad = model.loss_and_grad(params, batch)
+    assert grad.tobytes() == reference_grad(model, params, batch).tobytes()
+    assert grad.dtype == np.float64 and grad.shape == (model.n_params,)
+    assert grad.base is None and grad.flags.c_contiguous
+    assert not np.shares_memory(grad, params) and not np.shares_memory(grad, previous)
+
+
+def test_mlp_gradient_peak_memory_is_below_two_gradients():
+    # one vector of n_params for the whole gradient: no per-layer arrays that
+    # are then copied into it
+    model = MLP((784, 256, 10))
+    rng = np.random.default_rng(0)
+    params = model.init_params(seed=0)
+    batch = Batch(rng.random((128, 784)), rng.integers(0, 10, 128))
+    tracemalloc.start()
+    try:
+        _, grad = model.loss_and_grad(params, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * grad.nbytes, peak / grad.nbytes
 
 
 # ---------------------------------------------------------------------------
