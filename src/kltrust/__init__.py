@@ -18,7 +18,6 @@ from .trust_region import (
     DualSolve,
     DualSolverError,
     ParameterDistribution,
-    TrustRegionParams,
     dual_derivative,
     kl_mean_term,
     primal_mean,
@@ -46,7 +45,6 @@ __all__ = [
     "SyntheticQuadraticTask",
     "TrustRegionConfig",
     "TrustRegionOptimizer",
-    "TrustRegionParams",
     "ablation_run",
     "dual_derivative",
     "fd_check",

@@ -2,8 +2,7 @@
 
 A split keeps its pixels as the uint8 array the files hold; the rows a
 minibatch or an eval chunk reads are scaled by 1/255 to float64 as they are
-read. That is the only normalization, and it is recorded on the Dataset so
-runs are self-describing. Mini-batch order is a pure function of
+read. That is the only normalization. Mini-batch order is a pure function of
 (seed, epoch) and the final partial batch is kept.
 """
 
@@ -35,8 +34,6 @@ class Dataset:
 
     pixels: np.ndarray
     labels: np.ndarray
-    split: str
-    normalization: str = "pixel/255"
 
     def __post_init__(self):
         if self.pixels.shape[0] != self.labels.shape[0]:
@@ -115,7 +112,7 @@ def load_fashion_mnist(root) -> tuple[Dataset, Dataset]:
     """Load the four standard IDX files (plain or .gz) under `root`."""
     root = Path(root)
     out = []
-    for split, (images_name, labels_name) in _FASHION_MNIST_FILES.items():
+    for images_name, labels_name in _FASHION_MNIST_FILES.values():
         paths = []
         for name in (images_name, labels_name):
             plain, gz = root / name, root / (name + ".gz")
@@ -125,7 +122,7 @@ def load_fashion_mnist(root) -> tuple[Dataset, Dataset]:
                 paths.append(gz)
             else:
                 raise FileNotFoundError(f"missing dataset file {plain} (or .gz)")
-        out.append(Dataset(_read_idx(paths[0]), _read_idx(paths[1]), split=split))
+        out.append(Dataset(_read_idx(paths[0]), _read_idx(paths[1])))
     return out[0], out[1]
 
 
@@ -154,7 +151,7 @@ def load_cifar_binary(directory, which: int) -> tuple[Dataset, Dataset]:
     else:
         raise ValueError(f"which must be 10 or 100, got {which}")
 
-    def load_split(files, split):
+    def load_split(files):
         xs, ys = [], []
         for f in files:
             if not f.exists():
@@ -162,9 +159,9 @@ def load_cifar_binary(directory, which: int) -> tuple[Dataset, Dataset]:
             x, y = _parse_cifar_records(f.read_bytes(), label_bytes, f)
             xs.append(x)
             ys.append(y)
-        return Dataset(np.concatenate(xs), np.concatenate(ys), split=split)
+        return Dataset(np.concatenate(xs), np.concatenate(ys))
 
-    return load_split(train_files, "train"), load_split(test_files, "test")
+    return load_split(train_files), load_split(test_files)
 
 
 def minibatches(dataset: Dataset, batch_size: int, seed: int, epoch: int) -> Iterator[Batch]:

@@ -186,7 +186,7 @@ class RunResult:
 
 def _with_channel(ds: Dataset) -> Dataset:
     """The split with a channel axis: a view of the same pixels."""
-    return Dataset(ds.pixels[:, None, :, :], ds.labels, ds.split, ds.normalization)
+    return Dataset(ds.pixels[:, None, :, :], ds.labels)
 
 
 def _build_dataset_task(config: RunConfig):

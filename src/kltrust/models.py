@@ -2,7 +2,7 @@
 
 Two small architectures: a ReLU MLP and a conv-pool-conv-pool-dense CNN.
 Parameters live in a single flat vector with a deterministic layer-major
-(W then b) layout, so flatten(unflatten(v)) round-trips exactly and the
+(W then b) layout; unflatten(v) gives each layer's views of it, and the
 models compose with vector-space optimizers. Each backward pass writes
 every layer's gradient straight into that layer's view of one fresh flat
 vector. Losses are mean softmax cross-entropy; gradients are exact (ReLU
@@ -29,9 +29,6 @@ class Batch:
             raise ValueError("targets must be one integer label per input row")
         if np.any(self.targets < 0):
             raise ValueError("labels must be nonnegative")
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
 
 
 def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -72,9 +69,6 @@ class _FlatParams:
             fan_in = math.prod(ws[1:]) if len(ws) == 4 else ws[0]
             parts.append(_kaiming_uniform(rng, ws, fan_in, self.dtype))
             parts.append(np.zeros(bs, dtype=self.dtype))
-        return self.flatten(parts)
-
-    def flatten(self, parts) -> np.ndarray:
         return np.concatenate([p.ravel() for p in parts])
 
     def unflatten(self, flat: np.ndarray):
@@ -93,9 +87,6 @@ class _FlatParams:
         """A fresh flat gradient vector and its per-layer views, for a backward pass to fill."""
         grad = np.empty(self.n_params, dtype=self.dtype)
         return grad, self.unflatten(grad)
-
-    def backward(self, params: np.ndarray, batch: Batch) -> np.ndarray:
-        return self.loss_and_grad(params, batch)[1]
 
 
 class MLP(_FlatParams):
@@ -168,11 +159,15 @@ def _conv3x3_forward(x, w, b):
     return out, cols
 
 
-def _conv3x3_backward(dout, cols, w, x_shape, dw, db):
-    """Writes the weight and bias gradients into dw and db; returns the input's."""
-    B, C, H, W = x_shape
+def _conv3x3_param_grads(dout, cols, dw, db):
+    """Writes the weight and bias gradients into dw and db."""
     np.einsum("bfhw,bcijhw->fcij", dout, cols, optimize=True, out=dw)
     dout.sum(axis=(0, 2, 3), out=db)
+
+
+def _conv3x3_input_grad(dout, w, x_shape):
+    """The gradient with respect to the conv's input, of shape x_shape."""
+    B, C, H, W = x_shape
     dxp = np.zeros((B, C, H + 2, W + 2), dtype=dout.dtype)
     for i in range(3):
         for j in range(3):
@@ -267,17 +262,17 @@ class SmallCNN(_FlatParams):
                                        a2.shape[2] // 2, a2.shape[3] // 2)
         da2 = _pool2_backward(dp2, idx2, a2.shape)
         dz2 = da2 * (z2 > 0.0)
-        dp1 = _conv3x3_backward(dz2, cols2, w2, p1.shape, dw2, db2)
+        _conv3x3_param_grads(dz2, cols2, dw2, db2)
+        dp1 = _conv3x3_input_grad(dz2, w2, p1.shape)
         da1 = _pool2_backward(dp1, idx1, (x.shape[0], w1.shape[0],
                                           x.shape[2], x.shape[3]))
         dz1 = da1 * (z1 > 0.0)
-        _conv3x3_backward(dz1, cols1, w1, x.shape, dw1, db1)
+        _conv3x3_param_grads(dz1, cols1, dw1, db1)  # the input needs no gradient
         return loss, grad
 
 
-
 def fd_check(model, params: np.ndarray, batch: Batch, coords, h: float = 1e-5) -> float:
-    """Max relative error between backward() and central finite differences.
+    """Max relative error between loss_and_grad() and central finite differences.
 
     Relative error per coordinate is |g_fd - g_bp| / max(|g_fd|, |g_bp|, 1e-8).
     """
@@ -286,7 +281,7 @@ def fd_check(model, params: np.ndarray, batch: Batch, coords, h: float = 1e-5) -
     coords = np.asarray(coords, dtype=int)
     if np.any(coords < 0) or np.any(coords >= model.n_params):
         raise ValueError("coordinate index out of range")
-    g_bp = model.backward(params, batch)
+    g_bp = model.loss_and_grad(params, batch)[1]
     worst = 0.0
     for c in coords:
         bumped = params.astype(np.float64).copy()

@@ -10,7 +10,7 @@ moment estimates instead of the filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .surrogate import SurrogateState, filter_update, init_state
 from .trust_region import (
     DualSolve,
     ParameterDistribution,
-    TrustRegionParams,
     kl_mean_term,
     primal_mean,
     primal_variance,
@@ -68,9 +67,6 @@ class TrustRegionConfig:
         self.schedule_milestones = check_milestones(self.schedule_milestones,
                                                     "schedule_milestones")
 
-    def trust_region(self, epsilon: float) -> TrustRegionParams:
-        return TrustRegionParams(epsilon, self.rho, self.nu, self.lambda_prec)
-
 
 @dataclass(frozen=True)
 class StepDiagnostics:
@@ -94,7 +90,6 @@ class TrustRegionOptimizer:
         self.filter: SurrogateState = init_state(n, config.p0)
         self.step_count = 0
         self.epoch = 0
-        self.epsilon = config.epsilon
         if config.mode == "adam_surrogate":
             self.moments = AdamMoments(n, config.adam_beta1, config.adam_beta2)
 
@@ -130,14 +125,13 @@ class TrustRegionOptimizer:
         if clamped:
             a = np.maximum(a, 0.0)
 
-        tr = cfg.trust_region(self.epsilon)
-        sigma2_new = primal_variance(a, self.dist, tr)
+        sigma2_new = primal_variance(a, self.dist, cfg)
 
         if cfg.mode == "fixed_eta":
-            mu_new = primal_mean(a, b, self.dist, cfg.fixed_eta, tr)
+            mu_new = primal_mean(a, b, self.dist, cfg.fixed_eta, cfg)
             res = DualSolve(cfg.fixed_eta, mu_new, kl_mean_term(mu_new, self.dist), 0)
         else:
-            res = solve_eta(a, b, self.dist, tr)
+            res = solve_eta(a, b, self.dist, cfg)
 
         mu_new = res.mu
         if cfg.weight_decay > 0.0:
@@ -150,5 +144,6 @@ class TrustRegionOptimizer:
 
     def on_epoch_end(self) -> None:
         self.epoch += 1
-        if self.epoch in self.config.schedule_milestones:
-            self.epsilon *= self.config.epsilon_decay_factor
+        cfg = self.config
+        if self.epoch in cfg.schedule_milestones:  # replaced, not written: run() shares it
+            self.config = replace(cfg, epsilon=cfg.epsilon * cfg.epsilon_decay_factor)

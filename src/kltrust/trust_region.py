@@ -11,17 +11,23 @@ that constraint; the variance is eta-free. eta itself is the root of
 C_mu(eta) = epsilon, the secular equation of a trust-region subproblem,
 solved by Newton's method (More & Sorensen 1983, "Computing a trust region
 step"). When C_mu(0) <= epsilon the optimum is interior and eta* = 0.
+The functions read epsilon, rho, nu and lambda_prec from the optimizer's
+TrustRegionConfig, passed as `tr`, which checks their ranges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonFiniteError, NumericalFault
 from .surrogate import BLOCK
+
+if TYPE_CHECKING:  # the optimizer module imports this one
+    from .optimizer import TrustRegionConfig
 
 ETA_MIN = 1e-12
 ETA_MAX = 1e12
@@ -60,33 +66,6 @@ class ParameterDistribution:
 
 
 @dataclass(frozen=True)
-class TrustRegionParams:
-    """Constraint bound and regularizer weights of one step.
-
-    epsilon bounds C_mu; rho weights the prior KL, nu the covariance KL,
-    lambda_prec is the precision of the zero-mean Gaussian prior. rho and
-    lambda_prec may be zero (unregularized corner used by several contracts);
-    epsilon and nu must be positive.
-    """
-
-    epsilon: float
-    rho: float
-    nu: float
-    lambda_prec: float
-
-    def __post_init__(self):
-        vals = (self.epsilon, self.rho, self.nu, self.lambda_prec)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("trust-region parameters must be finite")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.nu <= 0.0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
-        if self.rho < 0.0 or self.lambda_prec < 0.0:
-            raise ValueError("rho and lambda_prec must be >= 0")
-
-
-@dataclass(frozen=True)
 class DualSolve:
     """Result of one dual solve: multiplier, new mean, and diagnostics."""
 
@@ -101,7 +80,7 @@ def primal_mean(
     b: np.ndarray,
     prev: ParameterDistribution,
     eta: float,
-    tr: TrustRegionParams,
+    tr: TrustRegionConfig,
 ) -> np.ndarray:
     """Optimal mean for a fixed multiplier eta >= 0 (a_j >= 0 expected).
 
@@ -124,7 +103,7 @@ def primal_mean(
 def primal_variance(
     a: np.ndarray,
     prev: ParameterDistribution,
-    tr: TrustRegionParams,
+    tr: TrustRegionConfig,
 ) -> np.ndarray:
     """Optimal variance; structurally independent of the multiplier.
 
@@ -149,7 +128,7 @@ def dual_derivative(
     a: np.ndarray,
     b: np.ndarray,
     prev: ParameterDistribution,
-    tr: TrustRegionParams,
+    tr: TrustRegionConfig,
 ) -> float:
     """g'(eta) = C_mu(mu(eta)) - epsilon; positive means constraint violated."""
     return kl_mean_term(primal_mean(a, b, prev, eta, tr), prev) - tr.epsilon
@@ -159,7 +138,7 @@ def solve_eta(
     a: np.ndarray,
     b: np.ndarray,
     prev: ParameterDistribution,
-    tr: TrustRegionParams,
+    tr: TrustRegionConfig,
 ) -> DualSolve:
     """Find eta* >= 0 and the corresponding constrained mean.
 

@@ -30,7 +30,6 @@ from kltrust.surrogate import filter_update, init_state
 from kltrust.trust_region import (
     DualSolve,
     ParameterDistribution,
-    TrustRegionParams,
     kl_mean_term,
     primal_mean,
     solve_eta,
@@ -120,7 +119,7 @@ def test_criterion_02_constraint_satisfaction_and_iterations():
             rng.uniform(-1.0, 1.0, size=n), rng.uniform(1e-4, 1.0, size=n)
         )
         eps = float(10 ** rng.uniform(-3.0, -1.0))
-        tr = TrustRegionParams(
+        tr = TrustRegionConfig(
             epsilon=eps,
             rho=float(rng.uniform(0.01, 1.0)),
             nu=float(rng.uniform(0.5, 2.0)),
@@ -189,13 +188,13 @@ def test_criterion_03_structural_invariants():
     a = rng.uniform(0.0, 5.0, size=n)
     b = rng.uniform(-5.0, 5.0, size=n)
     prev = ParameterDistribution(rng.uniform(-1, 1, n), rng.uniform(0.01, 1.0, n))
-    tr = TrustRegionParams(0.01, 0.1, 1.3, 0.0015)
+    tr = TrustRegionConfig(epsilon=0.01, rho=0.1, nu=1.3, lambda_prec=0.0015)
     mu_inf = primal_mean(a, b, prev, 1e12, tr)
     assert np.linalg.norm(mu_inf - prev.mu) / np.linalg.norm(prev.mu) < 1e-6
 
     # eta = 0 with no regularization recovers the surrogate optimum
     a_pos = rng.uniform(0.5, 5.0, size=n)
-    tr0 = TrustRegionParams(0.01, 0.0, 1.3, 0.0)
+    tr0 = TrustRegionConfig(epsilon=0.01, rho=0.0, nu=1.3, lambda_prec=0.0)
     mu0_step = primal_mean(a_pos, b, prev, 0.0, tr0)
     assert np.max(np.abs(mu0_step - (-b / a_pos)) / np.abs(-b / a_pos)) < 1e-10
     _report(3, "variance positivity, eta-independence, and both limit laws hold")

@@ -104,10 +104,8 @@ def test_fashion_mnist_loader_composes(tmp_path):
         write_idx_labels(tmp_path / f"{split}-labels-idx1-ubyte",
                          rng.integers(0, 10, size=n, dtype=np.uint8))
     train, test = load_fashion_mnist(tmp_path)
-    assert len(train) == 7 and train.split == "train"
-    assert len(test) == 4 and test.split == "test"
+    assert len(train) == 7 and len(test) == 4
     assert train.inputs.shape == (7, 28, 28)
-    assert train.normalization == "pixel/255"
 
 
 def test_fashion_mnist_missing_file(tmp_path):
@@ -168,7 +166,7 @@ def test_cifar_bad_which(tmp_path):
 def indexed_dataset():
     # labels equal the row index so batch order is observable
     inputs = np.arange(10, dtype=float).reshape(10, 1) / 10.0
-    return Dataset(inputs, np.arange(10), split="train")
+    return Dataset(inputs, np.arange(10))
 
 
 def test_minibatch_order_reproducible(indexed_dataset):
@@ -185,7 +183,7 @@ def test_minibatch_order_changes_with_epoch(indexed_dataset):
 
 def test_minibatches_cover_dataset_once(indexed_dataset):
     batches = list(minibatches(indexed_dataset, 4, seed=0, epoch=0))
-    assert [len(b) for b in batches] == [4, 4, 2]  # partial final batch kept
+    assert [len(b.targets) for b in batches] == [4, 4, 2]  # partial final batch kept
     seen = sorted(int(t) for b in batches for t in b.targets)
     assert seen == list(range(10))
 
@@ -211,7 +209,7 @@ def write_fashion_mnist(root, train, test, seed=5):
 def test_minibatches_of_a_loaded_split_equal_load_idx_rows(tmp_path):
     write_fashion_mnist(tmp_path, 37, 3)
     train, _ = load_fashion_mnist(tmp_path)
-    scaled = Dataset(load_idx(tmp_path / "train-images-idx3-ubyte"), train.labels, "train")
+    scaled = Dataset(load_idx(tmp_path / "train-images-idx3-ubyte"), train.labels)
     for epoch in (0, 1):
         pairs = zip(minibatches(train, 8, seed=2, epoch=epoch),
                     minibatches(scaled, 8, seed=2, epoch=epoch), strict=True)
@@ -230,8 +228,8 @@ def test_evaluation_reads_uint8_and_float_splits_alike(tmp_path):
     # pixels, so only reading the rows scaled scores 1
     _, logits = model.forward_loss(params, Batch(load_idx(tmp_path / "t10k-images-idx3-ubyte"),
                                                  loaded.labels))
-    test = Dataset(loaded.pixels, logits.argmax(axis=1), "test")
-    as_float = Dataset(test.inputs, test.labels, "test")
+    test = Dataset(loaded.pixels, logits.argmax(axis=1))
+    as_float = Dataset(test.inputs, test.labels)
     for chunk in (16, 512):  # several chunks, the last partial, and one
         assert _evaluate_accuracy(model, params, test, chunk=chunk) == 1.0
         assert _evaluate_accuracy(model, params, as_float, chunk=chunk) == 1.0
@@ -258,7 +256,7 @@ def test_loaders_keep_source_precision(tmp_path):
 
 def test_float_dataset_is_not_rescaled():
     inputs = np.linspace(-3.0, 300.0, 12).reshape(6, 2)
-    ds = Dataset(inputs, np.arange(6), split="train")
+    ds = Dataset(inputs, np.arange(6))
     assert np.array_equal(ds.rows([5, 1]), inputs[[5, 1]])
     assert np.array_equal(ds.inputs, inputs)
     batches = list(minibatches(ds, 4, seed=0, epoch=0))
@@ -321,4 +319,4 @@ def test_task_validation():
 
 def test_dataset_length_mismatch():
     with pytest.raises(ValueError):
-        Dataset(np.zeros((3, 2)), np.zeros(2), split="train")
+        Dataset(np.zeros((3, 2)), np.zeros(2))

@@ -1,11 +1,11 @@
 import json
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from kltrust import presets
+from kltrust import harness, presets
 from kltrust.baselines import BaselineConfig, make_baseline
 from kltrust.cli import main as cli_main
 from kltrust.data import SyntheticQuadraticTask, synthetic_grad
@@ -24,6 +24,7 @@ from kltrust.harness import (
 from kltrust.optimizer import TrustRegionConfig, TrustRegionOptimizer
 from kltrust.surrogate import FilterConsistencyError
 from kltrust.trust_region import primal_variance, solve_eta
+from test_bench_seams import _load_spans
 
 
 def synth_config(tmp_path, optimizer="trust_region", seeds=(0, 1), **kw):
@@ -458,6 +459,43 @@ def test_harness_matches_hand_loop_trust_region(tmp_path):
         assert row.eta_star == float(np.mean([d.eta_star for d in diags]))
         assert row.c_mu == float(np.mean([d.c_mu for d in diags]))
         assert row.bisect_iters == float(np.mean([d.bisect_iters for d in diags]))
+
+
+def test_a_milestone_leaves_the_config_every_seed_shares(tmp_path, monkeypatch):
+    # a seed that wrote its decayed bound into the shared config would start
+    # the next seed at that bound
+    shared, run_seed = [], harness._run_seed
+
+    def recording(config, opt_config, *args):
+        shared.append(opt_config)
+        return run_seed(config, opt_config, *args)
+
+    monkeypatch.setattr(harness, "_run_seed", recording)
+    kw = dict(epochs=3, milestones=(1,), hyperparams={"epsilon": 0.02})
+    both = run(synth_config(tmp_path, seeds=(0, 1), out_dir=str(tmp_path / "both"), **kw))
+    alone = run(synth_config(tmp_path, seeds=(1,), out_dir=str(tmp_path / "alone"), **kw))
+
+    def timeless(rows):
+        return [replace(r, wall_seconds=0.0) for r in rows]
+
+    seed1 = [r for r in read_metrics_csv(both.csv_path) if r.seed == 1]
+    assert timeless(seed1) == timeless(read_metrics_csv(alone.csv_path))
+    assert shared[0] is shared[1] and [c.epsilon for c in shared] == [0.02] * 3
+
+
+def test_every_traced_solve_reads_the_bound_of_its_epoch(tmp_path):
+    # the benchmark's solve_eta span reads epsilon from its 4th argument
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    _, _, restore = spans.install(tracer)
+    try:
+        run(synth_config(tmp_path, seeds=(0,), epochs=3, milestones=(1,),
+                         hyperparams={"epsilon": 0.02}))
+    finally:
+        restore()
+    eps1 = 0.02 * TrustRegionConfig().epsilon_decay_factor
+    traced = [s[4]["epsilon"] for s in tracer.spans if s[0] == "trust_region.solve_eta"]
+    assert traced == [0.02] * 10 + [eps1] * 20
 
 
 def test_ablation_run_tags_variant(tmp_path):

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kltrust import models
 from kltrust.models import (
     MLP,
     Batch,
     SmallCNN,
-    _conv3x3_backward,
+    _conv3x3_input_grad,
     _pool2_backward,
     _softmax_ce,
     fd_check,
@@ -60,9 +61,8 @@ def test_uniform_logits_give_log_c():
 
 def test_confident_correct_logits_give_tiny_loss():
     model = MLP((2, 3))
-    parts = model.unflatten(np.zeros(model.n_params))
-    parts[1][:] = [-50.0, 50.0, -50.0]  # bias picks class 1
-    params = model.flatten(parts)
+    params = np.zeros(model.n_params)
+    model.unflatten(params)[1][:] = [-50.0, 50.0, -50.0]  # bias picks class 1
     loss, _ = model.forward_loss(params, Batch(np.zeros((2, 2)), np.array([1, 1])))
     assert loss < 1e-6
 
@@ -105,7 +105,7 @@ def test_single_layer_closed_form_gradient():
     params = model.init_params(seed=2)
     x = rng.normal(size=(5, 3))
     y = rng.integers(0, 4, size=5)
-    grad = model.backward(params, Batch(x, y))
+    _, grad = model.loss_and_grad(params, Batch(x, y))
     w, b = model.unflatten(params)
     logits = x @ w + b
     z = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -135,10 +135,9 @@ def test_cnn_gradient_matches_finite_differences():
 
 def test_zero_last_layer_blocks_upstream_gradient(tiny_batch):
     model = MLP((4, 3, 2))
-    parts = model.unflatten(model.init_params(seed=0))
-    parts[2][:] = 0.0  # last-layer weights
-    params = model.flatten(parts)
-    grads = model.unflatten(model.backward(params, tiny_batch))
+    params = model.init_params(seed=0)
+    model.unflatten(params)[2][:] = 0.0  # last-layer weights, through their view
+    grads = model.unflatten(model.loss_and_grad(params, tiny_batch)[1])
     assert np.all(grads[0] == 0.0) and np.all(grads[1] == 0.0)
     assert np.any(grads[2] != 0.0)  # dW2 = h^T delta is generally nonzero
 
@@ -161,7 +160,7 @@ def reference_grad(model, params, batch):
     _, dlogits = _softmax_ce(logits, batch.targets)
     dp2 = (dlogits @ wd.T).reshape(a2.shape[0], a2.shape[1], a2.shape[2] // 2, a2.shape[3] // 2)
     dz2 = _pool2_backward(dp2, idx2, a2.shape) * (z2 > 0.0)
-    dp1 = _conv3x3_backward(dz2, cols2, w2, p1.shape, np.empty_like(w2), np.empty(w2.shape[0]))
+    dp1 = _conv3x3_input_grad(dz2, w2, p1.shape)
     dz1 = _pool2_backward(dp1, idx1, z1.shape) * (z1 > 0.0)
     grads = [np.einsum("bfhw,bcijhw->fcij", dz1, cols1, optimize=True), dz1.sum(axis=(0, 2, 3)),
              np.einsum("bfhw,bcijhw->fcij", dz2, cols2, optimize=True), dz2.sum(axis=(0, 2, 3)),
@@ -185,6 +184,22 @@ def test_gradient_is_written_once_into_a_fresh_vector(model, in_shape):
     assert grad.dtype == np.float64 and grad.shape == (model.n_params,)
     assert grad.base is None and grad.flags.c_contiguous
     assert not np.shares_memory(grad, params) and not np.shares_memory(grad, previous)
+
+
+def test_cnn_builds_an_input_gradient_for_conv2_only(monkeypatch):
+    # conv1's input is the batch itself: its gradient would be built and dropped
+    calls = []
+
+    def counted(dout, w, x_shape):
+        calls.append(x_shape)
+        return _conv3x3_input_grad(dout, w, x_shape)
+
+    monkeypatch.setattr(models, "_conv3x3_input_grad", counted)
+    model = SmallCNN(in_shape=(3, 8, 8), num_classes=7, channels=(4, 6))
+    rng = np.random.default_rng(2)
+    batch = Batch(rng.normal(size=(5, 3, 8, 8)), rng.integers(0, 7, 5))
+    model.loss_and_grad(model.init_params(seed=1), batch)
+    assert calls == [(5, 4, 4, 4)]  # conv2's input: conv1's 4 channels, pooled to 4x4
 
 
 def test_mlp_gradient_peak_memory_is_below_two_gradients():
@@ -230,7 +245,7 @@ def test_fd_check_small_on_analytic_case(tiny_batch):
 
 
 # ---------------------------------------------------------------------------
-# init / flatten
+# init / unflatten
 # ---------------------------------------------------------------------------
 
 def test_init_is_deterministic_per_seed():
@@ -246,12 +261,14 @@ def test_parameter_count_mlp_784_256_10():
 def test_flatten_round_trip_exact():
     for model in (MLP((4, 3, 2)), SmallCNN(in_shape=(1, 8, 8), num_classes=3, channels=(2, 3))):
         flat = model.init_params(seed=11)
-        assert np.array_equal(model.flatten(model.unflatten(flat)), flat)
+        parts = model.unflatten(flat)
+        assert np.array_equal(np.concatenate([p.ravel() for p in parts]), flat)
+        assert all(np.shares_memory(p, flat) for p in parts)
 
 
 def test_gradient_length_equals_n(tiny_batch):
     model = MLP((4, 3, 2))
-    grad = model.backward(model.init_params(0), tiny_batch)
+    _, grad = model.loss_and_grad(model.init_params(0), tiny_batch)
     assert grad.shape == (model.n_params,)
 
 
@@ -259,6 +276,6 @@ def test_loss_decreases_under_small_gradient_step(tiny_batch):
     model = MLP((4, 3, 2))
     params = model.init_params(seed=0)
     loss0, _ = model.forward_loss(params, tiny_batch)
-    grad = model.backward(params, tiny_batch)
+    _, grad = model.loss_and_grad(params, tiny_batch)
     loss1, _ = model.forward_loss(params - 0.01 * grad, tiny_batch)
     assert loss1 < loss0

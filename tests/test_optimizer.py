@@ -22,6 +22,7 @@ def test_init_defaults():
     assert np.array_equal(opt.filter.p11, [5e-5, 5e-5])
     assert np.array_equal(opt.filter.p22, [5e-5, 5e-5])
     assert opt.step_count == 0 and opt.epoch == 0
+    assert not hasattr(opt, "epsilon")  # the bound has one home, opt.config
 
 
 def test_init_sigma_override():
@@ -160,14 +161,15 @@ def test_epoch_milestone_decays_epsilon():
     cfg = TrustRegionConfig(epsilon=0.085675, schedule_milestones=(1,))
     opt = TrustRegionOptimizer(1, cfg, mu0=np.zeros(1))
     opt.on_epoch_end()
-    assert opt.epsilon == pytest.approx(0.085675 * 0.006, rel=1e-12)
+    assert opt.config.epsilon == pytest.approx(0.085675 * 0.006, rel=1e-12)
+    assert cfg.epsilon == 0.085675  # the caller's config is replaced, not written
 
 
 def test_non_milestone_epoch_keeps_epsilon():
     cfg = TrustRegionConfig(epsilon=0.02, schedule_milestones=(3,))
     opt = TrustRegionOptimizer(1, cfg, mu0=np.zeros(1))
     opt.on_epoch_end()
-    assert opt.epsilon == 0.02
+    assert opt.config is cfg
 
 
 def test_two_milestones_compound():
@@ -175,7 +177,7 @@ def test_two_milestones_compound():
     opt = TrustRegionOptimizer(1, cfg, mu0=np.zeros(1))
     opt.on_epoch_end()
     opt.on_epoch_end()
-    assert opt.epsilon == pytest.approx(0.006**2, rel=1e-12)
+    assert opt.config.epsilon == pytest.approx(0.006**2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,7 @@ def test_kl_safety_and_variance_positivity():
     opt = TrustRegionOptimizer(5, cfg, mu0=rng.normal(size=5))
     for _ in range(200):
         diag = opt.step(rng.normal(scale=3.0, size=5))
-        assert diag.c_mu <= 1.1 * opt.epsilon + 1e-15
+        assert diag.c_mu <= 1.1 * opt.config.epsilon + 1e-15
         assert np.all(opt.dist.sigma2 > 0.0)
 
 

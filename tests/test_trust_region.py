@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from kltrust import trust_region
 from kltrust.errors import NonFiniteError
+from kltrust.optimizer import TrustRegionConfig
 from kltrust.trust_region import (
     ETA_MIN,
     DualSolverError,
     ParameterDistribution,
-    TrustRegionParams,
     dual_derivative,
     kl_mean_term,
     primal_mean,
@@ -26,7 +26,7 @@ def dist(mu, sigma2):
 
 
 def params(epsilon=0.1, rho=0.0, nu=1.0, lam=0.0):
-    return TrustRegionParams(epsilon=epsilon, rho=rho, nu=nu, lambda_prec=lam)
+    return TrustRegionConfig(epsilon=epsilon, rho=rho, nu=nu, lambda_prec=lam)
 
 
 def random_instance(rng, eps):
@@ -34,7 +34,7 @@ def random_instance(rng, eps):
     a = rng.uniform(0.0, 10.0, size=n)
     b = rng.uniform(-10.0, 10.0, size=n)
     prev = dist(rng.uniform(-1.0, 1.0, size=n), rng.uniform(1e-4, 1.0, size=n))
-    tr = TrustRegionParams(
+    tr = TrustRegionConfig(
         epsilon=eps,
         rho=float(rng.uniform(0.01, 1.0)),
         nu=float(rng.uniform(0.5, 2.0)),
@@ -64,7 +64,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         params(nu=-1.0)
     with pytest.raises(ValueError):
-        TrustRegionParams(0.1, -0.1, 1.0, 0.0)
+        params(rho=-0.1)
     params(rho=0.0, lam=0.0)  # unregularized corner is allowed
 
 
@@ -195,7 +195,7 @@ def test_solve_zero_step_inside_region():
 
 
 def test_solve_tiny_unconstrained_step_inside_region():
-    tr = TrustRegionParams(epsilon=0.01, rho=1.0, nu=1.0, lambda_prec=1e-3)
+    tr = params(epsilon=0.01, rho=1.0, nu=1.0, lam=1e-3)
     res = solve_eta(np.array([1e6]), np.array([1.0]), dist([0.0], [1.0]), tr)
     assert res.eta_star == 0.0
     assert res.mu[0] == pytest.approx(-1e-6, rel=1e-3)
@@ -300,7 +300,7 @@ def dual_instances(draw):
     a = np.array(vec(st.one_of(st.just(0.0), floats(0.0, 100.0))))
     b = np.array(vec(floats(-100.0, 100.0)))
     prev = dist(vec(floats(-10.0, 10.0)), vec(floats(1e-4, 10.0)))
-    tr = TrustRegionParams(
+    tr = TrustRegionConfig(
         epsilon=draw(floats(1e-3, 1e-1)),
         rho=draw(st.one_of(st.just(0.0), floats(0.0, 1.0))),
         nu=1.0,
