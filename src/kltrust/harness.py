@@ -144,7 +144,9 @@ class RunConfig:
 
     def optimizer_config(self) -> TrustRegionConfig | BaselineConfig:
         """The optimizer's config: resolved hyperparams, mode or kind, milestones."""
-        hp, milestones = self.resolved_hyperparams(), self.effective_milestones
+        hp = self.resolved_hyperparams()
+        # a milestone past the last epoch never fires, so its decay is not checked
+        milestones = tuple(m for m in self.effective_milestones if m <= self.epochs)
         try:
             if self.optimizer == "trust_region":
                 return TrustRegionConfig(mode=VARIANTS[self.variant],

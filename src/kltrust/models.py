@@ -1,12 +1,12 @@
 """Manually differentiated classifiers over a flat parameter vector.
 
 Two small architectures: a ReLU MLP and a conv-pool-conv-pool-dense CNN.
-Parameters live in a single flat vector with a deterministic layer-major
-(W then b) layout; unflatten(v) gives each layer's views of it, and the
-models compose with vector-space optimizers. Each backward pass writes
-every layer's gradient straight into that layer's view of one fresh flat
-vector. Losses are mean softmax cross-entropy; gradients are exact (ReLU
-subgradient at 0 taken as 0).
+Parameters live in a single flat float64 vector (the models compute in
+float64 only) with a deterministic layer-major (W then b) layout;
+unflatten(v) gives each layer's views of it, and the models compose with
+vector-space optimizers. Each backward pass writes every layer's gradient
+straight into that layer's view of one fresh flat vector. Losses are mean
+softmax cross-entropy; gradients are exact (ReLU subgradient at 0 taken as 0).
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
     return loss, dlogits / batch
 
 
-def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
+def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class _FlatParams:
@@ -57,8 +57,7 @@ class _FlatParams:
     is the product of a conv weight's trailing axes, or a dense weight's first.
     """
 
-    def __init__(self, shapes, dtype):
-        self.dtype = np.dtype(dtype)
+    def __init__(self, shapes):
         self._shapes = shapes
         self.n_params = sum(math.prod(ws) + math.prod(bs) for ws, bs in shapes)
 
@@ -67,8 +66,8 @@ class _FlatParams:
         parts = []
         for ws, bs in self._shapes:
             fan_in = math.prod(ws[1:]) if len(ws) == 4 else ws[0]
-            parts.append(_kaiming_uniform(rng, ws, fan_in, self.dtype))
-            parts.append(np.zeros(bs, dtype=self.dtype))
+            parts.append(_kaiming_uniform(rng, ws, fan_in))
+            parts.append(np.zeros(bs))
         return np.concatenate([p.ravel() for p in parts])
 
     def unflatten(self, flat: np.ndarray):
@@ -85,25 +84,23 @@ class _FlatParams:
 
     def _empty_grad(self):
         """A fresh flat gradient vector and its per-layer views, for a backward pass to fill."""
-        grad = np.empty(self.n_params, dtype=self.dtype)
+        grad = np.empty(self.n_params)
         return grad, self.unflatten(grad)
 
 
 class MLP(_FlatParams):
     """Fully connected ReLU network; layer_sizes like (784, 256, 10)."""
 
-    def __init__(self, layer_sizes, dtype=np.float64):
+    def __init__(self, layer_sizes):
         layer_sizes = tuple(int(s) for s in layer_sizes)
         if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
             raise ValueError(f"need >= 2 positive layer sizes, got {layer_sizes}")
         self.layer_sizes = layer_sizes
         self.num_classes = layer_sizes[-1]
-        super().__init__(
-            [((i, o), (o,)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])], dtype
-        )
+        super().__init__([((i, o), (o,)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])])
 
     def _check_batch(self, batch: Batch) -> np.ndarray:
-        x = np.asarray(batch.inputs, dtype=self.dtype)
+        x = np.asarray(batch.inputs, dtype=np.float64)
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
         if x.shape[1] != self.layer_sizes[0]:
@@ -115,7 +112,7 @@ class MLP(_FlatParams):
         return x
 
     def _forward(self, params: np.ndarray, x: np.ndarray):
-        parts = self.unflatten(np.asarray(params, dtype=self.dtype))
+        parts = self.unflatten(np.asarray(params, dtype=np.float64))
         acts = [x]
         pre = []
         h = x
@@ -150,7 +147,7 @@ def _conv3x3_forward(x, w, b):
     # x (B,C,H,W), w (F,C,3,3): stride 1, zero padding 1 ("same")
     B, C, H, W = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((B, C, 3, 3, H, W), dtype=x.dtype)
+    cols = np.empty((B, C, 3, 3, H, W))
     for i in range(3):
         for j in range(3):
             cols[:, :, i, j] = xp[:, :, i : i + H, j : j + W]
@@ -168,7 +165,7 @@ def _conv3x3_param_grads(dout, cols, dw, db):
 def _conv3x3_input_grad(dout, w, x_shape):
     """The gradient with respect to the conv's input, of shape x_shape."""
     B, C, H, W = x_shape
-    dxp = np.zeros((B, C, H + 2, W + 2), dtype=dout.dtype)
+    dxp = np.zeros((B, C, H + 2, W + 2))
     for i in range(3):
         for j in range(3):
             dxp[:, :, i : i + H, j : j + W] += np.einsum(
@@ -191,7 +188,7 @@ def _pool2_forward(x):
 
 def _pool2_backward(dout, idx, x_shape):
     B, C, H, W = x_shape
-    dr = np.zeros((B, C, H // 2, W // 2, 4), dtype=dout.dtype)
+    dr = np.zeros((B, C, H // 2, W // 2, 4))
     np.put_along_axis(dr, idx[..., None], dout[..., None], axis=-1)
     return (
         dr.reshape(B, C, H // 2, W // 2, 2, 2)
@@ -203,8 +200,7 @@ def _pool2_backward(dout, idx, x_shape):
 class SmallCNN(_FlatParams):
     """conv3x3(c1) - relu - pool2 - conv3x3(c2) - relu - pool2 - dense."""
 
-    def __init__(self, in_shape=(1, 28, 28), num_classes=10, channels=(16, 32),
-                 dtype=np.float64):
+    def __init__(self, in_shape=(1, 28, 28), num_classes=10, channels=(16, 32)):
         c, h, w = in_shape
         if h % 4 != 0 or w % 4 != 0:
             raise ValueError("input height/width must be divisible by 4")
@@ -218,12 +214,11 @@ class SmallCNN(_FlatParams):
                 ((c1, c, 3, 3), (c1,)),
                 ((c2, c1, 3, 3), (c2,)),
                 ((self._dense_in, self.num_classes), (self.num_classes,)),
-            ],
-            dtype,
+            ]
         )
 
     def _check_batch(self, batch: Batch) -> np.ndarray:
-        x = np.asarray(batch.inputs, dtype=self.dtype)
+        x = np.asarray(batch.inputs, dtype=np.float64)
         if x.shape[1:] != self.in_shape:
             raise ValueError(f"inputs of shape {x.shape[1:]}, expected {self.in_shape}")
         if np.any(batch.targets >= self.num_classes):
@@ -231,7 +226,7 @@ class SmallCNN(_FlatParams):
         return x
 
     def _forward(self, params: np.ndarray, x: np.ndarray):
-        w1, b1, w2, b2, wd, bd = self.unflatten(np.asarray(params, dtype=self.dtype))
+        w1, b1, w2, b2, wd, bd = self.unflatten(np.asarray(params, dtype=np.float64))
         z1, cols1 = _conv3x3_forward(x, w1, b1)
         a1 = np.maximum(z1, 0.0)
         p1, idx1 = _pool2_forward(a1)
@@ -284,7 +279,7 @@ def fd_check(model, params: np.ndarray, batch: Batch, coords, h: float = 1e-5) -
     g_bp = model.loss_and_grad(params, batch)[1]
     worst = 0.0
     for c in coords:
-        bumped = params.astype(np.float64).copy()
+        bumped = np.array(params, dtype=np.float64)
         bumped[c] += h
         up, _ = model.forward_loss(bumped, batch)
         bumped[c] -= 2.0 * h

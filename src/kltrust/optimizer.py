@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import AdamMoments, check_milestones, check_reals
+from .baselines import AdamMoments, check_milestones, check_reals, finite
 from .errors import NonFiniteError
 from .surrogate import SurrogateState, filter_update, init_state
 from .trust_region import (
@@ -35,7 +35,8 @@ class TrustRegionConfig:
 
     epsilon, rho, q and r are the task-tuned knobs; the remaining defaults
     (nu, lambda_prec, sigma2_init, p0) rarely need changing. epsilon decays
-    by `epsilon_decay_factor` at each epoch in `schedule_milestones`.
+    by `epsilon_decay_factor` at each epoch in `schedule_milestones`, and
+    must stay finite and > 0 through every decay.
     """
 
     epsilon: float = 0.01
@@ -66,6 +67,14 @@ class TrustRegionConfig:
                     unit=("adam_beta1", "adam_beta2"))
         self.schedule_milestones = check_milestones(self.schedule_milestones,
                                                     "schedule_milestones")
+        # on_epoch_end's products; it drops each milestone it passes, so a
+        # config it builds counts only the decays still ahead
+        eps = self.epsilon
+        for _ in self.schedule_milestones:
+            eps *= self.epsilon_decay_factor
+        if not (finite(eps) and eps > 0.0):
+            raise ValueError(f"epsilon decayed by epsilon_decay_factor at milestones "
+                             f"{self.schedule_milestones} leaves the float range: {eps!r}")
 
 
 @dataclass(frozen=True)
@@ -87,11 +96,12 @@ class TrustRegionOptimizer:
         self.dist = ParameterDistribution(
             mu0.copy(), np.full(n, config.sigma2_init, dtype=np.float64)
         )
-        self.filter: SurrogateState = init_state(n, config.p0)
         self.step_count = 0
         self.epoch = 0
-        if config.mode == "adam_surrogate":
+        if config.mode == "adam_surrogate":  # its surrogate never reads a filter
             self.moments = AdamMoments(n, config.adam_beta1, config.adam_beta2)
+        else:
+            self.filter: SurrogateState = init_state(n, config.p0)
 
     @property
     def n(self) -> int:
@@ -146,4 +156,6 @@ class TrustRegionOptimizer:
         self.epoch += 1
         cfg = self.config
         if self.epoch in cfg.schedule_milestones:  # replaced, not written: run() shares it
-            self.config = replace(cfg, epsilon=cfg.epsilon * cfg.epsilon_decay_factor)
+            ahead = tuple(m for m in cfg.schedule_milestones if m > self.epoch)
+            self.config = replace(cfg, epsilon=cfg.epsilon * cfg.epsilon_decay_factor,
+                                  schedule_milestones=ahead)

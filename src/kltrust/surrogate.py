@@ -44,21 +44,6 @@ class SurrogateState:
     def n(self) -> int:
         return self.a.shape[0]
 
-    def validate(self) -> None:
-        """Raise FilterConsistencyError unless the state is finite and every
-        covariance is positive definite."""
-        vecs = (self.a, self.b, self.p11, self.p12, self.p22)
-        if any(v.shape != (self.n,) for v in vecs):
-            raise ValueError("state vectors must share one length")
-        # p11 > 0 and det > 0 imply p22 > 0, and finite p11 and det imply
-        # finite p12 and p22. NaN fails every comparison, and a sum is finite
-        # only when every entry is (or it leaves the float range, also a fault)
-        det = self.p11 * self.p22
-        det -= self.p12 * self.p12
-        total = self.a.sum() + self.b.sum() + self.p11.sum() + det.sum()
-        if not (min(self.p11.min(), det.min()) > 0.0 and np.isfinite(total)):
-            raise FilterConsistencyError("covariance not positive definite or state non-finite")
-
 
 def init_state(n: int, p0: float) -> SurrogateState:
     """Zero-mean prior with isotropic 2x2 covariance p0 * I per dimension."""
@@ -66,15 +51,8 @@ def init_state(n: int, p0: float) -> SurrogateState:
         raise ValueError(f"parameter dimension must be >= 1, got {n}")
     if not np.isfinite(p0) or p0 <= 0.0:
         raise ValueError(f"prior variance p0 must be > 0, got {p0}")
-    zeros = np.zeros(n, dtype=np.float64)
-    p_diag = np.full(n, float(p0), dtype=np.float64)
-    return SurrogateState(
-        a=zeros.copy(),
-        b=zeros.copy(),
-        p11=p_diag.copy(),
-        p12=zeros.copy(),
-        p22=p_diag,
-    )
+    p0 = float(p0)
+    return SurrogateState(np.zeros(n), np.zeros(n), np.full(n, p0), np.zeros(n), np.full(n, p0))
 
 
 def filter_update(
@@ -93,7 +71,8 @@ def filter_update(
         m <- m + t * (g_j - H m) / v
         P <- P- - t t^T / v
     The dimensions are updated BLOCK at a time, and each block is checked
-    as SurrogateState.validate checks a state while it is still in cache.
+    while it is still in cache: every new covariance positive definite and
+    the new state finite.
     Returns a new state; the input state is not mutated. Raises
     NonFiniteError when mu or g is not finite, and otherwise
     FilterConsistencyError when the new covariance is not positive definite,
@@ -140,11 +119,11 @@ def filter_update(
         np.divide(t2, v, out=k)  # its second entry
         np.add(b, np.multiply(k, resid, out=x), out=new.b[s])
         p22 -= np.multiply(k, t2, out=x)
-        # SurrogateState.validate on the block while it is in cache, and the
-        # innovation variance: an overflowed v zeroes the gain and would leave
-        # the state silently unchanged. A NaN can slip past min() but not sum().
-        # A NaN or inf in mu or g always reaches a or b (0 * inf is NaN), so
-        # the sum checks the inputs too
+        # the block's check while it is in cache: p11 > 0 and det > 0 imply
+        # p22 > 0, finite p11 and det imply finite p12 and p22, and a NaN can
+        # slip past min() but not sum(). An overflowed v zeroes the gain and
+        # would leave the state silently unchanged. A NaN or inf in mu or g
+        # always reaches a or b (0 * inf is NaN), so the sum checks them too
         det = np.multiply(p11, p22, out=t1)
         det -= np.multiply(new.p12[s], new.p12[s], out=x)
         low = min(low, p11.min(), det.min())

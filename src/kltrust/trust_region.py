@@ -36,13 +36,7 @@ MAX_ITER = 50  # Newton steps before a solve fails; about 2 are typical
 
 class DualSolverError(NumericalFault, RuntimeError):
     """Newton did not reach the band: the root lies beyond ETA_MAX, the
-    surrogate is non-finite, or MAX_ITER steps ran out. [lo, hi] is the last
-    iterate, left of the root, and ETA_MAX."""
-
-    def __init__(self, message: str, lo: float, hi: float):
-        super().__init__(message)
-        self.lo = lo
-        self.hi = hi
+    surrogate is non-finite, or MAX_ITER steps ran out."""
 
 
 @dataclass(frozen=True)
@@ -197,9 +191,7 @@ def solve_eta(
         if not (eta + step <= ETA_MAX and iterations <= MAX_ITER):
             raise DualSolverError(
                 f"Newton step {iterations} from eta={eta:g} (C_mu={c:g}) leaves "
-                f"eta <= {ETA_MAX:g} or MAX_ITER={MAX_ITER}; surrogate is pathological",
-                eta,
-                ETA_MAX,
+                f"eta <= {ETA_MAX:g} or MAX_ITER={MAX_ITER}; surrogate is pathological"
             )
         eta += step
         c = secular(eta)

@@ -697,6 +697,42 @@ def test_cli_checks_hyperparams_before_looking_for_data(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+# epsilon leaves the float range at the last decay, after every epoch has
+# trained: (hyperparams, milestones, epochs)
+EPSILON_OUT_OF_RANGE = {
+    "underflow": ({"epsilon": 1e-5, "epsilon_decay_factor": 1e-320}, [1], 1),
+    "overflow": ({"epsilon_decay_factor": 1e200}, [1, 2], 2),
+}
+
+
+@pytest.mark.parametrize("case", list(EPSILON_OUT_OF_RANGE))
+def test_epsilon_that_decays_out_of_range_is_an_error_line_before_data_loads(
+        case, tmp_path, capsys):
+    hp, milestones, epochs = EPSILON_OUT_OF_RANGE[case]
+    cell = {"optimizer": "trust_region", "hyperparams": hp, "milestones": milestones,
+            "epochs": epochs, "out_dir": str(tmp_path / "runs")}
+    with pytest.raises(ValueError, match="epsilon decayed"):
+        RunConfig(task="synthetic_quadratic", **cell)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cell, "task": "fashion_mnist_mlp",
+                                    "data_dir": str(tmp_path / "nowhere")}))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon decayed") and err.count("\n") == 1, err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_epsilon_decay_past_the_last_epoch_is_not_checked(tmp_path):
+    # the decay at milestone 1 stays in range; a second one would underflow,
+    # but milestone 2 lies past the last epoch and never fires
+    cfg = synth_config(tmp_path, epochs=1, milestones=(1, 2),
+                       hyperparams={"epsilon": 1e-5, "epsilon_decay_factor": 1e-300})
+    assert cfg.optimizer_config().schedule_milestones == (1,)
+    result = run(cfg)
+    assert result.summary["failed_seeds"] == {} and result.summary["milestones"] == [1, 2]
+    assert len(read_metrics_csv(result.csv_path)) == 2  # both seeds' one epoch
+
+
 def test_cli_variant_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

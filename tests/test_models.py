@@ -144,7 +144,7 @@ def test_zero_last_layer_blocks_upstream_gradient(tiny_batch):
 
 def reference_grad(model, params, batch):
     """Each layer's gradient as its own array, concatenated in the flat layout."""
-    x = np.asarray(batch.inputs, dtype=model.dtype)
+    x = np.asarray(batch.inputs, dtype=np.float64)
     if isinstance(model, MLP):
         parts, acts, pre = model._forward(params, x)
         _, delta = _softmax_ce(acts[-1], batch.targets)
@@ -221,13 +221,6 @@ def test_mlp_gradient_peak_memory_is_below_two_gradients():
 # ---------------------------------------------------------------------------
 # fd_check utility
 # ---------------------------------------------------------------------------
-
-def test_float32_mode_passes_relaxed_fd_check(tiny_batch):
-    model = MLP((4, 3, 2), dtype=np.float32)
-    params = model.init_params(seed=0)
-    assert params.dtype == np.float32
-    assert fd_check(model, params, tiny_batch, range(model.n_params), h=1e-2) < 1e-2
-
 
 def test_fd_check_rejects_bad_args(tiny_batch):
     model = MLP((4, 2))

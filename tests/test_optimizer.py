@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,8 @@ def test_step_leaves_the_arrays_a_caller_holds_unchanged(mode):
     rng = np.random.default_rng(4)
     opt = TrustRegionOptimizer(6, cfg, mu0=rng.normal(size=6))
     for _ in range(3):
-        held = [opt.mean, opt.dist.sigma2, *vars(opt.filter).values()]
+        state = () if mode == "adam_surrogate" else vars(opt.filter).values()  # no filter
+        held = [opt.mean, opt.dist.sigma2, *state]
         copies = [x.copy() for x in held]
         opt.step(rng.normal(size=6))
         assert opt.mean is not held[0]
@@ -149,7 +152,7 @@ def test_adam_surrogate_mode_bypasses_filter():
     for _ in range(10):
         diag = opt.step(rng.normal(size=3))
         assert diag.clamped == 0  # sqrt(v_hat) + eps is always positive
-    assert np.array_equal(opt.filter.a, np.zeros(3))  # untouched
+    assert not hasattr(opt, "filter")  # never built: five n-vectors it would not read
     assert opt.moments.t == 10
 
 
@@ -176,8 +179,32 @@ def test_two_milestones_compound():
     cfg = TrustRegionConfig(epsilon=1.0, schedule_milestones=(1, 2))
     opt = TrustRegionOptimizer(1, cfg, mu0=np.zeros(1))
     opt.on_epoch_end()
+    assert opt.config.schedule_milestones == (2,)  # only the decays still ahead
     opt.on_epoch_end()
     assert opt.config.epsilon == pytest.approx(0.006**2, rel=1e-12)
+    assert opt.config.schedule_milestones == ()
+
+
+@pytest.mark.parametrize("epsilon, factor, milestones", [
+    (1e-5, 1e-320, (1,)),  # underflows to 0 at the first decay
+    (0.01, 1e200, (1, 2)),  # overflows to inf at the second
+    (1e-300, 1e-10, (1, 3, 5)),
+], ids=["underflow", "overflow", "underflow-late"])
+def test_epsilon_that_decays_out_of_range_is_rejected(epsilon, factor, milestones):
+    with pytest.raises(ValueError, match="epsilon decayed"):
+        TrustRegionConfig(epsilon=epsilon, epsilon_decay_factor=factor,
+                          schedule_milestones=milestones)
+
+
+def test_epsilon_decayed_to_the_edge_of_the_range_is_accepted():
+    # 1e-5 * 1e-300 is still a normal float; one more decay would underflow
+    cfg = TrustRegionConfig(epsilon=1e-5, epsilon_decay_factor=1e-300,
+                            schedule_milestones=(1,))
+    opt = TrustRegionOptimizer(1, cfg, mu0=np.zeros(1))
+    opt.on_epoch_end()
+    assert opt.config.epsilon == 1e-5 * 1e-300 > 0.0
+    with pytest.raises(ValueError, match="epsilon decayed"):
+        replace(opt.config, schedule_milestones=(2,))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,15 @@ def batch_bayes(mus, gs, r, p0):
     return mean, cov
 
 
+def pd_and_finite(state):
+    """The filter's rule, unfolded: the state and every determinant are finite
+    and every 2x2 covariance is positive definite."""
+    det = state.p11 * state.p22 - state.p12 * state.p12
+    entries = (*vars(state).values(), det)
+    return all(np.all(np.isfinite(x)) for x in entries) and bool(
+        np.all(state.p11 > 0.0) and np.all(det > 0.0))
+
+
 def run_filter(mus, gs, q, r, p0):
     state = init_state(1, p0)
     for mu, g in zip(mus, gs):
@@ -144,6 +153,8 @@ def test_rejects_bad_inputs():
 
 
 def test_pd_violation_raises_consistency_error():
+    # neither state passes the oracle, and filter_update's own check rejects
+    # the update of each
     bad = SurrogateState(
         a=np.zeros(1),
         b=np.zeros(1),
@@ -151,12 +162,13 @@ def test_pd_violation_raises_consistency_error():
         p12=np.array([2.0]),  # det < 0
         p22=np.array([1.0]),
     )
-    with pytest.raises(FilterConsistencyError):
-        bad.validate()
     nonfinite = init_state(2, 1.0)
     nonfinite.b[1] = np.nan
-    with pytest.raises(FilterConsistencyError):
-        nonfinite.validate()
+    for state in (bad, nonfinite):
+        assert not pd_and_finite(state)
+        zeros = np.zeros(state.n)
+        with pytest.raises(FilterConsistencyError):
+            filter_update(state, zeros, zeros, 0.0, 1.0)
 
 
 def test_overflowing_mean_is_a_numerical_fault():
@@ -224,8 +236,31 @@ def test_covariance_stays_pd_over_random_sequences(p0, q, r, steps):
     state = init_state(1, p0)
     for mu, g in steps:
         state = filter_update(state, np.array([mu]), np.array([g]), q, r)
-    det = state.p11 * state.p22 - state.p12**2
-    assert state.p11[0] > 0.0 and state.p22[0] > 0.0 and det[0] > 0.0
+        assert pd_and_finite(state)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p0=st.floats(1e-6, 1.0),
+    q=st.one_of(st.just(0.0), st.floats(0.0, 0.1, allow_subnormal=False)),
+    r=st.floats(1e-2, 10.0),
+    mu_max=st.floats(1e-3, 1e3),
+    g_max=st.floats(1e-3, 1e3),
+    hold=st.floats(0.0, 1.0),
+    steps=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_state_stays_pd_over_long_multidimensional_sequences(
+        p0, q, r, mu_max, g_max, hold, steps, seed):
+    # 16 dimensions with |mu| <= mu_max <= 1e3; each mu_j keeps its last value
+    # with probability `hold`, which leaves one direction of (a, b) unobserved
+    rng = np.random.default_rng(seed)
+    state = init_state(16, p0)
+    mu = rng.uniform(-mu_max, mu_max, 16)
+    for _ in range(steps):
+        mu = np.where(rng.random(16) < hold, mu, rng.uniform(-mu_max, mu_max, 16))
+        state = filter_update(state, mu, rng.uniform(-g_max, g_max, 16), q, r)
+        assert pd_and_finite(state)
 
 
 def test_dimensions_update_independently(monkeypatch):
@@ -260,12 +295,8 @@ def unfused_update(state, mu, g, q, r):
 
 
 def oracle_fault(state, v):
-    """The unfolded check: SurrogateState.validate, then a finite sum of v."""
-    try:
-        state.validate()
-    except FilterConsistencyError:
-        return True
-    return not np.isfinite(v.sum())
+    """The unfolded check: pd_and_finite, then a finite sum of v."""
+    return not (pd_and_finite(state) and np.isfinite(v.sum()))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
