@@ -1,6 +1,6 @@
 """KL trust-region stochastic optimization with Kalman-filtered curvature."""
 
-from .baselines import Adam, AdamW, BaselineConfig, SGDMomentum, make_baseline
+from .baselines import Adam, AdamW, BaselineConfig, SGDMomentum
 from .data import (
     Dataset,
     SyntheticQuadraticTask,
@@ -54,7 +54,6 @@ __all__ = [
     "load_cifar_binary",
     "load_fashion_mnist",
     "load_idx",
-    "make_baseline",
     "minibatches",
     "primal_mean",
     "primal_variance",

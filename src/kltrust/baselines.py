@@ -1,8 +1,10 @@
-"""Reference first-order optimizers: SGD with momentum, Adam, AdamW.
+"""The optimizer frame, and the reference first-order optimizers.
 
-Standard published update rules; weight decay is coupled (added to the
-gradient) for SGD and Adam, decoupled for AdamW. All three share the
-step-decay learning-rate schedule driven by on_epoch_end.
+`Optimizer` is the base of every optimizer here and of the trust region:
+it holds the point, checks each gradient and runs the step-decay schedule
+of on_epoch_end. SGD with momentum, Adam and AdamW follow the standard
+published update rules; weight decay is coupled (added to the gradient)
+for SGD and Adam, decoupled for AdamW.
 """
 
 from __future__ import annotations
@@ -10,13 +12,11 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NonFiniteError
-
-KINDS = ("sgd_momentum", "adam", "adamw")
 
 
 # the value rules every config shares, here in the module the others import
@@ -55,9 +55,20 @@ def check_milestones(values, name: str) -> tuple[int, ...]:
     return tuple(map(int, ms))
 
 
+def check_decay(config, name: str, factor: str) -> None:
+    """Raise ValueError unless field `name`, decayed by field `factor` at each
+    of the config's milestones, stays a normal float. on_epoch_end drops each
+    milestone it passes, so a config it builds counts only the decays ahead."""
+    value = getattr(config, name)
+    for _ in config.schedule_milestones:
+        value *= getattr(config, factor)
+    if not (finite(value) and value >= sys.float_info.min):
+        raise ValueError(f"{name} decayed by {factor} at milestones "
+                         f"{config.schedule_milestones} leaves the normal float range: {value!r}")
+
+
 @dataclass
 class BaselineConfig:
-    kind: str
     learning_rate: float
     momentum: float = 0.0
     beta1: float = 0.9
@@ -68,43 +79,52 @@ class BaselineConfig:
     lr_decay_factor: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         check_reals(self, positive=("learning_rate", "adam_eps", "lr_decay_factor"),
                     non_negative=("weight_decay",), unit=("momentum", "beta1", "beta2"))
         self.schedule_milestones = check_milestones(self.schedule_milestones,
                                                     "schedule_milestones")
+        check_decay(self, "learning_rate", "lr_decay_factor")
 
 
-class _Baseline:
-    """Holds the point `mean`; `step(grad)` binds it to a new array, so a
-    caller may hold the previous point across the step."""
+class Optimizer:
+    """Holds the point `mean`, built from `(n, config, mu0)`; each subclass's
+    `step(grad)` binds `mean` to a new array, so a caller may hold the
+    previous point across the step."""
 
-    def __init__(self, n: int, config: BaselineConfig, mu0: np.ndarray):
+    # the config field each milestone decays, and the field of its factor
+    DECAY = ("learning_rate", "lr_decay_factor")
+
+    def __init__(self, n: int, config, mu0: np.ndarray):
         mu0 = np.asarray(mu0, dtype=np.float64)
         if mu0.shape != (n,):
             raise ValueError(f"mu0 has shape {mu0.shape}, expected ({n},)")
         self.n = n
         self.config = config
         self.mean = mu0
-        self.lr = config.learning_rate
+        self.step_count = 0
         self.epoch = 0
 
     def _check(self, grad: np.ndarray) -> np.ndarray:
+        """`grad` as float64, once it and the point are checked; counts the step."""
         grad = np.asarray(grad, dtype=np.float64)
         if grad.shape != (self.n,):
             raise ValueError(f"gradient has shape {grad.shape}, expected ({self.n},)")
         if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(grad))):
-            raise NonFiniteError("non-finite params or gradient")
+            raise NonFiniteError(f"non-finite point or gradient at step {self.step_count}")
+        self.step_count += 1
         return grad
 
     def on_epoch_end(self) -> None:
         self.epoch += 1
-        if self.epoch in self.config.schedule_milestones:
-            self.lr *= self.config.lr_decay_factor
+        cfg = self.config
+        if self.epoch in cfg.schedule_milestones:  # replaced, not written: run() shares it
+            name, factor = self.DECAY
+            ahead = tuple(m for m in cfg.schedule_milestones if m > self.epoch)
+            self.config = replace(cfg, schedule_milestones=ahead,
+                                  **{name: getattr(cfg, name) * getattr(cfg, factor)})
 
 
-class SGDMomentum(_Baseline):
+class SGDMomentum(Optimizer):
     """Heavy-ball SGD; weight decay is folded into the gradient."""
 
     def __init__(self, n: int, config: BaselineConfig, mu0: np.ndarray):
@@ -116,7 +136,7 @@ class SGDMomentum(_Baseline):
         if self.config.weight_decay > 0.0:
             grad = grad + self.config.weight_decay * self.mean
         self.buf = self.config.momentum * self.buf + grad
-        self.mean = self.mean - self.lr * self.buf
+        self.mean = self.mean - self.config.learning_rate * self.buf
 
 
 class AdamMoments:
@@ -146,7 +166,7 @@ class AdamMoments:
         return m_hat, self.v / (1.0 - self.beta2**self.t)
 
 
-class Adam(_Baseline):
+class Adam(Optimizer):
     """Bias-corrected Adam; weight decay is folded into the gradient."""
 
     def __init__(self, n: int, config: BaselineConfig, mu0: np.ndarray):
@@ -158,7 +178,7 @@ class Adam(_Baseline):
         m_hat, v_hat = self.moments.update(grad)
         denom = np.sqrt(v_hat, out=v_hat)
         denom += self.config.adam_eps
-        m_hat *= self.lr
+        m_hat *= self.config.learning_rate
         m_hat /= denom
         return m_hat
 
@@ -175,10 +195,6 @@ class AdamW(Adam):
     def step(self, grad: np.ndarray) -> None:
         grad = self._check(grad)
         if self.config.weight_decay > 0.0:
-            self.mean = self.mean * (1.0 - self.lr * self.config.weight_decay)
+            self.mean = self.mean * (1.0 - self.config.learning_rate * self.config.weight_decay)
         self.mean = self.mean - self._delta(grad)
 
-
-def make_baseline(n: int, config: BaselineConfig, mu0: np.ndarray) -> _Baseline:
-    cls = {"sgd_momentum": SGDMomentum, "adam": Adam, "adamw": AdamW}[config.kind]
-    return cls(n, config, mu0)

@@ -40,43 +40,31 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    if args.command == "run":
-        overrides = {}
-        if args.seeds is not None:
-            overrides["seeds"] = args.seeds
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.variant is not None:
-            overrides["variant"] = args.variant
-        # run() records numerical faults per seed; what else it raises is the data's
-        try:
-            config = RunConfig.from_json(args.config)
-            if overrides:
-                config = RunConfig(**{**dataclasses.asdict(config), **overrides})
-            result = run(config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"metrics: {result.csv_path}")
-        print(f"summary: {result.summary_path}")
-        if result.summary["failed_seeds"]:
-            print(f"failed seeds: {result.summary['failed_seeds']}", file=sys.stderr)
-        return 0
-
     if args.command == "verify-hparams":
         report = verify_hparams()
         print(json.dumps(report, indent=2))
         return 0 if report["ok"] else 1
 
-    if args.command == "summarize":
-        try:
+    # run() records numerical faults per seed; what else run or summarize
+    # raises is the config's or the data's
+    try:
+        if args.command == "summarize":
             print(json.dumps(summarize(args.in_dir), indent=2))
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
-
-    raise AssertionError(args.command)
+            return 0
+        config = RunConfig.from_json(args.config)
+        overrides = {"seeds": args.seeds, "out_dir": args.out, "variant": args.variant}
+        overrides = {name: value for name, value in overrides.items() if value is not None}
+        if overrides:
+            config = RunConfig(**{**dataclasses.asdict(config), **overrides})
+        result = run(config)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"metrics: {result.csv_path}")
+    print(f"summary: {result.summary_path}")
+    if result.summary["failed_seeds"]:
+        print(f"failed seeds: {result.summary['failed_seeds']}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,12 +10,11 @@ moment estimates instead of the filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import AdamMoments, check_milestones, check_reals, finite
-from .errors import NonFiniteError
+from .baselines import AdamMoments, Optimizer, check_decay, check_milestones, check_reals
 from .surrogate import SurrogateState, filter_update, init_state
 from .trust_region import (
     DualSolve,
@@ -36,7 +35,7 @@ class TrustRegionConfig:
     epsilon, rho, q and r are the task-tuned knobs; the remaining defaults
     (nu, lambda_prec, sigma2_init, p0) rarely need changing. epsilon decays
     by `epsilon_decay_factor` at each epoch in `schedule_milestones`, and
-    must stay finite and > 0 through every decay.
+    must stay a normal float (>= sys.float_info.min) through every decay.
     """
 
     epsilon: float = 0.01
@@ -67,14 +66,7 @@ class TrustRegionConfig:
                     unit=("adam_beta1", "adam_beta2"))
         self.schedule_milestones = check_milestones(self.schedule_milestones,
                                                     "schedule_milestones")
-        # on_epoch_end's products; it drops each milestone it passes, so a
-        # config it builds counts only the decays still ahead
-        eps = self.epsilon
-        for _ in self.schedule_milestones:
-            eps *= self.epsilon_decay_factor
-        if not (finite(eps) and eps > 0.0):
-            raise ValueError(f"epsilon decayed by epsilon_decay_factor at milestones "
-                             f"{self.schedule_milestones} leaves the float range: {eps!r}")
+        check_decay(self, "epsilon", "epsilon_decay_factor")
 
 
 @dataclass(frozen=True)
@@ -85,32 +77,19 @@ class StepDiagnostics:
     clamped: int
 
 
-class TrustRegionOptimizer:
-    """Maintains the parameter distribution and advances it per gradient."""
+class TrustRegionOptimizer(Optimizer):
+    """Maintains the parameter distribution and advances it per gradient;
+    `mean` is the distribution's mean, and milestones decay epsilon."""
+
+    DECAY = ("epsilon", "epsilon_decay_factor")
 
     def __init__(self, n: int, config: TrustRegionConfig, mu0: np.ndarray):
-        mu0 = np.asarray(mu0, dtype=np.float64)
-        if mu0.shape != (n,):
-            raise ValueError(f"mu0 has shape {mu0.shape}, expected ({n},)")
-        self.config = config
-        self.dist = ParameterDistribution(
-            mu0.copy(), np.full(n, config.sigma2_init, dtype=np.float64)
-        )
-        self.step_count = 0
-        self.epoch = 0
+        super().__init__(n, config, mu0)
+        self.dist = ParameterDistribution(self.mean, np.full(n, config.sigma2_init, np.float64))
         if config.mode == "adam_surrogate":  # its surrogate never reads a filter
             self.moments = AdamMoments(n, config.adam_beta1, config.adam_beta2)
         else:
             self.filter: SurrogateState = init_state(n, config.p0)
-
-    @property
-    def n(self) -> int:
-        return self.dist.n
-
-    @property
-    def mean(self) -> np.ndarray:
-        """Current point estimate (MAP mean of the parameter distribution)."""
-        return self.dist.mu
 
     def _surrogate(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cfg = self.config
@@ -123,13 +102,8 @@ class TrustRegionOptimizer:
         return self.filter.a, self.filter.b
 
     def step(self, grad: np.ndarray) -> StepDiagnostics:
+        grad = self._check(grad)
         cfg = self.config
-        grad = np.asarray(grad, dtype=np.float64)
-        if grad.shape != (self.n,):
-            raise ValueError(f"gradient has shape {grad.shape}, expected ({self.n},)")
-        if not np.all(np.isfinite(grad)):
-            raise NonFiniteError(f"non-finite gradient at step {self.step_count}")
-
         a, b = self._surrogate(grad)
         clamped = int(np.count_nonzero(a < 0.0))
         if clamped:
@@ -149,13 +123,5 @@ class TrustRegionOptimizer:
             mu_new *= 1.0 - cfg.weight_decay
 
         self.dist = ParameterDistribution(mu_new, sigma2_new)
-        self.step_count += 1
+        self.mean = mu_new
         return StepDiagnostics(res.eta_star, res.c_mu, res.iterations, clamped)
-
-    def on_epoch_end(self) -> None:
-        self.epoch += 1
-        cfg = self.config
-        if self.epoch in cfg.schedule_milestones:  # replaced, not written: run() shares it
-            ahead = tuple(m for m in cfg.schedule_milestones if m > self.epoch)
-            self.config = replace(cfg, epsilon=cfg.epsilon * cfg.epsilon_decay_factor,
-                                  schedule_milestones=ahead)

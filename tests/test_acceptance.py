@@ -320,27 +320,27 @@ def test_criterion_07_baseline_oracles():
 
     gs = [0.9, -0.4, 1.7]
 
-    opt = SGDMomentum(1, BaselineConfig("sgd_momentum", 0.08, momentum=0.9,
+    opt = SGDMomentum(1, BaselineConfig(0.08, momentum=0.9,
                                         weight_decay=0.01), np.array([0.5]))
     for g, want in zip(gs, sgd_oracle(0.5, gs, 0.08, 0.9, 0.01)):
         opt.step(np.array([g]))
         assert opt.mean[0] == pytest.approx(want, abs=1e-12)
 
-    opt = Adam(1, BaselineConfig("adam", 0.02, beta1=0.9, beta2=0.999,
+    opt = Adam(1, BaselineConfig(0.02, beta1=0.9, beta2=0.999,
                                  weight_decay=0.03), np.array([0.5]))
     for g, want in zip(gs, adam_oracle(0.5, gs, 0.02, 0.9, 0.999, 1e-8, 0.03, False)):
         opt.step(np.array([g]))
         assert opt.mean[0] == pytest.approx(want, abs=1e-12)
 
-    opt = AdamW(1, BaselineConfig("adamw", 0.02, beta1=0.9, beta2=0.999,
+    opt = AdamW(1, BaselineConfig(0.02, beta1=0.9, beta2=0.999,
                                   weight_decay=0.03), np.array([0.5]))
     for g, want in zip(gs, adam_oracle(0.5, gs, 0.02, 0.9, 0.999, 1e-8, 0.03, True)):
         opt.step(np.array([g]))
         assert opt.mean[0] == pytest.approx(want, abs=1e-12)
 
     # Adam and AdamW coincide without weight decay
-    a = Adam(2, BaselineConfig("adam", 0.01), np.ones(2))
-    w = AdamW(2, BaselineConfig("adamw", 0.01), np.ones(2))
+    a = Adam(2, BaselineConfig(0.01), np.ones(2))
+    w = AdamW(2, BaselineConfig(0.01), np.ones(2))
     for g in np.random.default_rng(2).normal(size=(25, 2)):
         a.step(g)
         w.step(g)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from kltrust import harness, presets
-from kltrust.baselines import BaselineConfig, make_baseline
+from kltrust.baselines import Adam, AdamW, BaselineConfig, SGDMomentum
 from kltrust.cli import main as cli_main
 from kltrust.data import SyntheticQuadraticTask, synthetic_grad
 from kltrust.harness import (
+    CSV_COLUMNS,
     QUADRATIC_PARAMS,
     MetricsRecord,
     RunConfig,
@@ -92,6 +93,8 @@ def test_config_validation():
         RunConfig(task="mnist", optimizer="adam")
     with pytest.raises(ValueError, match="unknown optimizer"):
         RunConfig(task="synthetic_quadratic", optimizer="lion")
+    with pytest.raises(ValueError, match="optimizer"):  # not a key of the name table
+        RunConfig(task="synthetic_quadratic", optimizer=["adam"])
     with pytest.raises(ValueError, match="variant"):
         RunConfig(task="synthetic_quadratic", optimizer="adam", variant="fixed-eta")
     with pytest.raises(ValueError):
@@ -128,7 +131,7 @@ def test_config_validation():
         ("trust_region", None, {"learning_rate": 0.1}, "learning_rate"),
         ("adam", None, {"epsilon": 0.01}, "epsilon"),
         ("sgd", None, {"beta": 0.9}, "beta"),
-        ("adamw", None, {"kind": "adam"}, "kind"),
+        ("adamw", None, {"kind": "adam"}, "kind"),  # not a field: the name picks the class
         ("trust_region", None, {"mode": "fixed_eta"}, "mode"),
         ("trust_region", None, {"schedule_milestones": (1,)}, "schedule_milestones"),
         ("adam", "mnist_mlp", {}, "no preset"),
@@ -175,7 +178,7 @@ def test_run_config_checks_optimizer_values():
     cfg = RunConfig(task="synthetic_quadratic", optimizer="sgd", epochs=4,
                     hyperparams={"learning_rate": 0.1})
     opt_cfg = cfg.optimizer_config()
-    assert isinstance(opt_cfg, BaselineConfig) and opt_cfg.kind == "sgd_momentum"
+    assert isinstance(opt_cfg, BaselineConfig)
     assert opt_cfg.schedule_milestones == cfg.effective_milestones == (2, 3)
 
 
@@ -195,8 +198,7 @@ def _milestones_of(cls, milestones):
                          hyperparams={"learning_rate": 0.1}, milestones=milestones).milestones
     if cls is TrustRegionConfig:
         return TrustRegionConfig(schedule_milestones=milestones).schedule_milestones
-    return BaselineConfig(kind="adam", learning_rate=0.1,
-                          schedule_milestones=milestones).schedule_milestones
+    return BaselineConfig(learning_rate=0.1, schedule_milestones=milestones).schedule_milestones
 
 
 @pytest.mark.parametrize("cls", [RunConfig, TrustRegionConfig, BaselineConfig],
@@ -222,7 +224,7 @@ NUMERIC_FIELDS = {
         "adam_eps": 0.0, "weight_decay": -1.0, "lr_decay_factor": 0.0,
     },
 }
-REQUIRED = {TrustRegionConfig: {}, BaselineConfig: {"kind": "adam", "learning_rate": 0.1}}
+REQUIRED = {TrustRegionConfig: {}, BaselineConfig: {"learning_rate": 0.1}}
 
 
 def test_numeric_field_list_is_complete():
@@ -243,8 +245,7 @@ def test_optimizer_config_rejects_bad_numbers(cls, name, value):
 def test_optimizer_configs_accept_their_edge_values():
     TrustRegionConfig(rho=0, q=0.0, lambda_prec=0.0, weight_decay=0.0, fixed_eta=0.0,
                       adam_beta1=0.0, adam_beta2=np.float32(0.5), epsilon=np.float64(1e-300))
-    BaselineConfig(kind="sgd_momentum", learning_rate=1, momentum=0.0, weight_decay=0,
-                   beta1=0.0, beta2=0.0)
+    BaselineConfig(learning_rate=1, momentum=0.0, weight_decay=0, beta1=0.0, beta2=0.0)
 
 
 def test_default_milestones_at_half_and_three_quarters():
@@ -349,10 +350,10 @@ def test_diverging_seed_is_isolated(tmp_path, monkeypatch):
     cases = (
         ("sgd", {"hyperparams": {"learning_rate": 1e30}}, "non-finite loss"),
         ("adam", {"hyperparams": {"learning_rate": 0.05}, "task_params": overflow},
-         "non-finite params or gradient"),
-        ("trust_region", {"task_params": overflow}, "non-finite gradient"),
+         "non-finite point or gradient at step"),
+        ("trust_region", {"task_params": overflow}, "non-finite point or gradient at step"),
         ("trust_region", {"variant": "adam-surrogate", "task_params": overflow},
-         "non-finite gradient"),
+         "non-finite point or gradient at step"),
         ("trust_region", {"fault": ("filter_update", _broken_filter)}, "positive definite"),
         # a non-finite mean reaches ParameterDistribution, a negative curvature
         # primal_variance: both raise NonFiniteError
@@ -412,17 +413,17 @@ def _batch_grad(task, point, step, batch_size=4):
     return np.mean([synthetic_grad(task, point, d) for d in draws], axis=0)
 
 
-@pytest.mark.parametrize("optimizer, kind, hp", [
-    ("sgd", "sgd_momentum", {"learning_rate": 0.05, "momentum": 0.9, "weight_decay": 0.01}),
-    ("adam", "adam", {"learning_rate": 0.05, "weight_decay": 0.01}),
-    ("adamw", "adamw", {"learning_rate": 0.05, "weight_decay": 0.01}),
+@pytest.mark.parametrize("optimizer, cls, hp", [
+    ("sgd", SGDMomentum, {"learning_rate": 0.05, "momentum": 0.9, "weight_decay": 0.01}),
+    ("adam", Adam, {"learning_rate": 0.05, "weight_decay": 0.01}),
+    ("adamw", AdamW, {"learning_rate": 0.05, "weight_decay": 0.01}),
 ], ids=["sgd", "adam", "adamw"])
-def test_harness_matches_hand_loop_baseline(tmp_path, optimizer, kind, hp):
+def test_harness_matches_hand_loop_baseline(tmp_path, optimizer, cls, hp):
     cfg = synth_config(tmp_path, optimizer=optimizer, seeds=(3,), epochs=3,
                        milestones=(1,), hyperparams=hp)
     rows = read_metrics_csv(run(cfg).csv_path)
     task, mu0 = _quadratic(3)
-    opt = make_baseline(10, BaselineConfig(kind=kind, schedule_milestones=(1,), **hp), mu0)
+    opt = cls(10, BaselineConfig(schedule_milestones=(1,), **hp), mu0)
     step = 0
     assert [r.epoch for r in rows] == [0, 1, 2]
     for row in rows:
@@ -461,9 +462,14 @@ def test_harness_matches_hand_loop_trust_region(tmp_path):
         assert row.bisect_iters == float(np.mean([d.bisect_iters for d in diags]))
 
 
-def test_a_milestone_leaves_the_config_every_seed_shares(tmp_path, monkeypatch):
-    # a seed that wrote its decayed bound into the shared config would start
-    # the next seed at that bound
+@pytest.mark.parametrize("optimizer, name, value", [
+    ("trust_region", "epsilon", 0.02), ("sgd", "learning_rate", 0.05),
+    ("adam", "learning_rate", 0.05), ("adamw", "learning_rate", 0.05),
+], ids=["trust_region", "sgd", "adam", "adamw"])
+def test_a_milestone_leaves_the_config_every_seed_shares(tmp_path, monkeypatch,
+                                                         optimizer, name, value):
+    # a seed that wrote its decayed bound or rate into the shared config would
+    # start the next seed at that value
     shared, run_seed = [], harness._run_seed
 
     def recording(config, opt_config, *args):
@@ -471,16 +477,17 @@ def test_a_milestone_leaves_the_config_every_seed_shares(tmp_path, monkeypatch):
         return run_seed(config, opt_config, *args)
 
     monkeypatch.setattr(harness, "_run_seed", recording)
-    kw = dict(epochs=3, milestones=(1,), hyperparams={"epsilon": 0.02})
+    kw = dict(optimizer=optimizer, epochs=3, milestones=(1,), hyperparams={name: value})
     both = run(synth_config(tmp_path, seeds=(0, 1), out_dir=str(tmp_path / "both"), **kw))
     alone = run(synth_config(tmp_path, seeds=(1,), out_dir=str(tmp_path / "alone"), **kw))
 
     def timeless(rows):
         return [replace(r, wall_seconds=0.0) for r in rows]
 
+    assert both.summary["failed_seeds"] == {} and alone.summary["failed_seeds"] == {}
     seed1 = [r for r in read_metrics_csv(both.csv_path) if r.seed == 1]
     assert timeless(seed1) == timeless(read_metrics_csv(alone.csv_path))
-    assert shared[0] is shared[1] and [c.epsilon for c in shared] == [0.02] * 3
+    assert shared[0] is shared[1] and [getattr(c, name) for c in shared] == [value] * 3
 
 
 def test_every_traced_solve_reads_the_bound_of_its_epoch(tmp_path):
@@ -635,6 +642,24 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     assert "per_epoch" in capsys.readouterr().out
 
 
+# a CSV summarize cannot read, and where its error line must point
+MALFORMED_CSVS = {
+    "columns": ("a,b\n1,2\n", "line 1: unexpected columns ['a', 'b']"),
+    "epoch-word": (",".join(CSV_COLUMNS) + "\n0,zero,1.0,,0.5,,,,standard\n",
+                   "line 2: invalid literal for int() with base 10: 'zero'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CSVS))
+def test_cli_summarize_reports_a_malformed_csv_as_one_error_line(case, tmp_path, capsys):
+    text, where = MALFORMED_CSVS[case]
+    path = tmp_path / "cell.csv"
+    path.write_text(text)
+    assert cli_main(["summarize", "--in", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}, {where}\n"
+
+
 def test_cli_rejected_config_is_an_error_line(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     base = {"task": "synthetic_quadratic", "optimizer": "trust_region",
@@ -697,28 +722,31 @@ def test_cli_checks_hyperparams_before_looking_for_data(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
-# epsilon leaves the float range at the last decay, after every epoch has
-# trained: (hyperparams, milestones, epochs)
+# epsilon or the learning rate leaves the normal float range at the last
+# decay: (optimizer, hyperparams, milestones, epochs)
 EPSILON_OUT_OF_RANGE = {
-    "underflow": ({"epsilon": 1e-5, "epsilon_decay_factor": 1e-320}, [1], 1),
-    "overflow": ({"epsilon_decay_factor": 1e200}, [1, 2], 2),
+    "underflow": ("trust_region", {"epsilon": 1e-5, "epsilon_decay_factor": 1e-320}, [1], 1),
+    "overflow": ("trust_region", {"epsilon_decay_factor": 1e200}, [1, 2], 2),
+    # the rate 1e-322 is subnormal: the seed would train on at a near-zero step
+    "sgd-subnormal": ("sgd", {"learning_rate": 0.01, "lr_decay_factor": 1e-320}, [1], 3),
 }
 
 
 @pytest.mark.parametrize("case", list(EPSILON_OUT_OF_RANGE))
 def test_epsilon_that_decays_out_of_range_is_an_error_line_before_data_loads(
         case, tmp_path, capsys):
-    hp, milestones, epochs = EPSILON_OUT_OF_RANGE[case]
-    cell = {"optimizer": "trust_region", "hyperparams": hp, "milestones": milestones,
+    optimizer, hp, milestones, epochs = EPSILON_OUT_OF_RANGE[case]
+    decayed = ("epsilon" if optimizer == "trust_region" else "learning_rate") + " decayed"
+    cell = {"optimizer": optimizer, "hyperparams": hp, "milestones": milestones,
             "epochs": epochs, "out_dir": str(tmp_path / "runs")}
-    with pytest.raises(ValueError, match="epsilon decayed"):
+    with pytest.raises(ValueError, match=decayed):
         RunConfig(task="synthetic_quadratic", **cell)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**cell, "task": "fashion_mnist_mlp",
                                     "data_dir": str(tmp_path / "nowhere")}))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: epsilon decayed") and err.count("\n") == 1, err
+    assert err.startswith(f"error: {decayed}") and err.count("\n") == 1, err
     assert not (tmp_path / "runs").exists()
 
 

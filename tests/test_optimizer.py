@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kltrust.optimizer as optimizer_mod
+from kltrust.baselines import BaselineConfig
 from kltrust.optimizer import StepDiagnostics, TrustRegionConfig, TrustRegionOptimizer
 from kltrust.trust_region import DualSolve, kl_mean_term, primal_mean
 
@@ -185,15 +186,19 @@ def test_two_milestones_compound():
     assert opt.config.schedule_milestones == ()
 
 
-@pytest.mark.parametrize("epsilon, factor, milestones", [
-    (1e-5, 1e-320, (1,)),  # underflows to 0 at the first decay
-    (0.01, 1e200, (1, 2)),  # overflows to inf at the second
-    (1e-300, 1e-10, (1, 3, 5)),
-], ids=["underflow", "overflow", "underflow-late"])
-def test_epsilon_that_decays_out_of_range_is_rejected(epsilon, factor, milestones):
-    with pytest.raises(ValueError, match="epsilon decayed"):
-        TrustRegionConfig(epsilon=epsilon, epsilon_decay_factor=factor,
-                          schedule_milestones=milestones)
+@pytest.mark.parametrize("cls, name, value, factor, milestones", [
+    (TrustRegionConfig, "epsilon", 1e-5, 1e-320, (1,)),  # underflows to 0 at the first decay
+    (TrustRegionConfig, "epsilon", 0.01, 1e200, (1, 2)),  # overflows to inf at the second
+    (TrustRegionConfig, "epsilon", 1e-300, 1e-10, (1, 3, 5)),
+    (TrustRegionConfig, "epsilon", 1e-5, 1e-304, (1,)),  # 1e-309: subnormal, not zero
+    (BaselineConfig, "learning_rate", 0.01, 1e-320, (1,)),  # 1e-322: subnormal
+    (BaselineConfig, "learning_rate", 0.01, 1e200, (1, 2)),
+], ids=["underflow", "overflow", "underflow-late", "subnormal", "lr-subnormal", "lr-overflow"])
+def test_epsilon_that_decays_out_of_range_is_rejected(cls, name, value, factor, milestones):
+    # one rule for both schedules: the decayed value stays a normal float
+    factor_name = "epsilon_decay_factor" if name == "epsilon" else "lr_decay_factor"
+    with pytest.raises(ValueError, match=f"{name} decayed by {factor_name}"):
+        cls(**{name: value, factor_name: factor}, schedule_milestones=milestones)
 
 
 def test_epsilon_decayed_to_the_edge_of_the_range_is_accepted():
