@@ -14,6 +14,7 @@ One loop trains every cell: models expose `n_params`, `init_params(seed)` and
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -355,16 +356,21 @@ def write_metrics_csv(path, rows: list[MetricsRecord]) -> None:
 
 
 def read_metrics_csv(path) -> list[MetricsRecord]:
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
+        raise ValueError(f"{path}, line 1: unexpected columns {reader.fieldnames}")
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise ValueError(f"{path}, line 1: unexpected columns {reader.fieldnames}")
-        for rec in reader:
-            try:
-                rows.append(MetricsRecord(**{c: parse(rec[c]) for c, parse in _COLUMN_PARSERS}))
-            except (TypeError, ValueError) as exc:  # a bad cell, or a short row's None
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    for rec in reader:
+        try:
+            rows.append(MetricsRecord(**{c: parse(rec[c]) for c, parse in _COLUMN_PARSERS}))
+        except (TypeError, ValueError) as exc:  # a bad cell, or a short row's None
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return rows
 
 

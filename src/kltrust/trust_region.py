@@ -9,8 +9,10 @@ epsilon on the mean part of the KL divergence to the previous distribution:
 The mean and variance have closed forms given the Lagrange multiplier eta of
 that constraint; the variance is eta-free. eta itself is the root of
 C_mu(eta) = epsilon, the secular equation of a trust-region subproblem,
-solved by Newton's method (More & Sorensen 1983, "Computing a trust region
-step"). When C_mu(0) <= epsilon the optimum is interior and eta* = 0.
+solved by Newton's method from the classic lower bound on the root (More &
+Sorensen 1983, "Computing a trust region step"), which on a network already
+lies in the solver's band. When C_mu(0) <= epsilon the optimum is interior
+and eta* = 0.
 The functions read epsilon, rho, nu and lambda_prec from the optimizer's
 TrustRegionConfig, passed as `tr`, which checks their ranges.
 """
@@ -31,7 +33,7 @@ if TYPE_CHECKING:  # the optimizer module imports this one
 
 ETA_MIN = 1e-12
 ETA_MAX = 1e12
-MAX_ITER = 50  # Newton steps before a solve fails; about 2 are typical
+MAX_ITER = 50  # Newton steps before a solve fails; 0 or 1 are typical from the bound
 
 
 class DualSolverError(NumericalFault, RuntimeError):
@@ -137,56 +139,68 @@ def solve_eta(
     """Find eta* >= 0 and the corresponding constrained mean.
 
     With s = sigma2_prev, w = s * (a + rho*lambda) and
-    g~ = (a + rho*lambda) * mu_prev + b, the mean step is
-    mu(eta) - mu_prev = -s * g~ / (w + eta), so
+    z = sqrt(s) * ((a + rho*lambda) * mu_prev + b), the mean step is
+    mu(eta) - mu_prev = -sqrt(s) * z / (w + eta), so
 
-        C(eta) = 1/2 * sum_j s_j g~_j^2 / (w_j + eta)^2
+        C(eta) = 1/2 * sum_j z_j^2 / (w_j + eta)^2
 
     (the trust-region secular equation). Newton's method on the concave,
-    increasing phi(eta) = 1/sqrt(C(eta)) - 1/sqrt(epsilon) starts at
-    eta = 0, or at ETA_MIN when some w_j < ETA_MIN, and its iterates rise
-    monotonically toward the root without passing it; it stops once
+    increasing phi(eta) = 1/sqrt(C(eta)) - 1/sqrt(epsilon) rises
+    monotonically toward the root from any start below it, and stops once
     |C - epsilon| <= 0.1 * epsilon, so C_mu(eta*) <= 1.1 * epsilon on every
-    exit. The first evaluation is the interior test: when C <= epsilon there
-    the step is returned with eta* = 0 (or ETA_MIN) and no iterations.
-    `iterations` counts Newton steps.
+    exit. It starts at eta = 0 (ETA_MIN when some w_j < ETA_MIN) or, when
+    larger, at the lower bound L = sqrt(z.z / (2 epsilon)) - max_j w_j on the
+    root, since C(eta) >= z.z / (2 (max_j w_j + eta)^2) (More & Sorensen
+    1983; Conn, Gould & Toint 2000, section 7.3). A start at L proves
+    C(0) > epsilon; from eta = 0 the first evaluation is the interior test,
+    and when C <= epsilon there the step is returned with eta* = 0 (or
+    ETA_MIN). When every w_j is far below eta*, as on a network, L lies in
+    the band and no Newton step is taken. `iterations` counts Newton steps.
     """
     eps = tr.epsilon
     rl = tr.rho * tr.lambda_prec
     n = prev.n
-    w, z, root_s = np.empty(n), np.empty(n), np.empty(n)
-    w_min = np.inf
+    w, z, p, mu = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    w_min, w_max = np.inf, -np.inf
     # one sweep, BLOCK dimensions at a time, so each block is read from memory once
     for lo in range(0, n, BLOCK):
         s = slice(lo, lo + BLOCK)
-        ws, zs, rs = w[s], z[s], root_s[s]
+        ws, zs = w[s], z[s]
         np.add(a[s], rl, out=ws)
         np.multiply(ws, prev.mu[s], out=zs)
         zs += b[s]
         ws *= prev.sigma2[s]
-        np.sqrt(prev.sigma2[s], out=rs)
-        zs *= rs
-        w_min = min(w_min, ws.min())
-    # z = sqrt(s) * g~, so p = z / (w + eta) gives C = 1/2 p.p and
-    # -C'(eta) = p.(p / (w + eta)): one pass each over two work buffers
-    d = np.empty_like(w)
-    p = np.empty_like(w)
+        zs *= np.sqrt(prev.sigma2[s], out=p[s])  # p is free until the first evaluation
+        w_min, w_max = min(w_min, ws.min()), max(w_max, ws.max())
 
     def secular(eta: float) -> float:
-        np.add(w, eta, out=d)
-        np.divide(z, d, out=p)
+        # p = z / (w + eta) gives C = 1/2 p.p and -C'(eta) = p.(p / (w + eta));
+        # the mean's buffer holds w + eta until the mean is written
+        np.add(w, eta, out=mu)
+        np.divide(z, mu, out=p)
         return 0.5 * float(np.dot(p, p))
 
     # below ETA_MIN a w_j makes the eta = 0 step undefined (w_j = 0) or
     # overflow C and C', so the solve starts at the smallest multiplier
-    eta = 0.0 if w_min >= ETA_MIN else ETA_MIN
+    start = 0.0 if w_min >= ETA_MIN else ETA_MIN
+    zz = float(np.dot(z, z))
+    # a non-finite z.z (overflow or NaN) bounds nothing, and the start stays
+    bound = math.sqrt(zz) / math.sqrt(2.0 * eps) - w_max if math.isfinite(zz) else -math.inf
+    if bound > ETA_MAX:
+        raise DualSolverError(
+            f"the lower bound eta={bound:g} on the root leaves "
+            f"eta <= {ETA_MAX:g}; surrogate is pathological"
+        )
+    eta = max(start, bound)
     c = secular(eta)
     iterations = 0
-    done = c <= eps  # a NaN C is not done, and its Newton step fails below
+    # from the start this is the interior test; a start at the bound proves
+    # C(0) > epsilon. A NaN C is not done, and its Newton step fails below
+    done = c <= eps if eta == start else abs(c - eps) <= 0.1 * eps
     while not done:
-        np.divide(p, d, out=d)
+        np.divide(p, mu, out=mu)
         # numpy division: a zero C' gives an infinite step, which fails below
-        step = float(2.0 * c * (math.sqrt(c / eps) - 1.0) / np.dot(p, d))
+        step = float(2.0 * c * (math.sqrt(c / eps) - 1.0) / np.dot(p, mu))
         iterations += 1
         if not (eta + step <= ETA_MAX and iterations <= MAX_ITER):
             raise DualSolverError(
@@ -196,5 +210,7 @@ def solve_eta(
         eta += step
         c = secular(eta)
         done = abs(c - eps) <= 0.1 * eps
-    p *= root_s
-    return DualSolve(eta, np.subtract(prev.mu, p, out=p), c, iterations)
+    # mu(eta*) = mu_prev - sqrt(s) * p
+    np.multiply(np.sqrt(prev.sigma2, out=mu), p, out=mu)
+    np.subtract(prev.mu, mu, out=mu)
+    return DualSolve(eta, mu, c, iterations)

@@ -1,6 +1,7 @@
 import json
 import struct
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from kltrust.optimizer import TrustRegionConfig, TrustRegionOptimizer
 from kltrust.surrogate import FilterConsistencyError
 from kltrust.trust_region import primal_variance, solve_eta
 from test_bench_seams import _load_spans
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def synth_config(tmp_path, optimizer="trust_region", seeds=(0, 1), **kw):
@@ -316,6 +319,23 @@ def test_run_determinism_modulo_wall_clock(tmp_path):
         for field in ("seed", "epoch", "train_loss", "test_accuracy",
                       "eta_star", "c_mu", "bisect_iters", "variant"):
             assert getattr(a, field) == getattr(b, field)
+
+
+# every column but wall_seconds of the shipped quadratic config at seed 0,
+# epochs 0 and 1, bitwise: a change that claims unchanged arithmetic keeps them
+QUADRATIC_TRAJECTORY = [
+    (0, 0, 4.874168350372602, None, 4.219720666096097, 0.010133306931226391, 0.115, "standard"),
+    (0, 1, 0.02185107755335063, None, 0.18511534861174517, 0.010341823507107346, 0.055,
+     "standard"),
+]
+
+
+def test_shipped_quadratic_config_trajectory_is_pinned(tmp_path):
+    config = RunConfig.from_json(CONFIGS / "synthetic_quadratic_trust_region.json")
+    config = replace(config, seeds=(0,), epochs=2, out_dir=str(tmp_path))
+    rows = read_metrics_csv(run(config).csv_path)
+    pinned = [c for c in CSV_COLUMNS if c != "wall_seconds"]
+    assert [tuple(getattr(r, c) for c in pinned) for r in rows] == QUADRATIC_TRAJECTORY
 
 
 def test_summarize_matches_shipped_summary(tmp_path):
@@ -644,17 +664,22 @@ def test_cli_run_and_summarize(tmp_path, capsys):
 
 # a CSV summarize cannot read, and where its error line must point
 MALFORMED_CSVS = {
-    "columns": ("a,b\n1,2\n", "line 1: unexpected columns ['a', 'b']"),
-    "epoch-word": (",".join(CSV_COLUMNS) + "\n0,zero,1.0,,0.5,,,,standard\n",
+    "columns": (b"a,b\n1,2\n", "line 1: unexpected columns ['a', 'b']"),
+    "epoch-word": ((",".join(CSV_COLUMNS) + "\n0,zero,1.0,,0.5,,,,standard\n").encode(),
                    "line 2: invalid literal for int() with base 10: 'zero'"),
+    "utf16": (b"\xff\xfe" + ",".join(CSV_COLUMNS).encode("utf-16-le"),
+              "line 1: not UTF-8 text (invalid start byte)"),
+    "latin1-cell": ((",".join(CSV_COLUMNS) + "\n0,0,1.0,,0.5,,,,standard\n0,1,1.0,,0.5,,,,"
+                     "d\u00e9faut\n").encode("latin-1"),
+                    "line 3: not UTF-8 text (invalid continuation byte)"),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_CSVS))
 def test_cli_summarize_reports_a_malformed_csv_as_one_error_line(case, tmp_path, capsys):
-    text, where = MALFORMED_CSVS[case]
+    data, where = MALFORMED_CSVS[case]
     path = tmp_path / "cell.csv"
-    path.write_text(text)
+    path.write_bytes(data)
     assert cli_main(["summarize", "--in", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {path}, {where}\n"

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,9 +230,59 @@ def test_blocked_setup_matches_one_block(monkeypatch):
     assert whole.eta_star >= ETA_MIN
 
 
+def test_network_shaped_solve_lands_in_the_band_at_its_lower_bound():
+    # several blocks, slopes that leave every w_j = s_j * (a_j + rho*lambda)
+    # far below eta*: the start sqrt(z.z / (2 epsilon)) - max w is in the band
+    rng = np.random.default_rng(5)
+    n = 3 * trust_region.BLOCK + 77
+    a, b = rng.uniform(0.0, 1e-2, size=n), rng.normal(0.0, 0.05, size=n)
+    prev = dist(rng.normal(0.0, 0.05, size=n), np.full(n, 0.01))
+    tr = TrustRegionConfig(epsilon=0.01, rho=0.05, lambda_prec=0.0015)
+    res = solve_eta(a, b, prev, tr)
+    assert res.iterations == 0
+    assert res.eta_star > 0.0
+    assert abs(res.c_mu - tr.epsilon) <= 0.1 * tr.epsilon
+    assert np.allclose(res.mu, primal_mean(a, b, prev, res.eta_star, tr), rtol=1e-12, atol=0.0)
+    # the optimizer applies weight decay to the solve's mean in place
+    for held in (prev.mu, prev.sigma2, a, b):
+        assert not np.shares_memory(res.mu, held)
+
+
+def test_solve_allocates_four_vectors():
+    # w, z, p and the new mean; sqrt(sigma2) is rebuilt in those buffers
+    rng = np.random.default_rng(6)
+    n = 4 * trust_region.BLOCK
+    a, b = rng.uniform(0.0, 1.0, size=n), rng.normal(size=n)
+    prev = dist(rng.normal(size=n), rng.uniform(0.5, 1.0, size=n))
+    tracemalloc.start()
+    try:
+        solve_eta(a, b, prev, params(epsilon=0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the lower bound shows that numpy's allocations are traced at all
+    assert 4 * 8 * n <= peak < 5 * 8 * n
+
+
 def test_solve_pathological_surrogate_raises():
     with pytest.raises(DualSolverError, match=r"leaves eta <= 1e\+12"):
         solve_eta(np.array([0.0]), np.array([1e15]), dist([0.0], [1.0]), params(epsilon=0.01))
+
+
+def test_solve_root_beyond_eta_max_raises_at_the_lower_bound():
+    # the lower bound already exceeds ETA_MAX, so no Newton step is taken
+    with pytest.raises(DualSolverError, match=r"bound eta=7\.07107e\+15 .* leaves eta <= 1e\+12"):
+        solve_eta(np.array([0.0]), np.array([1e15]), dist([0.0], [1.0]), params(epsilon=0.01))
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1.0, 1.0], [1e200, 1e200]),  # z.z overflows
+    ([np.nan, 1.0], [1.0, 1.0]),  # z.z is NaN
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_bound_keeps_the_zero_start_and_its_fault(a, b):
+    with pytest.raises(DualSolverError, match=r"Newton step 1 from eta=0 "):
+        solve_eta(np.array(a), np.array(b), dist([0.0, 0.0], [1.0, 1.0]), params(epsilon=0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +367,16 @@ def test_solve_properties(instance):
     res = solve_eta(a, b, prev, tr)
     assert res.eta_star >= 0.0
     assert res.c_mu <= 1.1 * eps
-    if res.iterations == 0:
+    if res.eta_star in (0.0, ETA_MIN):
         # interior: eta* = 0, or ETA_MIN where the eta = 0 step is undefined
-        assert res.eta_star in (0.0, ETA_MIN)
+        assert res.iterations == 0
         assert res.c_mu <= eps
     else:
         assert abs(res.c_mu - eps) <= 0.1 * eps
+    if res.eta_star > ETA_MIN:
+        # neither the lower-bound start nor a Newton step passes the root
+        c, err = c_mu_and_rounding(a, b, prev, res.eta_star, tr)
+        assert c >= eps - err
     ref = primal_mean(a, b, prev, res.eta_star, tr)
     # both forms round relative to the magnitudes they combine
     assert np.all(np.abs(res.mu - ref) <= 1e-10 * (np.abs(ref) + np.abs(prev.mu)))
