@@ -92,6 +92,8 @@ def _read_idx(path) -> np.ndarray:
     if len(raw) < header:
         raise ValueError(f"{path}: truncated IDX header")
     dims = struct.unpack(f">{ndim}I", raw[4:header])
+    if dims[0] == 0:
+        raise ValueError(f"{path}: no records (header dimensions {dims})")
     count = 1
     for d in dims:
         count *= d

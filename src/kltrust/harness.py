@@ -130,8 +130,10 @@ class RunConfig:
             if not check(value):
                 raise ValueError(f"task_params.{key} must be {rule}, got {value!r}")
         if not (isinstance(self.seeds, (list, tuple)) and self.seeds and all(
-                isinstance(s, numbers.Integral) and finite(s) and s >= 0 for s in self.seeds)):
-            raise ValueError(f"seeds must be a non-empty list of integers >= 0: {self.seeds!r}")
+                isinstance(s, numbers.Integral) and finite(s) and s >= 0 for s in self.seeds)
+                and len(set(self.seeds)) == len(self.seeds)):
+            raise ValueError(
+                f"seeds must be a non-empty list of distinct integers >= 0: {self.seeds!r}")
         self.seeds = tuple(map(int, self.seeds))
         if self.milestones is not None:
             self.milestones = check_milestones(self.milestones, "milestones")

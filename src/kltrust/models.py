@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -144,21 +145,18 @@ class MLP(_FlatParams):
 
 
 def _conv3x3_forward(x, w, b):
-    # x (B,C,H,W), w (F,C,3,3): stride 1, zero padding 1 ("same")
-    B, C, H, W = x.shape
+    # x (B,C,H,W), w (F,C,3,3): stride 1, zero padding 1 ("same"); the patches
+    # cols (B,C,H,W,3,3) are a read-only strided view of the padded x, not a copy
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((B, C, 3, 3, H, W))
-    for i in range(3):
-        for j in range(3):
-            cols[:, :, i, j] = xp[:, :, i : i + H, j : j + W]
-    out = np.einsum("bcijhw,fcij->bfhw", cols, w, optimize=True)
+    cols = sliding_window_view(xp, (3, 3), axis=(2, 3))
+    out = np.einsum("bchwij,fcij->bfhw", cols, w, optimize=True)
     out += b[None, :, None, None]
     return out, cols
 
 
 def _conv3x3_param_grads(dout, cols, dw, db):
     """Writes the weight and bias gradients into dw and db."""
-    np.einsum("bfhw,bcijhw->fcij", dout, cols, optimize=True, out=dw)
+    np.einsum("bfhw,bchwij->fcij", dout, cols, optimize=True, out=dw)
     dout.sum(axis=(0, 2, 3), out=db)
 
 
@@ -235,7 +233,7 @@ class SmallCNN(_FlatParams):
         p2, idx2 = _pool2_forward(a2)
         flat = p2.reshape(x.shape[0], -1)
         logits = flat @ wd + bd
-        cache = (w1, w2, wd, x, z1, cols1, idx1, p1, z2, cols2, idx2, a2, flat)
+        cache = (w2, wd, z1, cols1, idx1, p1, z2, cols2, idx2, flat)
         return logits, cache
 
     def forward_loss(self, params: np.ndarray, batch: Batch) -> tuple[float, np.ndarray]:
@@ -247,20 +245,18 @@ class SmallCNN(_FlatParams):
     def loss_and_grad(self, params: np.ndarray, batch: Batch) -> tuple[float, np.ndarray]:
         x = self._check_batch(batch)
         logits, cache = self._forward(params, x)
-        w1, w2, wd, x, z1, cols1, idx1, p1, z2, cols2, idx2, a2, flat = cache
+        w2, wd, z1, cols1, idx1, p1, z2, cols2, idx2, flat = cache
         loss, dlogits = _softmax_ce(logits, batch.targets)
         grad, (dw1, db1, dw2, db2, dwd, dbd) = self._empty_grad()
 
         np.matmul(flat.T, dlogits, out=dwd)
         dlogits.sum(axis=0, out=dbd)
-        dp2 = (dlogits @ wd.T).reshape(a2.shape[0], a2.shape[1],
-                                       a2.shape[2] // 2, a2.shape[3] // 2)
-        da2 = _pool2_backward(dp2, idx2, a2.shape)
+        dp2 = (dlogits @ wd.T).reshape(idx2.shape)
+        da2 = _pool2_backward(dp2, idx2, z2.shape)
         dz2 = da2 * (z2 > 0.0)
         _conv3x3_param_grads(dz2, cols2, dw2, db2)
         dp1 = _conv3x3_input_grad(dz2, w2, p1.shape)
-        da1 = _pool2_backward(dp1, idx1, (x.shape[0], w1.shape[0],
-                                          x.shape[2], x.shape[3]))
+        da1 = _pool2_backward(dp1, idx1, z1.shape)
         dz1 = da1 * (z1 > 0.0)
         _conv3x3_param_grads(dz1, cols1, dw1, db1)  # the input needs no gradient
         return loss, grad

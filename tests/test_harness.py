@@ -111,7 +111,8 @@ def test_config_validation():
     bad_settings = (
         ("epochs", 2.5), ("epochs", True), ("epochs", "5"), ("batch_size", 2.5),
         ("eval_every", 1.5), ("seeds", (1.7,)), ("seeds", (-1,)), ("seeds", (True,)),
-        ("seeds", 5), ("epochs", 10**400), ("hyperparams", 5), ("task_params", [1]),
+        ("seeds", 5), ("seeds", (3, 3)), ("seeds", [0, np.int64(0)]), ("epochs", 10**400),
+        ("hyperparams", 5), ("task_params", [1]),
         ("out_dir", 5), ("data_dir", ["data"]), ("variant", []), ("preset", []),
         ("preset", {}),
     )
@@ -699,8 +700,9 @@ def test_cli_rejected_config_is_an_error_line(tmp_path, capsys):
     cfg_path.write_text(json.dumps({**base, "optimizer": "adam",
                                     "hyperparams": {"learning_rate": 0.1}}))
     assert cli_main(["run", "--config", str(cfg_path), "--variant", "fixed-eta"]) == 2
+    assert cli_main(["run", "--config", str(cfg_path), "--seeds", "0,0"]) == 2
     assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 2
-    assert capsys.readouterr().err.count("error: ") == 2
+    assert capsys.readouterr().err.count("error: ") == 3
     assert not (tmp_path / "runs").exists()
 
 
@@ -710,13 +712,26 @@ def _bad_idx_magic(root):
     return {"task": "fashion_mnist_mlp", "data_dir": str(root)}
 
 
+def _empty_idx_split(prefix):
+    def change(root):
+        base = root / "fashion_mnist"
+        (base / f"{prefix}-images-idx3-ubyte").write_bytes(struct.pack(">IIII", 0x803, 0, 28, 28))
+        (base / f"{prefix}-labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x801, 0))
+        return {"task": "fashion_mnist_mlp", "data_dir": str(root)}
+    return change
+
+
 # each case's config change, and the word its error line must contain
 CLI_BAD_CONFIGS = {
     "no-optimizer": (lambda root: {"optimizer": None}, "optimizer"),
     "epochs-string": (lambda root: {"epochs": "5"}, "epochs"),
     "seeds-int": (lambda root: {"seeds": 5}, "seeds"),
+    "seeds-repeated": (lambda root: {"seeds": [1, 0, 1]}, "distinct"),
     "epsilon-string": (lambda root: {"hyperparams": {"epsilon": "big"}}, "epsilon"),
     "bad-idx-magic": (_bad_idx_magic, "magic"),
+    # a split with no records: nothing to train on, or to divide test accuracy by
+    "empty-train-split": (_empty_idx_split("train"), "train-images-idx3-ubyte: no records"),
+    "empty-test-split": (_empty_idx_split("t10k"), "t10k-images-idx3-ubyte: no records"),
 }
 
 

@@ -156,16 +156,31 @@ def reference_grad(model, params, batch):
                 delta = (delta @ parts[2 * li].T) * (pre[li - 1] > 0.0)
         return np.concatenate([g.ravel() for g in grads])
     logits, cache = model._forward(params, x)
-    w1, w2, wd, x, z1, cols1, idx1, p1, z2, cols2, idx2, a2, flat = cache
+    w2, wd, z1, cols1, idx1, p1, z2, cols2, idx2, flat = cache
+    # the model's patches are views of its padded inputs; the oracle copies its own
+    assert not cols1.flags.owndata and not cols2.flags.owndata
     _, dlogits = _softmax_ce(logits, batch.targets)
-    dp2 = (dlogits @ wd.T).reshape(a2.shape[0], a2.shape[1], a2.shape[2] // 2, a2.shape[3] // 2)
-    dz2 = _pool2_backward(dp2, idx2, a2.shape) * (z2 > 0.0)
+    dp2 = (dlogits @ wd.T).reshape(idx2.shape)
+    dz2 = _pool2_backward(dp2, idx2, z2.shape) * (z2 > 0.0)
     dp1 = _conv3x3_input_grad(dz2, w2, p1.shape)
     dz1 = _pool2_backward(dp1, idx1, z1.shape) * (z1 > 0.0)
-    grads = [np.einsum("bfhw,bcijhw->fcij", dz1, cols1, optimize=True), dz1.sum(axis=(0, 2, 3)),
-             np.einsum("bfhw,bcijhw->fcij", dz2, cols2, optimize=True), dz2.sum(axis=(0, 2, 3)),
-             flat.T @ dlogits, dlogits.sum(axis=0)]
+    grads = [np.einsum("bfhw,bcijhw->fcij", dz1, im2col_copy(x), optimize=True),
+             dz1.sum(axis=(0, 2, 3)),
+             np.einsum("bfhw,bcijhw->fcij", dz2, im2col_copy(p1), optimize=True),
+             dz2.sum(axis=(0, 2, 3)), flat.T @ dlogits, dlogits.sum(axis=0)]
     return np.concatenate([g.ravel() for g in grads])
+
+
+def im2col_copy(x):
+    """The 3x3 patches of the zero-padded x (B,C,H,W), copied slice by slice
+    into a (B,C,3,3,H,W) buffer."""
+    B, C, H, W = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((B, C, 3, 3, H, W))
+    for i in range(3):
+        for j in range(3):
+            cols[:, :, i, j] = xp[:, :, i : i + H, j : j + W]
+    return cols
 
 
 @pytest.mark.parametrize("model,in_shape", [
