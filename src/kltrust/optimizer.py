@@ -97,7 +97,7 @@ class TrustRegionOptimizer(Optimizer):
             m_hat, v_hat = self.moments.update(grad)
             a = np.sqrt(v_hat) + cfg.adam_eps
             return a, m_hat - a * self.dist.mu
-        self.filter = filter_update(self.filter, self.dist.mu, grad, cfg.q, cfg.r)
+        filter_update(self.filter, self.dist.mu, grad, cfg.q, cfg.r)  # in place
         # the solver only reads (a, b) and clamping copies a, so no copies here
         return self.filter.a, self.filter.b
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NonFiniteError, NumericalFault
 
-# dimensions per block of filter_update (and of solve_eta's setup): the
+# dimensions per block of filter_update (and of solve_eta's sweeps): the
 # block's temporaries stay in cache instead of each one streaming an n-vector
 # through memory
 BLOCK = 8192
@@ -73,10 +73,11 @@ def filter_update(
     The dimensions are updated BLOCK at a time, and each block is checked
     while it is still in cache: every new covariance positive definite and
     the new state finite.
-    Returns a new state; the input state is not mutated. Raises
-    NonFiniteError when mu or g is not finite, and otherwise
-    FilterConsistencyError when the new covariance is not positive definite,
-    the new state is not finite or an innovation variance overflowed.
+    Writes the new state over `state`, in place, and returns it; each block
+    reads every old entry before it writes one. Raises NonFiniteError when
+    mu or g is not finite, and otherwise FilterConsistencyError when the new
+    covariance is not positive definite, the new state is not finite or an
+    innovation variance overflowed; after either, `state` is undefined.
     """
     mu = np.asarray(mu, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -90,16 +91,15 @@ def filter_update(
         raise ValueError(f"measurement variance r must be > 0, got {r}")
 
     n = state.n
-    new = SurrogateState(*(np.empty(n) for _ in range(5)))
-    # one set of block buffers for every block; P- is staged in new.p11/p22
-    scratch = np.empty((6, min(BLOCK, n)))
+    scratch = np.empty((6, min(BLOCK, n)))  # one set of buffers for every block
     low, total = np.inf, 0.0
     for lo in range(0, n, BLOCK):
         s = slice(lo, min(lo + BLOCK, n))
         t1, t2, v, resid, k, x = scratch[:, : s.stop - lo]
-        m, a, b, p12 = mu[s], state.a[s], state.b[s], state.p12[s]
-        p11 = np.add(state.p11[s], q, out=new.p11[s])
-        p22 = np.add(state.p22[s], q, out=new.p22[s])
+        m, a, b = mu[s], state.a[s], state.b[s]
+        p11, p12, p22 = state.p11[s], state.p12[s], state.p22[s]
+        p11 += q  # P-, staged in place
+        p22 += q
         np.multiply(m, p11, out=t1)
         t1 += p12
         np.multiply(m, p12, out=t2)
@@ -113,11 +113,11 @@ def filter_update(
         resid += b
         np.subtract(g[s], resid, out=resid)
         np.divide(t1, v, out=k)  # the gain's first entry
-        np.add(a, np.multiply(k, resid, out=x), out=new.a[s])
-        np.subtract(p12, np.multiply(k, t2, out=x), out=new.p12[s])
+        a += np.multiply(k, resid, out=x)
+        p12 -= np.multiply(k, t2, out=x)
         p11 -= np.multiply(k, t1, out=x)
         np.divide(t2, v, out=k)  # its second entry
-        np.add(b, np.multiply(k, resid, out=x), out=new.b[s])
+        b += np.multiply(k, resid, out=x)
         p22 -= np.multiply(k, t2, out=x)
         # the block's check while it is in cache: p11 > 0 and det > 0 imply
         # p22 > 0, finite p11 and det imply finite p12 and p22, and a NaN can
@@ -125,11 +125,11 @@ def filter_update(
         # would leave the state silently unchanged. A NaN or inf in mu or g
         # always reaches a or b (0 * inf is NaN), so the sum checks them too
         det = np.multiply(p11, p22, out=t1)
-        det -= np.multiply(new.p12[s], new.p12[s], out=x)
+        det -= np.multiply(p12, p12, out=x)
         low = min(low, p11.min(), det.min())
-        total += new.a[s].sum() + new.b[s].sum() + p11.sum() + det.sum() + v.sum()
+        total += a.sum() + b.sum() + p11.sum() + det.sum() + v.sum()
     if not (low > 0.0 and np.isfinite(total)):
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(g))):
             raise NonFiniteError("mu and g must be finite")
         raise FilterConsistencyError("covariance not positive definite or state non-finite")
-    return new
+    return state

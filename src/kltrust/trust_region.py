@@ -156,34 +156,44 @@ def solve_eta(
     and when C <= epsilon there the step is returned with eta* = 0 (or
     ETA_MIN). When every w_j is far below eta*, as on a network, L lies in
     the band and no Newton step is taken. `iterations` counts Newton steps.
+    One n-vector holds z, then each evaluation's p = z / (w + eta), then the
+    returned mean; w, and z after a Newton step, are rebuilt per block from
+    a, b and prev. Only Newton allocates a second n-vector, p / (w + eta).
     """
     eps = tr.epsilon
     rl = tr.rho * tr.lambda_prec
     n = prev.n
-    w, z, p, mu = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    w_min, w_max = np.inf, -np.inf
-    # one sweep, BLOCK dimensions at a time, so each block is read from memory once
-    for lo in range(0, n, BLOCK):
-        s = slice(lo, lo + BLOCK)
-        ws, zs = w[s], z[s]
-        np.add(a[s], rl, out=ws)
-        np.multiply(ws, prev.mu[s], out=zs)
-        zs += b[s]
-        ws *= prev.sigma2[s]
-        zs *= np.sqrt(prev.sigma2[s], out=p[s])  # p is free until the first evaluation
-        w_min, w_max = min(w_min, ws.min()), max(w_max, ws.max())
+    # per block: w in scratch that stays in cache, and z, if asked, into out
+    out = np.empty(n)
+    scratch = np.empty((2, min(BLOCK, n)))
 
-    def secular(eta: float) -> float:
-        # p = z / (w + eta) gives C = 1/2 p.p and -C'(eta) = p.(p / (w + eta));
-        # the mean's buffer holds w + eta until the mean is written
-        np.add(w, eta, out=mu)
-        np.divide(z, mu, out=p)
-        return 0.5 * float(np.dot(p, p))
+    def blocks(z: bool):
+        for lo in range(0, n, BLOCK):
+            s = slice(lo, lo + BLOCK)
+            w, root = scratch[:, : min(BLOCK, n - lo)]
+            np.add(a[s], rl, out=w)
+            if z:
+                zs = np.multiply(w, prev.mu[s], out=out[s])
+                zs += b[s]
+                zs *= np.sqrt(prev.sigma2[s], out=root)
+            w *= prev.sigma2[s]
+            yield s, w
+
+    w_min, w_max = np.inf, -np.inf
+    for _, w in blocks(z=True):
+        w_min, w_max = min(w_min, w.min()), max(w_max, w.max())
+
+    def secular(eta: float, z: bool) -> float:
+        # p = z / (w + eta) gives C = 1/2 p.p and -C'(eta) = p.(p / (w + eta))
+        for s, w in blocks(z):
+            w += eta
+            out[s] /= w
+        return 0.5 * float(np.dot(out, out))
 
     # below ETA_MIN a w_j makes the eta = 0 step undefined (w_j = 0) or
     # overflow C and C', so the solve starts at the smallest multiplier
     start = 0.0 if w_min >= ETA_MIN else ETA_MIN
-    zz = float(np.dot(z, z))
+    zz = float(np.dot(out, out))
     # a non-finite z.z (overflow or NaN) bounds nothing, and the start stays
     bound = math.sqrt(zz) / math.sqrt(2.0 * eps) - w_max if math.isfinite(zz) else -math.inf
     if bound > ETA_MAX:
@@ -192,15 +202,18 @@ def solve_eta(
             f"eta <= {ETA_MAX:g}; surrogate is pathological"
         )
     eta = max(start, bound)
-    c = secular(eta)
+    c = secular(eta, z=False)  # out still holds z
     iterations = 0
     # from the start this is the interior test; a start at the bound proves
     # C(0) > epsilon. A NaN C is not done, and its Newton step fails below
     done = c <= eps if eta == start else abs(c - eps) <= 0.1 * eps
+    dp = None if done else np.empty(n)  # p / (w + eta), only when Newton runs
     while not done:
-        np.divide(p, mu, out=mu)
+        for s, w in blocks(z=False):
+            w += eta
+            np.divide(out[s], w, out=dp[s])
         # numpy division: a zero C' gives an infinite step, which fails below
-        step = float(2.0 * c * (math.sqrt(c / eps) - 1.0) / np.dot(p, mu))
+        step = float(2.0 * c * (math.sqrt(c / eps) - 1.0) / np.dot(out, dp))
         iterations += 1
         if not (eta + step <= ETA_MAX and iterations <= MAX_ITER):
             raise DualSolverError(
@@ -208,9 +221,11 @@ def solve_eta(
                 f"eta <= {ETA_MAX:g} or MAX_ITER={MAX_ITER}; surrogate is pathological"
             )
         eta += step
-        c = secular(eta)
+        c = secular(eta, z=True)
         done = abs(c - eps) <= 0.1 * eps
-    # mu(eta*) = mu_prev - sqrt(s) * p
-    np.multiply(np.sqrt(prev.sigma2, out=mu), p, out=mu)
-    np.subtract(prev.mu, mu, out=mu)
-    return DualSolve(eta, mu, c, iterations)
+    # mu(eta*) = mu_prev - sqrt(s) * p, written over p
+    for lo in range(0, n, BLOCK):
+        p, root = out[lo : lo + BLOCK], scratch[0, : min(BLOCK, n - lo)]
+        p *= np.sqrt(prev.sigma2[lo : lo + BLOCK], out=root)
+        np.subtract(prev.mu[lo : lo + BLOCK], p, out=p)
+    return DualSolve(eta, out, c, iterations)

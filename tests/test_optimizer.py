@@ -1,12 +1,17 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_surrogate import copied, unfused_update
 
 import kltrust.optimizer as optimizer_mod
+from kltrust import surrogate
 from kltrust.baselines import BaselineConfig
 from kltrust.optimizer import StepDiagnostics, TrustRegionConfig, TrustRegionOptimizer
-from kltrust.trust_region import DualSolve, kl_mean_term, primal_mean
+from kltrust.surrogate import filter_update, init_state
+from kltrust.trust_region import ETA_MIN, DualSolve, kl_mean_term, primal_mean
 
 
 def quadratic_grad(D, theta_star):
@@ -57,8 +62,6 @@ def test_converged_surrogate_takes_newton_step():
     # scalar objective with curvature 2 and minimum at 2: prime the filter
     # on varied points of the gradient line g = 2*mu - 4, then a single
     # step with a large bound is the interior Newton step onto -b/a = 2
-    from kltrust.surrogate import filter_update, init_state
-
     cfg = TrustRegionConfig(
         epsilon=5.0, rho=0.0, q=0.0, r=1e-9, sigma2_init=1.0, weight_decay=0.0
     )
@@ -106,18 +109,44 @@ def test_decoupled_weight_decay():
 @pytest.mark.parametrize("mode", ["standard", "fixed_eta", "adam_surrogate"])
 def test_step_leaves_the_arrays_a_caller_holds_unchanged(mode):
     # the harness holds point = opt.mean across step(), and the step writes
-    # its results in place: only into arrays it has just allocated
+    # its results in place only into arrays it has just allocated, and into
+    # the filter state, which is the optimizer's own
     cfg = TrustRegionConfig(mode=mode, fixed_eta=1.0, weight_decay=0.01)
     rng = np.random.default_rng(4)
     opt = TrustRegionOptimizer(6, cfg, mu0=rng.normal(size=6))
     for _ in range(3):
-        state = () if mode == "adam_surrogate" else vars(opt.filter).values()  # no filter
-        held = [opt.mean, opt.dist.sigma2, *state]
+        held = [opt.mean, opt.dist.sigma2]
         copies = [x.copy() for x in held]
-        opt.step(rng.normal(size=6))
+        grad = rng.normal(size=6)
+        if mode != "adam_surrogate":  # no filter
+            state, arrays = opt.filter, list(vars(opt.filter).values())
+            expected = filter_update(copied(state), opt.mean, grad, cfg.q, cfg.r)
+        opt.step(grad)
         assert opt.mean is not held[0]
         for x, before in zip(held, copies):
             assert np.array_equal(x, before)
+        if mode != "adam_surrogate":
+            assert opt.filter is state
+            for x, new, want in zip(arrays, vars(state).values(), vars(expected).values()):
+                assert new is x and np.array_equal(x, want)
+
+
+def test_step_allocates_fewer_than_four_vectors():
+    # the new variance, the new mean and the clamped slopes, and block scratch
+    # (1.5 n-vectors for the filter at n = 4 BLOCK, freed before the solve's
+    # half): the filter state is updated in place
+    n = 4 * surrogate.BLOCK
+    rng = np.random.default_rng(3)
+    opt = TrustRegionOptimizer(n, TrustRegionConfig(), mu0=rng.normal(size=n))
+    grad = rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        diag = opt.step(grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.clamped > 0  # the clamp's copy is in the peak
+    assert 3 * 8 * n <= peak < 4 * 8 * n
 
 
 def test_rejects_non_finite_gradient_with_step_index():
@@ -296,3 +325,59 @@ def test_diagnostics_fields():
     assert diag.c_mu >= 0.0
     assert diag.bisect_iters >= 0
     assert diag.clamped >= 0
+
+
+# ---------------------------------------------------------------------------
+# a multi-block oracle: the step against whole-vector algebra
+# ---------------------------------------------------------------------------
+
+def whole_vector_solve(a, b, mu, s, tr):
+    """solve_eta's arithmetic with w, z and p as n-vectors and np.dot over them."""
+    eps, rl = tr.epsilon, tr.rho * tr.lambda_prec
+    w = (a + rl) * s
+    z = ((a + rl) * mu + b) * np.sqrt(s)
+    start = 0.0 if w.min() >= ETA_MIN else ETA_MIN
+    zz = float(np.dot(z, z))
+    eta = max(start, math.sqrt(zz) / math.sqrt(2.0 * eps) - w.max())
+    p = z / (w + eta)
+    c = 0.5 * float(np.dot(p, p))
+    iterations = 0
+    done = c <= eps if eta == start else abs(c - eps) <= 0.1 * eps
+    while not done:
+        eta += float(2.0 * c * (math.sqrt(c / eps) - 1.0) / np.dot(p, p / (w + eta)))
+        iterations += 1
+        p = z / (w + eta)
+        c = 0.5 * float(np.dot(p, p))
+        done = abs(c - eps) <= 0.1 * eps
+    return eta, mu - np.sqrt(s) * p, c, iterations
+
+
+def test_multi_block_step_is_bitwise_the_whole_vector_step():
+    # n = 3 BLOCK + 77 ends in a partial block; epsilon = 1000 makes the
+    # solves take Newton steps until the milestone at step 10 cuts it to 1
+    n = 3 * surrogate.BLOCK + 77
+    rng = np.random.default_rng(0)
+    curvature, target = rng.uniform(0.5, 2.0, n), rng.normal(size=n)
+    cfg = TrustRegionConfig(epsilon=1e3, sigma2_init=1.0, p0=1.0, q=0.01, r=0.1,
+                            weight_decay=1e-3, epsilon_decay_factor=1e-3,
+                            schedule_milestones=(1,))
+    opt = TrustRegionOptimizer(n, cfg, mu0=np.zeros(n))
+    state, mu, sigma2 = init_state(n, cfg.p0), np.zeros(n), np.full(n, cfg.sigma2_init)
+    iterations, clamps = set(), set()
+    for t in range(20):
+        if t == 10:
+            opt.on_epoch_end()
+        tr = opt.config
+        grad = curvature * (mu - target) + rng.normal(0.0, 0.3, n)
+        diag = opt.step(grad)
+        state, _ = unfused_update(state, mu, grad, tr.q, tr.r)
+        a = np.maximum(state.a, 0.0)
+        eta, mu_new, c, its = whole_vector_solve(a, state.b, mu, sigma2, tr)
+        sigma2 = (tr.rho + tr.nu) / ((a + tr.rho * tr.lambda_prec) + tr.nu / sigma2)
+        mu = mu_new * (1.0 - tr.weight_decay)
+        assert (diag.eta_star, diag.c_mu, diag.bisect_iters) == (eta, c, its), t
+        assert diag.clamped == np.count_nonzero(state.a < 0.0), t
+        assert np.array_equal(opt.mean, mu) and np.array_equal(opt.dist.sigma2, sigma2), t
+        iterations.add(its > 0)
+        clamps.add(diag.clamped > 0)
+    assert iterations == clamps == {False, True}  # 0-step and Newton solves, both clamp paths

@@ -52,6 +52,11 @@ def pd_and_finite(state):
         np.all(state.p11 > 0.0) and np.all(det > 0.0))
 
 
+def copied(state):
+    """A state with copies of the arrays of `state`, which filter_update writes."""
+    return SurrogateState(*(np.copy(x) for x in vars(state).values()))
+
+
 def run_filter(mus, gs, q, r, p0):
     state = init_state(1, p0)
     for mu, g in zip(mus, gs):
@@ -143,10 +148,11 @@ def test_rejects_bad_inputs():  # a zero gain meets the inf gradient (0 * inf) b
     ok = np.zeros(2)
     with pytest.raises(ValueError):
         filter_update(state, np.zeros(3), ok, 0.1, 1.0)
+    # a raise leaves the state it was given undefined, so each case gets a copy
     with pytest.raises(ValueError):
-        filter_update(state, np.array([np.nan, 0.0]), ok, 0.1, 1.0)
+        filter_update(copied(state), np.array([np.nan, 0.0]), ok, 0.1, 1.0)
     with pytest.raises(ValueError):
-        filter_update(state, ok, np.array([np.inf, 0.0]), 0.1, 1.0)
+        filter_update(copied(state), ok, np.array([np.inf, 0.0]), 0.1, 1.0)
     with pytest.raises(ValueError):
         filter_update(state, ok, ok, -0.1, 1.0)
     with pytest.raises(ValueError):
@@ -272,7 +278,7 @@ def test_dimensions_update_independently(monkeypatch):
     # one block, then two blocks with the second one partial
     for block in (surrogate.BLOCK, 4):
         monkeypatch.setattr(surrogate, "BLOCK", block)
-        joint = filter_update(state, mu, g, 0.02, 1.3)
+        joint = filter_update(copied(state), mu, g, 0.02, 1.3)
         for j in range(6):
             single = filter_update(init_state(1, 0.3), mu[j : j + 1], g[j : j + 1], 0.02, 1.3)
             for name in ("a", "b", "p11", "p12", "p22"):
@@ -321,7 +327,7 @@ def test_folded_check_catches_a_fault_in_every_block(monkeypatch):
 
     for fault in (negative_det, nan_p12, overflowing_v):
         for j in (1, 5, 9):  # the first, the middle and the last, partial block
-            bad = SurrogateState(*(np.copy(x) for x in vars(state).values()))
+            bad = copied(state)
             m = mu.copy()
             fault(bad, m, j)
             ref, v = unfused_update(bad, m, g, 0.02, 1.3)
@@ -333,9 +339,27 @@ def test_folded_check_catches_a_fault_in_every_block(monkeypatch):
     ref, _ = unfused_update(state, mu, g, 0.02, 1.3)
     for block in (4, 8192):
         monkeypatch.setattr(surrogate, "BLOCK", block)
-        new = filter_update(state, mu, g, 0.02, 1.3)
+        new = filter_update(copied(state), mu, g, 0.02, 1.3)
         for name in ("a", "b", "p11", "p12", "p22"):
             assert np.array_equal(getattr(new, name), getattr(ref, name)), (block, name)
+
+
+@pytest.mark.parametrize("block, n", [(4, 10), (None, 2 * surrogate.BLOCK + 5)],
+                         ids=["partial-last-block", "default-block"])
+def test_update_writes_the_state_in_place(monkeypatch, block, n):
+    # the update returns the state it was given, with the same five arrays
+    # holding the unfused update of the old state, bitwise
+    if block is not None:
+        monkeypatch.setattr(surrogate, "BLOCK", block)
+    rng = np.random.default_rng(12)
+    state = filter_update(init_state(n, 0.3), rng.normal(size=n), rng.normal(size=n), 0.02, 1.3)
+    mu, g = rng.normal(size=n), rng.normal(size=n)
+    arrays = dict(vars(state))
+    ref, _ = unfused_update(copied(state), mu, g, 0.02, 1.3)
+    assert filter_update(state, mu, g, 0.02, 1.3) is state
+    for name, x in arrays.items():
+        assert getattr(state, name) is x, name
+        assert np.array_equal(x, getattr(ref, name)), name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -346,7 +370,8 @@ def test_non_finite_input_in_every_block_is_caught(monkeypatch):
     rng = np.random.default_rng(10)
     mu, g = rng.normal(size=10), rng.normal(size=10)
     fresh = init_state(10, 0.3)
-    warm = filter_update(fresh, rng.normal(size=10), rng.normal(size=10), 0.02, 1.3)
+    warm = filter_update(copied(fresh), rng.normal(size=10), rng.normal(size=10), 0.02, 1.3)
+    assert warm is not fresh and np.all(fresh.p12 == 0.0)
 
     def bad_mu(m, gg, j, value):
         m[j] = value
@@ -366,7 +391,7 @@ def test_non_finite_input_in_every_block_is_caught(monkeypatch):
                     m, gg = mu.copy(), g.copy()
                     fault(m, gg, j, value)
                     with pytest.raises(NonFiniteError):
-                        filter_update(state, m, gg, 0.02, 1.3)
+                        filter_update(copied(state), m, gg, 0.02, 1.3)
 
 
 def test_permutation_equivariance():

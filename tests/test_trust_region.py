@@ -248,20 +248,32 @@ def test_network_shaped_solve_lands_in_the_band_at_its_lower_bound():
         assert not np.shares_memory(res.mu, held)
 
 
-def test_solve_allocates_four_vectors():
-    # w, z, p and the new mean; sqrt(sigma2) is rebuilt in those buffers
+def solve_peak(a, b, prev, tr):
+    """The tracemalloc peak of one solve, in n-vectors."""
+    tracemalloc.start()
+    try:
+        res = solve_eta(a, b, prev, tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return res, peak / (8 * prev.n)
+
+
+def test_solve_allocates_one_vector_and_a_second_only_for_newton():
+    # z, p and the new mean share the solve's one n-vector, and w and
+    # sqrt(sigma2) are rebuilt per block in scratch (half an n-vector at
+    # n = 4 BLOCK); Newton's p / (w + eta) is the only other n-vector
     rng = np.random.default_rng(6)
     n = 4 * trust_region.BLOCK
     a, b = rng.uniform(0.0, 1.0, size=n), rng.normal(size=n)
     prev = dist(rng.normal(size=n), rng.uniform(0.5, 1.0, size=n))
-    tracemalloc.start()
-    try:
-        solve_eta(a, b, prev, params(epsilon=0.01))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = solve_peak(a, b, prev, params(epsilon=0.01))
+    assert res.iterations == 0
     # the lower bound shows that numpy's allocations are traced at all
-    assert 4 * 8 * n <= peak < 5 * 8 * n
+    assert 1 <= peak < 2
+    res, peak = solve_peak(a, b, prev, params(epsilon=1e3))
+    assert res.iterations > 0
+    assert 2 <= peak < 3
 
 
 def test_solve_pathological_surrogate_raises():
