@@ -16,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .baselines import count, finite
 from .models import Batch
 
 IDX_LABELS_MAGIC = 0x00000801
@@ -193,10 +194,11 @@ class SyntheticQuadraticTask:
     def __post_init__(self):
         if self.theta_star.shape != self.diag.shape or self.theta_star.ndim != 1:
             raise ValueError("theta_star and diag must be 1-d vectors of equal length")
-        if np.any(self.diag <= 0.0):
-            raise ValueError("diag entries must be > 0")
-        if self.noise_scale < 0.0:
-            raise ValueError("noise_scale must be >= 0")
+        if not (np.isfinite(self.theta_star).all() and np.isfinite(self.diag).all()
+                and (self.diag > 0.0).all()):
+            raise ValueError("theta_star must be finite, and diag entries finite and > 0")
+        if not (finite(self.noise_scale) and self.noise_scale >= 0.0):
+            raise ValueError("noise_scale must be finite and >= 0")
 
     @property
     def n(self) -> int:
@@ -207,7 +209,12 @@ class SyntheticQuadraticTask:
         return 0.5 * float(np.sum(self.diag * d * d))
 
 
-def synthetic_grad(task: SyntheticQuadraticTask, mu: np.ndarray, batch_seed: int) -> np.ndarray:
-    rng = np.random.default_rng([task.seed, batch_seed])
-    c = task.theta_star + task.noise_scale * rng.standard_normal(task.n)
-    return task.diag * (mu - c)
+def synthetic_grad(task: SyntheticQuadraticTask, mu: np.ndarray, step: int,
+                   draws: int) -> np.ndarray:
+    """Mean gradient at `mu` of step `step`'s `draws` samples: one (draws, n) block
+    from the generator keyed [task.seed, step, 1]. A key ending in 1 never equals,
+    even zero-padded, the [seed, 90210] key of the quadratic task's initial point."""
+    if not count(draws):
+        raise ValueError(f"draws must be an integer >= 1, got {draws!r}")
+    z = np.random.default_rng([task.seed, step, 1]).standard_normal((draws, task.n))
+    return task.diag * (mu - (task.theta_star + task.noise_scale * z).mean(axis=0))

@@ -212,11 +212,9 @@ def _build_dataset_task(config: RunConfig):
 
 
 class _QuadraticModel:
-    """The synthetic quadratic in the models' shape.
-
-    Its batches are global step indices; step k averages the gradients of
-    the `batch_size` noise draws that start at draw k * batch_size.
-    """
+    """The synthetic quadratic in the models' shape: its batches are global step
+    indices, and step k's gradient is the mean of `batch_size` samples that one
+    generator draws (`synthetic_grad`)."""
 
     def __init__(self, config: RunConfig, seed: int):
         p = config.task_params
@@ -239,12 +237,7 @@ class _QuadraticModel:
         return range(epoch * self.steps_per_epoch, (epoch + 1) * self.steps_per_epoch)
 
     def loss_and_grad(self, params: np.ndarray, step: int) -> tuple[float, np.ndarray]:
-        base = step * self.batch_size
-        grad = np.mean(
-            [synthetic_grad(self.task, params, base + i) for i in range(self.batch_size)],
-            axis=0,
-        )
-        return self.task.loss(params), grad
+        return self.task.loss(params), synthetic_grad(self.task, params, step, self.batch_size)
 
 
 def _seed_task(config: RunConfig, seed: int, dataset_task):

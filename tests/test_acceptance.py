@@ -142,10 +142,7 @@ def test_criterion_02_constraint_satisfaction_and_iterations():
     opt = TrustRegionOptimizer(10, TrustRegionConfig(epsilon=0.01), mu0=np.zeros(10))
     iters, constrained_iters = [], []
     for step in range(300):
-        grad = np.mean(
-            [synthetic_grad(task, opt.mean, step * 32 + i) for i in range(32)], axis=0
-        )
-        diag = opt.step(grad)
+        diag = opt.step(synthetic_grad(task, opt.mean, step, 32))
         iters.append(diag.bisect_iters)
         if diag.eta_star > 0.0:
             constrained_iters.append(diag.bisect_iters)
@@ -231,17 +228,12 @@ def test_criterion_05_noisy_quadratic_robustness():
     D = np.logspace(np.log10(0.1), np.log10(10.0), n)
     theta_star = np.resize([0.5, -0.5], n)
 
-    def batch_grad(task, mu, step):
-        return np.mean(
-            [synthetic_grad(task, mu, step * draws + i) for i in range(draws)], axis=0
-        )
-
     tr_finals = []
     for seed in range(5):
         task = SyntheticQuadraticTask(theta_star, D, noise_scale=1.0, seed=seed)
         opt = TrustRegionOptimizer(n, TrustRegionConfig(epsilon=0.01), mu0=np.zeros(n))
         for step in range(steps):
-            opt.step(batch_grad(task, opt.mean, step))
+            opt.step(synthetic_grad(task, opt.mean, step, draws))
         tr_finals.append(np.linalg.norm(opt.mean - theta_star))
     tr_mean = float(np.mean(tr_finals))
 
@@ -252,7 +244,7 @@ def test_criterion_05_noisy_quadratic_robustness():
             task = SyntheticQuadraticTask(theta_star, D, noise_scale=1.0, seed=seed)
             mu = np.zeros(n)
             for step in range(steps):
-                mu = mu - lr * batch_grad(task, mu, step)
+                mu = mu - lr * synthetic_grad(task, mu, step, draws)
             finals.append(np.linalg.norm(mu - theta_star))
         sgd_means.append(float(np.mean(finals)))
     best_sgd = min(sgd_means)

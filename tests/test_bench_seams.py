@@ -42,8 +42,8 @@ def test_every_seam_exists_and_the_quadratic_cells_call_them(tmp_path):
     steps = 2 * 5
     assert names.count("optimizer.step") == steps
     assert names.count("baselines.step") == steps
-    # every step averages batch_size draws, in both cells
-    assert names.count("data.synthetic_grad") == 2 * steps * 3
+    # one call per step draws the whole batch, in both cells
+    assert names.count("data.synthetic_grad") == 2 * steps
     # once per trust-region step: a fused stage that drops or repeats a call
     # would otherwise quietly change its per-layer metric
     for name in ("surrogate.filter_update", "trust_region.primal_variance",

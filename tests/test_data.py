@@ -293,21 +293,32 @@ def make_task(s=0.0):
 def test_noiseless_gradient_exact():
     task = make_task(0.0)
     mu = np.array([2.0, 0.0])
-    assert np.array_equal(synthetic_grad(task, mu, 0), task.diag * (mu - task.theta_star))
+    for draws in (1, 3):
+        assert np.array_equal(synthetic_grad(task, mu, 0, draws),
+                              task.diag * (mu - task.theta_star))
 
 
 def test_gradient_zero_at_optimum():
     task = make_task(0.0)
-    assert np.array_equal(synthetic_grad(task, task.theta_star.copy(), 5), np.zeros(2))
+    assert np.array_equal(synthetic_grad(task, task.theta_star.copy(), 5, 3), np.zeros(2))
 
 
-def test_monte_carlo_mean_matches_clt_bound():
+def test_batched_draw_mean_and_variance():
+    # each step's gradient is the mean of `draws` samples, so over N steps its
+    # mean lies within 3 standard errors of D (mu - theta*) and its
+    # per-coordinate variance is D^2 noise^2 / draws: (N - 1) s^2 / sigma^2 is
+    # chi-square with N - 1 dof, whose sd over its mean is sqrt(2 / (N - 1));
+    # the bound is 4 of those
     task = make_task(1.0)
     mu = np.array([0.3, 0.6])
-    draws = np.array([synthetic_grad(task, mu, k) for k in range(10_000)])
+    steps = 2000
     exact = task.diag * (mu - task.theta_star)
-    bound = 3.0 * task.noise_scale * task.diag / np.sqrt(10_000)
-    assert np.all(np.abs(draws.mean(axis=0) - exact) <= bound)
+    for draws in (1, 32):
+        grads = np.array([synthetic_grad(task, mu, k, draws) for k in range(steps)])
+        sigma2 = (task.noise_scale * task.diag) ** 2 / draws
+        assert np.all(np.abs(grads.mean(axis=0) - exact) <= 3.0 * np.sqrt(sigma2 / steps))
+        ratio = grads.var(axis=0, ddof=1) / sigma2
+        assert np.all(np.abs(ratio - 1.0) <= 4.0 * np.sqrt(2.0 / (steps - 1))), (draws, ratio)
 
 
 def test_task_validation():
@@ -315,6 +326,20 @@ def test_task_validation():
         SyntheticQuadraticTask(np.zeros(2), np.array([1.0, 0.0]), 0.0)
     with pytest.raises(ValueError):
         SyntheticQuadraticTask(np.zeros(2), np.ones(2), -1.0)
+    for theta_star, diag, noise_scale in [
+        (np.array([np.nan, 0.0]), np.ones(2), 1.0),
+        (np.array([0.0, np.inf]), np.ones(2), 1.0),
+        (np.zeros(2), np.array([np.nan, 1.0]), 1.0),
+        (np.zeros(2), np.array([1.0, np.inf]), 1.0),
+        (np.zeros(2), np.ones(2), np.nan),
+        (np.zeros(2), np.ones(2), np.inf),
+    ]:
+        with pytest.raises(ValueError):
+            SyntheticQuadraticTask(theta_star, diag, noise_scale)
+    task = make_task(1.0)
+    for draws in (0, -1, 1.5, 2.0, True, None):
+        with pytest.raises(ValueError, match="draws"):
+            synthetic_grad(task, np.zeros(2), 0, draws)
 
 
 def test_dataset_length_mismatch():
