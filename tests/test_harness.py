@@ -323,20 +323,43 @@ def test_run_determinism_modulo_wall_clock(tmp_path):
 
 
 # every column but wall_seconds of the shipped quadratic config at seed 0,
-# epochs 0 and 1, bitwise: a change that claims unchanged arithmetic keeps them
-QUADRATIC_TRAJECTORY = [
-    (0, 0, 4.823336891172805, None, 4.075604156858167, 0.010139232941987947, 0.035, "standard"),
-    (0, 1, 0.018363529556156187, None, 0.18728256440839416, 0.010321387564726834, 0.065,
-     "standard"),
-]
+# epochs 0 and 1, bitwise, for each trust-region variant and for Adam at
+# learning rate 0.01: a change that claims unchanged arithmetic keeps them
+QUADRATIC_TRAJECTORY = {
+    "standard": [
+        (0, 0, 4.823336891172805, None, 4.075604156858167, 0.010139232941987947, 0.035,
+         "standard"),
+        (0, 1, 0.018363529556156187, None, 0.18728256440839416, 0.010321387564726834, 0.065,
+         "standard"),
+    ],
+    "fixed-eta": [
+        (0, 0, 13.575844445328576, None, 50.0, 0.0003884492020141805, 0.0, "fixed-eta"),
+        (0, 1, 7.0382278157452784, None, 50.0, 0.00023946637882705515, 0.0, "fixed-eta"),
+    ],
+    "adam-surrogate": [
+        (0, 0, 6.325073460652471, None, 4.669272182078384, 0.010012017686655977, 0.0,
+         "adam-surrogate"),
+        (0, 1, 0.0481298059329859, None, 0.4103971184957897, 0.01006814794688793, 0.0,
+         "adam-surrogate"),
+    ],
+    "adam": [
+        (0, 0, 4.957575392742729, None, None, None, None, "standard"),
+        (0, 1, 0.1395641970649663, None, None, None, None, "standard"),
+    ],
+}
 
 
-def test_shipped_quadratic_config_trajectory_is_pinned(tmp_path):
+@pytest.mark.parametrize("case", QUADRATIC_TRAJECTORY)
+def test_shipped_quadratic_config_trajectory_is_pinned(tmp_path, case):
     config = RunConfig.from_json(CONFIGS / "synthetic_quadratic_trust_region.json")
+    if case == "adam":
+        config = replace(config, optimizer="adam", hyperparams={"learning_rate": 0.01})
+    else:
+        config = replace(config, variant=case)
     config = replace(config, seeds=(0,), epochs=2, out_dir=str(tmp_path))
     rows = read_metrics_csv(run(config).csv_path)
     pinned = [c for c in CSV_COLUMNS if c != "wall_seconds"]
-    assert [tuple(getattr(r, c) for c in pinned) for r in rows] == QUADRATIC_TRAJECTORY
+    assert [tuple(getattr(r, c) for c in pinned) for r in rows] == QUADRATIC_TRAJECTORY[case]
 
 
 def test_summarize_matches_shipped_summary(tmp_path):
