@@ -142,16 +142,17 @@ class SGDMomentum(Optimizer):
 class AdamMoments:
     """Adam's moment estimates; `update` writes m and v in place."""
 
-    def __init__(self, n: int, beta1: float, beta2: float):
+    def __init__(self, n: int, beta1: float, beta2: float, eps: float):
         self.beta1 = beta1
         self.beta2 = beta2
+        self.eps = eps
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
 
     def update(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fold in one gradient; return the bias-corrected (m_hat, v_hat) as
-        new arrays the caller may overwrite."""
+        """Fold in one gradient; return the bias-corrected m_hat and Adam's
+        denominator sqrt(v_hat) + eps, as new arrays the caller may overwrite."""
         self.t += 1
         # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2, with
         # the same roundings as those expressions
@@ -163,7 +164,10 @@ class AdamMoments:
         self.v *= self.beta2
         self.v += x
         m_hat = np.divide(self.m, 1.0 - self.beta1**self.t, out=x)
-        return m_hat, self.v / (1.0 - self.beta2**self.t)
+        denom = self.v / (1.0 - self.beta2**self.t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        return m_hat, denom
 
 
 class Adam(Optimizer):
@@ -171,13 +175,11 @@ class Adam(Optimizer):
 
     def __init__(self, n: int, config: BaselineConfig, mu0: np.ndarray):
         super().__init__(n, config, mu0)
-        self.moments = AdamMoments(n, config.beta1, config.beta2)
+        self.moments = AdamMoments(n, config.beta1, config.beta2, config.adam_eps)
 
     def _delta(self, grad: np.ndarray) -> np.ndarray:
         """lr * m_hat / (sqrt(v_hat) + eps), written into update's buffers."""
-        m_hat, v_hat = self.moments.update(grad)
-        denom = np.sqrt(v_hat, out=v_hat)
-        denom += self.config.adam_eps
+        m_hat, denom = self.moments.update(grad)
         m_hat *= self.config.learning_rate
         m_hat /= denom
         return m_hat

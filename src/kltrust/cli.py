@@ -7,7 +7,8 @@ import dataclasses
 import json
 import sys
 
-from .harness import VARIANTS, RunConfig, run, summarize, verify_hparams
+from .harness import RunConfig, run, summarize, verify_hparams
+from .optimizer import MODES
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -28,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to a JSON run config")
     p_run.add_argument("--seeds", type=_parse_seeds, help="override seeds, e.g. 0,1,2")
     p_run.add_argument("--out", help="override output directory")
-    p_run.add_argument("--variant", choices=VARIANTS, help="override trust-region variant")
+    p_run.add_argument("--variant", choices=MODES, help="override trust-region variant")
 
     sub.add_parser("verify-hparams", help="check shipped presets against the tuned tables")
 
@@ -54,8 +55,7 @@ def main(argv=None) -> int:
         config = RunConfig.from_json(args.config)
         overrides = {"seeds": args.seeds, "out_dir": args.out, "variant": args.variant}
         overrides = {name: value for name, value in overrides.items() if value is not None}
-        if overrides:
-            config = RunConfig(**{**dataclasses.asdict(config), **overrides})
+        config = dataclasses.replace(config, **overrides)
         result = run(config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

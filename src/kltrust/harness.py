@@ -20,7 +20,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +37,12 @@ from .data import (
 )
 from .errors import NumericalFault
 from .models import MLP, Batch, SmallCNN
-from .optimizer import TrustRegionConfig, TrustRegionOptimizer
+from .optimizer import MODES, TrustRegionConfig, TrustRegionOptimizer
 
 DATA_DIR_ENV = "KLTRUST_DATA_DIR"
 
 OPTIMIZERS = {"trust_region": TrustRegionOptimizer, "sgd": SGDMomentum, "adam": Adam,
               "adamw": AdamW}
-VARIANTS = {"standard": "standard", "fixed-eta": "fixed_eta", "adam-surrogate": "adam_surrogate"}
 TASKS = (
     "synthetic_quadratic",
     "fashion_mnist_mlp",
@@ -113,8 +112,8 @@ class RunConfig:
             raise ValueError(f"unknown task {self.task!r}; known: {TASKS}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}; known: {tuple(OPTIMIZERS)}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; known: {tuple(VARIANTS)}")
+        if self.variant not in MODES:
+            raise ValueError(f"unknown variant {self.variant!r}; known: {MODES}")
         if self.variant != "standard" and self.optimizer != "trust_region":
             raise ValueError("ablation variants only apply to the trust_region optimizer")
         for name in ("epochs", "batch_size", "eval_every"):
@@ -153,8 +152,7 @@ class RunConfig:
         milestones = tuple(m for m in self.effective_milestones if m <= self.epochs)
         try:
             if self.optimizer == "trust_region":
-                return TrustRegionConfig(mode=VARIANTS[self.variant],
-                                         schedule_milestones=milestones, **hp)
+                return TrustRegionConfig(mode=self.variant, schedule_milestones=milestones, **hp)
             return BaselineConfig(schedule_milestones=milestones, **hp)
         except TypeError as exc:  # a name the config does not take, or lacks
             raise ValueError(f"hyperparams for {self.optimizer}: {exc}") from None
@@ -419,8 +417,7 @@ def run(config: RunConfig) -> RunResult:
 
 def ablation_run(config: RunConfig, variant: str) -> RunResult:
     """run() with the trust-region mode swapped to an ablation variant."""
-    cfg = RunConfig(**{**asdict(config), "variant": variant})
-    return run(cfg)
+    return run(replace(config, variant=variant))
 
 
 def summarize(in_dir) -> dict:

@@ -3,9 +3,9 @@
 One step: feed the new stochastic gradient to the per-dimension filter,
 clamp the fitted slopes at zero, update the variance via its closed form,
 solve the dual for the constrained mean, then apply decoupled weight decay.
-Two ablation modes replace parts of that pipeline: `fixed_eta` skips the
-dual solve, `adam_surrogate` derives the quadratic surrogate from Adam-style
-moment estimates instead of the filter.
+Two ablation modes replace parts of that pipeline: `fixed-eta` skips the
+dual solve, `adam-surrogate` derives the quadratic surrogate from Adam's
+moment estimates, at Adam's default constants, instead of the filter.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import AdamMoments, Optimizer, check_decay, check_milestones, check_reals
+from .baselines import (AdamMoments, BaselineConfig, Optimizer, check_decay, check_milestones,
+                        check_reals)
 from .surrogate import SurrogateState, filter_update, init_state
 from .trust_region import (
     DualSolve,
@@ -25,7 +26,8 @@ from .trust_region import (
     solve_eta,
 )
 
-MODES = ("standard", "fixed_eta", "adam_surrogate")
+# the trust-region variants, spelled as the CLI, the CSV and the file names spell them
+MODES = ("standard", "fixed-eta", "adam-surrogate")
 
 
 @dataclass
@@ -51,19 +53,15 @@ class TrustRegionConfig:
     schedule_milestones: tuple[int, ...] = ()
     mode: str = "standard"
     fixed_eta: float | None = None
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         # fixed_eta is optional outside its mode, checked wherever it is set
-        fixed = ("fixed_eta",) if self.mode == "fixed_eta" or self.fixed_eta is not None else ()
+        fixed = ("fixed_eta",) if self.mode == "fixed-eta" or self.fixed_eta is not None else ()
         check_reals(self, positive=("epsilon", "r", "nu", "sigma2_init", "p0",
-                                    "epsilon_decay_factor", "adam_eps"),
-                    non_negative=("rho", "q", "lambda_prec", "weight_decay") + fixed,
-                    unit=("adam_beta1", "adam_beta2"))
+                                    "epsilon_decay_factor"),
+                    non_negative=("rho", "q", "lambda_prec", "weight_decay") + fixed)
         self.schedule_milestones = check_milestones(self.schedule_milestones,
                                                     "schedule_milestones")
         check_decay(self, "epsilon", "epsilon_decay_factor")
@@ -86,16 +84,16 @@ class TrustRegionOptimizer(Optimizer):
     def __init__(self, n: int, config: TrustRegionConfig, mu0: np.ndarray):
         super().__init__(n, config, mu0)
         self.dist = ParameterDistribution(self.mean, np.full(n, config.sigma2_init, np.float64))
-        if config.mode == "adam_surrogate":  # its surrogate never reads a filter
-            self.moments = AdamMoments(n, config.adam_beta1, config.adam_beta2)
+        if config.mode == "adam-surrogate":  # its surrogate never reads a filter
+            self.moments = AdamMoments(n, BaselineConfig.beta1, BaselineConfig.beta2,
+                                       BaselineConfig.adam_eps)
         else:
             self.filter: SurrogateState = init_state(n, config.p0)
 
     def _surrogate(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cfg = self.config
-        if cfg.mode == "adam_surrogate":
-            m_hat, v_hat = self.moments.update(grad)
-            a = np.sqrt(v_hat) + cfg.adam_eps
+        if cfg.mode == "adam-surrogate":
+            m_hat, a = self.moments.update(grad)  # a = sqrt(v_hat) + eps
             return a, m_hat - a * self.dist.mu
         filter_update(self.filter, self.dist.mu, grad, cfg.q, cfg.r)  # in place
         # the solver only reads (a, b) and clamping copies a, so no copies here
@@ -111,7 +109,7 @@ class TrustRegionOptimizer(Optimizer):
 
         sigma2_new = primal_variance(a, self.dist, cfg)
 
-        if cfg.mode == "fixed_eta":
+        if cfg.mode == "fixed-eta":
             mu_new = primal_mean(a, b, self.dist, cfg.fixed_eta, cfg)
             res = DualSolve(cfg.fixed_eta, mu_new, kl_mean_term(mu_new, self.dist), 0)
         else:

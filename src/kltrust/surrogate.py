@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import NonFiniteError, NumericalFault
 
-# dimensions per block of filter_update (and of solve_eta's sweeps): the
-# block's temporaries stay in cache instead of each one streaming an n-vector
-# through memory
+# dimensions per block of filter_update and of solve_eta's sweeps, which both
+# read it at call time: the block's temporaries stay in cache instead of each
+# one streaming an n-vector through memory
 BLOCK = 8192
 
 

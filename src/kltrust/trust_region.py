@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import surrogate
 from .errors import NonFiniteError, NumericalFault
-from .surrogate import BLOCK
 
 if TYPE_CHECKING:  # the optimizer module imports this one
     from .optimizer import TrustRegionConfig
@@ -162,15 +162,15 @@ def solve_eta(
     """
     eps = tr.epsilon
     rl = tr.rho * tr.lambda_prec
-    n = prev.n
+    n, block = prev.n, surrogate.BLOCK
     # per block: w in scratch that stays in cache, and z, if asked, into out
     out = np.empty(n)
-    scratch = np.empty((2, min(BLOCK, n)))
+    scratch = np.empty((2, min(block, n)))
 
     def blocks(z: bool):
-        for lo in range(0, n, BLOCK):
-            s = slice(lo, lo + BLOCK)
-            w, root = scratch[:, : min(BLOCK, n - lo)]
+        for lo in range(0, n, block):
+            s = slice(lo, lo + block)
+            w, root = scratch[:, : min(block, n - lo)]
             np.add(a[s], rl, out=w)
             if z:
                 zs = np.multiply(w, prev.mu[s], out=out[s])
@@ -224,8 +224,8 @@ def solve_eta(
         c = secular(eta, z=True)
         done = abs(c - eps) <= 0.1 * eps
     # mu(eta*) = mu_prev - sqrt(s) * p, written over p
-    for lo in range(0, n, BLOCK):
-        p, root = out[lo : lo + BLOCK], scratch[0, : min(BLOCK, n - lo)]
-        p *= np.sqrt(prev.sigma2[lo : lo + BLOCK], out=root)
-        np.subtract(prev.mu[lo : lo + BLOCK], p, out=p)
+    for lo in range(0, n, block):
+        p, root = out[lo : lo + block], scratch[0, : min(block, n - lo)]
+        p *= np.sqrt(prev.sigma2[lo : lo + block], out=root)
+        np.subtract(prev.mu[lo : lo + block], p, out=p)
     return DualSolve(eta, out, c, iterations)

@@ -174,7 +174,7 @@ def test_criterion_03_structural_invariants():
     sigmas = []
     for eta in (0.1, 1.0, 10.0):
         o = TrustRegionOptimizer(
-            5, TrustRegionConfig(mode="fixed_eta", fixed_eta=eta), mu0=mu0
+            5, TrustRegionConfig(mode="fixed-eta", fixed_eta=eta), mu0=mu0
         )
         o.step(grads)
         sigmas.append(o.dist.sigma2)
@@ -415,7 +415,7 @@ def test_criterion_09_ablation_harness(tmp_path, monkeypatch):
     monkeypatch.setattr(optimizer_mod, "solve_eta", forced)
     std = TrustRegionOptimizer(5, TrustRegionConfig(mode="standard"), mu0=np.zeros(5))
     fix = TrustRegionOptimizer(
-        5, TrustRegionConfig(mode="fixed_eta", fixed_eta=eta), mu0=np.zeros(5)
+        5, TrustRegionConfig(mode="fixed-eta", fixed_eta=eta), mu0=np.zeros(5)
     )
     for g in grads:
         std.step(g)

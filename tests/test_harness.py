@@ -23,7 +23,7 @@ from kltrust.harness import (
     verify_hparams,
     write_metrics_csv,
 )
-from kltrust.optimizer import TrustRegionConfig, TrustRegionOptimizer
+from kltrust.optimizer import MODES, TrustRegionConfig, TrustRegionOptimizer
 from kltrust.surrogate import FilterConsistencyError
 from kltrust.trust_region import primal_variance, solve_eta
 from test_bench_seams import _load_spans
@@ -136,8 +136,9 @@ def test_config_validation():
         ("adam", None, {"epsilon": 0.01}, "epsilon"),
         ("sgd", None, {"beta": 0.9}, "beta"),
         ("adamw", None, {"kind": "adam"}, "kind"),  # not a field: the name picks the class
-        ("trust_region", None, {"mode": "fixed_eta"}, "mode"),
+        ("trust_region", None, {"mode": "fixed-eta"}, "mode"),
         ("trust_region", None, {"schedule_milestones": (1,)}, "schedule_milestones"),
+        ("trust_region", None, {"adam_eps": 1e-6}, "adam_eps"),  # Adam's, not the surrogate's
         ("adam", "mnist_mlp", {}, "no preset"),
     )
     for optimizer, preset, hp, message in bad_hyperparams:
@@ -145,7 +146,7 @@ def test_config_validation():
             RunConfig(task="synthetic_quadratic", optimizer=optimizer, preset=preset,
                       hyperparams=hp)
     RunConfig(task="synthetic_quadratic", optimizer="trust_region", preset="cifar10_cnn",
-              hyperparams={"fixed_eta": 1.0, "adam_eps": 1e-6})
+              hyperparams={"fixed_eta": 1.0})
     RunConfig(task="synthetic_quadratic", optimizer="sgd",
               hyperparams={"learning_rate": 0.1, "momentum": 0.9, "lr_decay_factor": 0.5})
     bad_values = (
@@ -221,7 +222,7 @@ NUMERIC_FIELDS = {
     TrustRegionConfig: {
         "epsilon": 0.0, "rho": -1.0, "q": -1e-9, "r": 0.0, "nu": 0.0, "lambda_prec": -1.0,
         "sigma2_init": 0.0, "p0": -1.0, "weight_decay": -0.1, "epsilon_decay_factor": 0.0,
-        "fixed_eta": -1.0, "adam_beta1": 1.0, "adam_beta2": -0.1, "adam_eps": -1.0,
+        "fixed_eta": -1.0,
     },
     BaselineConfig: {
         "learning_rate": 0.0, "momentum": 1.0, "beta1": -0.1, "beta2": 1.0,
@@ -248,7 +249,7 @@ def test_optimizer_config_rejects_bad_numbers(cls, name, value):
 
 def test_optimizer_configs_accept_their_edge_values():
     TrustRegionConfig(rho=0, q=0.0, lambda_prec=0.0, weight_decay=0.0, fixed_eta=0.0,
-                      adam_beta1=0.0, adam_beta2=np.float32(0.5), epsilon=np.float64(1e-300))
+                      nu=np.float32(0.5), epsilon=np.float64(1e-300))
     BaselineConfig(learning_rate=1, momentum=0.0, weight_decay=0, beta1=0.0, beta2=0.0)
 
 
@@ -829,7 +830,8 @@ def test_epsilon_decay_past_the_last_epoch_is_not_checked(tmp_path):
     assert len(read_metrics_csv(result.csv_path)) == 2  # both seeds' one epoch
 
 
-def test_cli_variant_override(tmp_path):
+@pytest.mark.parametrize("variant", MODES)
+def test_cli_variant_override(tmp_path, variant):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "task": "synthetic_quadratic",
@@ -842,9 +844,9 @@ def test_cli_variant_override(tmp_path):
         "task_params": {"steps_per_epoch": 5},
         "out_dir": str(tmp_path / "runs"),
     }))
-    assert cli_main(["run", "--config", str(cfg_path), "--variant", "fixed-eta"]) == 0
-    rows = read_metrics_csv(tmp_path / "runs" / "synthetic_quadratic_trust_region_fixed-eta.csv")
-    assert rows and all(r.variant == "fixed-eta" for r in rows)
+    assert cli_main(["run", "--config", str(cfg_path), "--variant", variant]) == 0
+    rows = read_metrics_csv(tmp_path / "runs" / f"synthetic_quadratic_trust_region_{variant}.csv")
+    assert rows and all(r.variant == variant for r in rows)
 
 
 def test_cli_verify_hparams(capsys):

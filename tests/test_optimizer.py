@@ -9,7 +9,8 @@ from test_surrogate import copied, unfused_update
 import kltrust.optimizer as optimizer_mod
 from kltrust import surrogate
 from kltrust.baselines import BaselineConfig
-from kltrust.optimizer import StepDiagnostics, TrustRegionConfig, TrustRegionOptimizer
+from kltrust.data import SyntheticQuadraticTask, synthetic_grad
+from kltrust.optimizer import MODES, StepDiagnostics, TrustRegionConfig, TrustRegionOptimizer
 from kltrust.surrogate import filter_update, init_state
 from kltrust.trust_region import ETA_MIN, DualSolve, kl_mean_term, primal_mean
 
@@ -49,7 +50,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrustRegionConfig(mode="bogus")
     with pytest.raises(ValueError):
-        TrustRegionConfig(mode="fixed_eta")  # needs fixed_eta value
+        TrustRegionConfig(mode="fixed-eta")  # needs fixed_eta value
+    with pytest.raises(ValueError, match="mode"):  # the variants have one spelling
+        TrustRegionConfig(mode="fixed_eta", fixed_eta=1.0)
     with pytest.raises(ValueError):
         TrustRegionConfig(schedule_milestones=(5, 3))
 
@@ -91,8 +94,25 @@ def test_quadratic_iterate_converges_even_as_surrogate_drifts():
     assert 2.0 * opt.filter.a[0] + opt.filter.b[0] == pytest.approx(0.0, abs=1e-3)
 
 
+def test_slope_tracks_the_true_curvature_on_the_noiseless_quadratic():
+    # the filter's slope a estimates the diagonal Hessian: on the shipped
+    # quadratic's diagonal (n = 10, diag log-spaced 0.1..10, its initial point)
+    # without noise, a / diag read 0.0625..1.039 over steps 20..400; it
+    # underestimates the flat directions most
+    n = 10
+    task = SyntheticQuadraticTask(np.resize([0.5, -0.5], n), np.logspace(-1, 1, n), 0.0)
+    mu0 = np.random.default_rng([0, 90210]).normal(0.0, 1.0, n)
+    opt = TrustRegionOptimizer(n, TrustRegionConfig(epsilon=0.01), mu0)
+    for step in range(400):
+        opt.step(synthetic_grad(task, opt.mean, step, 1))
+        if step + 1 >= 20:
+            assert np.all(0.05 * task.diag <= opt.filter.a), step
+            assert np.all(opt.filter.a <= 1.1 * task.diag), step
+    assert task.loss(opt.mean) < 1e-6 * task.loss(mu0)
+
+
 def test_fixed_eta_freezes_mean():
-    cfg = TrustRegionConfig(mode="fixed_eta", fixed_eta=1e12, weight_decay=0.0)
+    cfg = TrustRegionConfig(mode="fixed-eta", fixed_eta=1e12, weight_decay=0.0)
     mu0 = np.array([0.4, -0.9])
     opt = TrustRegionOptimizer(2, cfg, mu0=mu0)
     opt.step(np.array([5.0, -3.0]))
@@ -100,13 +120,13 @@ def test_fixed_eta_freezes_mean():
 
 
 def test_decoupled_weight_decay():
-    cfg = TrustRegionConfig(mode="fixed_eta", fixed_eta=1e15, weight_decay=0.1)
+    cfg = TrustRegionConfig(mode="fixed-eta", fixed_eta=1e15, weight_decay=0.1)
     opt = TrustRegionOptimizer(1, cfg, mu0=np.array([1.0]))
     opt.step(np.array([0.5]))
     assert opt.mean[0] == pytest.approx(0.9, rel=1e-9)
 
 
-@pytest.mark.parametrize("mode", ["standard", "fixed_eta", "adam_surrogate"])
+@pytest.mark.parametrize("mode", MODES)
 def test_step_leaves_the_arrays_a_caller_holds_unchanged(mode):
     # the harness holds point = opt.mean across step(), and the step writes
     # its results in place only into arrays it has just allocated, and into
@@ -118,14 +138,14 @@ def test_step_leaves_the_arrays_a_caller_holds_unchanged(mode):
         held = [opt.mean, opt.dist.sigma2]
         copies = [x.copy() for x in held]
         grad = rng.normal(size=6)
-        if mode != "adam_surrogate":  # no filter
+        if mode != "adam-surrogate":  # no filter
             state, arrays = opt.filter, list(vars(opt.filter).values())
             expected = filter_update(copied(state), opt.mean, grad, cfg.q, cfg.r)
         opt.step(grad)
         assert opt.mean is not held[0]
         for x, before in zip(held, copies):
             assert np.array_equal(x, before)
-        if mode != "adam_surrogate":
+        if mode != "adam-surrogate":
             assert opt.filter is state
             for x, new, want in zip(arrays, vars(state).values(), vars(expected).values()):
                 assert new is x and np.array_equal(x, want)
@@ -147,6 +167,29 @@ def test_step_allocates_fewer_than_four_vectors():
         tracemalloc.stop()
     assert diag.clamped > 0  # the clamp's copy is in the peak
     assert 3 * 8 * n <= peak < 4 * 8 * n
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 1e3], ids=["no-newton", "newton"])
+def test_one_block_size_splits_the_whole_step(monkeypatch, epsilon):
+    # surrogate.BLOCK is read at call time by the filter and by the dual solve,
+    # so one patch splits both: n = 10 at BLOCK = 4 is blocks of 4, 4 and 2
+    assert "BLOCK" not in optimizer_mod.solve_eta.__globals__
+    rng = np.random.default_rng(21)
+    mu0, grads = rng.normal(size=10), rng.normal(size=(5, 10))
+
+    def steps():
+        opt = TrustRegionOptimizer(10, TrustRegionConfig(epsilon=epsilon), mu0)
+        # the filter is updated in place, so its slopes are copied per step
+        return [(opt.step(g), opt.mean, opt.dist.sigma2, opt.filter.a.copy(), opt.filter.b.copy())
+                for g in grads]
+
+    whole = steps()
+    monkeypatch.setattr(surrogate, "BLOCK", 4)
+    blocked = steps()
+    assert (sum(d.bisect_iters for d, *_ in whole) > 0) == (epsilon > 1.0)
+    for (d_whole, *x_whole), (d_blocked, *x_blocked) in zip(whole, blocked):
+        assert d_blocked == d_whole
+        assert all(np.array_equal(x, y) for x, y in zip(x_blocked, x_whole))
 
 
 def test_rejects_non_finite_gradient_with_step_index():
@@ -176,7 +219,7 @@ def test_negative_fitted_curvature_is_clamped_and_counted():
 
 
 def test_adam_surrogate_mode_bypasses_filter():
-    cfg = TrustRegionConfig(mode="adam_surrogate")
+    cfg = TrustRegionConfig(mode="adam-surrogate")
     opt = TrustRegionOptimizer(3, cfg, mu0=np.zeros(3))
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -259,7 +302,7 @@ def test_sigma_identical_across_forced_eta():
     grads = np.random.default_rng(4).normal(size=(50, 3))
     trajs = []
     for eta in (0.1, 1.0, 10.0):
-        cfg = TrustRegionConfig(mode="fixed_eta", fixed_eta=eta)
+        cfg = TrustRegionConfig(mode="fixed-eta", fixed_eta=eta)
         opt = TrustRegionOptimizer(3, cfg, mu0=np.zeros(3))
         sig = []
         for g in grads:
@@ -283,7 +326,7 @@ def test_mode_equivalence_standard_vs_fixed(monkeypatch):
     monkeypatch.setattr(optimizer_mod, "solve_eta", forced_solve)
     std = TrustRegionOptimizer(4, TrustRegionConfig(mode="standard"), mu0=np.zeros(4))
     fix = TrustRegionOptimizer(
-        4, TrustRegionConfig(mode="fixed_eta", fixed_eta=eta), mu0=np.zeros(4)
+        4, TrustRegionConfig(mode="fixed-eta", fixed_eta=eta), mu0=np.zeros(4)
     )
     for g in grads:
         std.step(g)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kltrust import trust_region
+from kltrust import surrogate
 from kltrust.errors import NonFiniteError
 from kltrust.optimizer import TrustRegionConfig
 from kltrust.trust_region import (
@@ -221,7 +221,7 @@ def test_blocked_setup_matches_one_block(monkeypatch):
         # would raise DualSolverError
         a[-1] = b[-1] = 0.0
         whole = solve_eta(a, b, prev, tr)
-        monkeypatch.setattr(trust_region, "BLOCK", 4)
+        monkeypatch.setattr(surrogate, "BLOCK", 4)
         blocked = solve_eta(a, b, prev, tr)
         monkeypatch.undo()
         assert (blocked.eta_star, blocked.c_mu, blocked.iterations) == (
@@ -234,7 +234,7 @@ def test_network_shaped_solve_lands_in_the_band_at_its_lower_bound():
     # several blocks, slopes that leave every w_j = s_j * (a_j + rho*lambda)
     # far below eta*: the start sqrt(z.z / (2 epsilon)) - max w is in the band
     rng = np.random.default_rng(5)
-    n = 3 * trust_region.BLOCK + 77
+    n = 3 * surrogate.BLOCK + 77
     a, b = rng.uniform(0.0, 1e-2, size=n), rng.normal(0.0, 0.05, size=n)
     prev = dist(rng.normal(0.0, 0.05, size=n), np.full(n, 0.01))
     tr = TrustRegionConfig(epsilon=0.01, rho=0.05, lambda_prec=0.0015)
@@ -264,7 +264,7 @@ def test_solve_allocates_one_vector_and_a_second_only_for_newton():
     # sqrt(sigma2) are rebuilt per block in scratch (half an n-vector at
     # n = 4 BLOCK); Newton's p / (w + eta) is the only other n-vector
     rng = np.random.default_rng(6)
-    n = 4 * trust_region.BLOCK
+    n = 4 * surrogate.BLOCK
     a, b = rng.uniform(0.0, 1.0, size=n), rng.normal(size=n)
     prev = dist(rng.normal(size=n), rng.uniform(0.5, 1.0, size=n))
     res, peak = solve_peak(a, b, prev, params(epsilon=0.01))
