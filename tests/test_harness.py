@@ -114,12 +114,12 @@ def test_config_validation():
         ("seeds", 5), ("seeds", (3, 3)), ("seeds", [0, np.int64(0)]), ("epochs", 10**400),
         ("hyperparams", 5), ("task_params", [1]),
         ("out_dir", 5), ("data_dir", ["data"]), ("variant", []), ("preset", []),
-        ("preset", {}),
+        ("preset", {}), ("task", ["fashion_mnist_mlp"]),
     )
     for key, value in bad_settings:
         with pytest.raises(ValueError, match=key):
-            RunConfig(task="synthetic_quadratic", optimizer="adam",
-                      **{"hyperparams": {"learning_rate": 0.1}, key: value})
+            RunConfig(**{"task": "synthetic_quadratic", "optimizer": "adam",
+                         "hyperparams": {"learning_rate": 0.1}, key: value})
     cfg = RunConfig(task="synthetic_quadratic", optimizer="adam",
                     hyperparams={"learning_rate": 0.1}, seeds=[np.int64(0), 7],
                     epochs=np.int64(3))
@@ -593,9 +593,34 @@ def fake_fashion_root(tmp_path):
     return tmp_path / "data"
 
 
-def test_dataset_task_end_to_end(fake_fashion_root, tmp_path):
+def _write_cifar(root, files, label_bytes, classes, records=4):
+    """CIFAR binaries of `records` random records each; the fine label is the
+    last label byte."""
+    root.mkdir(parents=True)
+    rng = np.random.default_rng(1)
+    for name in files:
+        labels = rng.integers(0, classes, size=(records, label_bytes), dtype=np.uint8)
+        pixels = rng.integers(0, 256, size=(records, 3 * 32 * 32), dtype=np.uint8)
+        (root / name).write_bytes(np.hstack([labels, pixels]).tobytes())
+
+
+# the CIFAR files each task reads under data_dir; the Fashion-MNIST tasks
+# read the fixture's IDX files
+CIFAR_FILES = {
+    "cifar10_cnn": ("cifar10", [f"data_batch_{i}.bin" for i in range(1, 6)]
+                    + ["test_batch.bin"], 1, 10),
+    "cifar100_cnn": ("cifar100", ["train.bin", "test.bin"], 2, 100),
+}
+
+
+@pytest.mark.parametrize("task", ["fashion_mnist_mlp", "fashion_mnist_cnn", "cifar10_cnn",
+                                  "cifar100_cnn"])
+def test_dataset_task_end_to_end(fake_fashion_root, tmp_path, task):
+    if task in CIFAR_FILES:
+        subdir, files, label_bytes, classes = CIFAR_FILES[task]
+        _write_cifar(fake_fashion_root / subdir, files, label_bytes, classes)
     cfg = RunConfig(
-        task="fashion_mnist_mlp",
+        task=task,
         optimizer="trust_region",
         epochs=1,
         batch_size=32,
@@ -605,6 +630,7 @@ def test_dataset_task_end_to_end(fake_fashion_root, tmp_path):
         data_dir=str(fake_fashion_root),
     )
     result = run(cfg)
+    assert result.summary["failed_seeds"] == {}
     rows = read_metrics_csv(result.csv_path)
     assert len(rows) == 1
     assert 0.0 <= rows[0].test_accuracy <= 1.0
@@ -757,6 +783,9 @@ CLI_BAD_CONFIGS = {
     "seeds-int": (lambda root: {"seeds": 5}, "seeds"),
     "seeds-repeated": (lambda root: {"seeds": [1, 0, 1]}, "distinct"),
     "epsilon-string": (lambda root: {"hyperparams": {"epsilon": "big"}}, "epsilon"),
+    "task-list": (lambda root: {"task": ["synthetic_quadratic"]}, "task"),
+    "task-params-n": (lambda root: {"task_params": {"n": 0}}, "task_params.n"),
+    "task-params-unknown": (lambda root: {"task_params": {"steps": 5}}, "steps"),
     "bad-idx-magic": (_bad_idx_magic, "magic"),
     # a split with no records: nothing to train on, or to divide test accuracy by
     "empty-train-split": (_empty_idx_split("train"), "train-images-idx3-ubyte: no records"),
