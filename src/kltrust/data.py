@@ -198,7 +198,8 @@ class SyntheticQuadraticTask:
                 and (self.diag > 0.0).all()):
             raise ValueError("theta_star must be finite, and diag entries finite and > 0")
         if not (finite(self.noise_scale) and self.noise_scale >= 0.0):
-            raise ValueError("noise_scale must be finite and >= 0")
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale!r}")
+        object.__setattr__(self, "noise_scale", float(self.noise_scale))
 
     @property
     def n(self) -> int:

@@ -35,7 +35,7 @@ from .data import (
     minibatches,
     synthetic_grad,
 )
-from .errors import NumericalFault
+from .errors import NonFiniteError, NumericalFault
 from .models import MLP, Batch, SmallCNN
 from .optimizer import MODES, TrustRegionConfig, TrustRegionOptimizer
 
@@ -43,25 +43,6 @@ DATA_DIR_ENV = "KLTRUST_DATA_DIR"
 
 OPTIMIZERS = {"trust_region": TrustRegionOptimizer, "sgd": SGDMomentum, "adam": Adam,
               "adamw": AdamW}
-TASKS = (
-    "synthetic_quadratic",
-    "fashion_mnist_mlp",
-    "fashion_mnist_cnn",
-    "cifar10_cnn",
-    "cifar100_cnn",
-)
-
-
-# task_params the synthetic quadratic reads, each with its check and the rule
-# it enforces; the dataset tasks take none
-QUADRATIC_PARAMS = {
-    "n": (count, "an integer >= 1"),
-    "diag_range": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-                   and all(map(finite, v)) and 0.0 < v[0] <= v[1],
-                   "two finite values 0 < lo <= hi"),
-    "noise_scale": (lambda v: finite(v) and v >= 0.0, "finite and >= 0"),
-    "steps_per_epoch": (count, "an integer >= 1"),
-}
 
 
 @dataclass(frozen=True)
@@ -102,14 +83,14 @@ class RunConfig:
     data_dir: str | None = None
 
     def __post_init__(self):
-        for name, kind in (("hyperparams", dict), ("task_params", dict),
+        for name, kind in (("hyperparams", dict), ("task_params", dict), ("task", str),
                            ("optimizer", str), ("variant", str), ("preset", (str, type(None))),
                            ("out_dir", (str, os.PathLike)),
                            ("data_dir", (str, os.PathLike, type(None)))):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} has the wrong type: {getattr(self, name)!r}")
         if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}; known: {TASKS}")
+            raise ValueError(f"unknown task {self.task!r}; known: {tuple(TASKS)}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}; known: {tuple(OPTIMIZERS)}")
         if self.variant not in MODES:
@@ -120,14 +101,15 @@ class RunConfig:
             if not count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
             setattr(self, name, int(getattr(self, name)))
-        allowed = QUADRATIC_PARAMS if self.task == "synthetic_quadratic" else ()
-        unknown = set(self.task_params) - set(allowed)
-        if unknown:
-            raise ValueError(f"unknown task_params for {self.task}: {sorted(unknown)}")
-        for key, value in self.task_params.items():
-            check, rule = QUADRATIC_PARAMS[key]
-            if not check(value):
-                raise ValueError(f"task_params.{key} must be {rule}, got {value!r}")
+        if TASKS[self.task] is None:  # the quadratic judges its own settings
+            try:
+                _QuadraticModel(self.batch_size, 0, **self.task_params)
+            except TypeError as exc:  # a key it does not take
+                raise ValueError(f"task_params: {exc}") from None
+            except ValueError as exc:  # its message starts with the key
+                raise ValueError(f"task_params.{exc}") from None
+        elif self.task_params:
+            raise ValueError(f"{self.task} takes no task_params, got {self.task_params!r}")
         if not (isinstance(self.seeds, (list, tuple)) and self.seeds and all(
                 isinstance(s, numbers.Integral) and finite(s) and s >= 0 for s in self.seeds)
                 and len(set(self.seeds)) == len(self.seeds)):
@@ -192,41 +174,49 @@ def _with_channel(ds: Dataset) -> Dataset:
     return Dataset(ds.pixels[:, None, :, :], ds.labels)
 
 
-def _build_dataset_task(config: RunConfig):
-    root = config.resolved_data_dir()
-    if config.task == "fashion_mnist_mlp":
-        train, test = load_fashion_mnist(root / "fashion_mnist")
-        return MLP((784, 256, 10)), train, test
-    if config.task == "fashion_mnist_cnn":
-        train, test = load_fashion_mnist(root / "fashion_mnist")
-        return SmallCNN((1, 28, 28), 10), _with_channel(train), _with_channel(test)
-    if config.task == "cifar10_cnn":
-        train, test = load_cifar_binary(root / "cifar10", 10)
-        return SmallCNN((3, 32, 32), 10), train, test
-    if config.task == "cifar100_cnn":
-        train, test = load_cifar_binary(root / "cifar100", 100)
-        return SmallCNN((3, 32, 32), 100), train, test
-    raise ValueError(config.task)
+def _fashion_mnist(config: RunConfig) -> tuple[Dataset, Dataset]:
+    return load_fashion_mnist(config.resolved_data_dir() / "fashion_mnist")
+
+
+def _cifar(config: RunConfig, classes: int) -> tuple[Dataset, Dataset]:
+    return load_cifar_binary(config.resolved_data_dir() / f"cifar{classes}", classes)
+
+
+# task -> its (model, train, test) from the RunConfig; None for the quadratic, built per
+# seed. A builder looks its loader up in this module when it runs, so a patched one is seen.
+TASKS = {
+    "synthetic_quadratic": None,
+    "fashion_mnist_mlp": lambda config: (MLP((784, 256, 10)), *_fashion_mnist(config)),
+    "fashion_mnist_cnn": lambda config: (SmallCNN((1, 28, 28), 10),
+                                         *map(_with_channel, _fashion_mnist(config))),
+    "cifar10_cnn": lambda config: (SmallCNN((3, 32, 32), 10), *_cifar(config, 10)),
+    "cifar100_cnn": lambda config: (SmallCNN((3, 32, 32), 100), *_cifar(config, 100)),
+}
 
 
 class _QuadraticModel:
     """The synthetic quadratic in the models' shape: its batches are global step
     indices, and step k's gradient is the mean of `batch_size` samples that one
-    generator draws (`synthetic_grad`)."""
+    generator draws (`synthetic_grad`). Its keywords are the task_params; it checks them."""
 
-    def __init__(self, config: RunConfig, seed: int):
-        p = config.task_params
-        n = int(p.get("n", 10))
-        d_lo, d_hi = p.get("diag_range", (0.1, 10.0))
+    def __init__(self, batch_size: int, seed: int, n=10, diag_range=(0.1, 10.0),
+                 noise_scale=1.0, steps_per_epoch=100):
+        for name, value in (("n", n), ("steps_per_epoch", steps_per_epoch)):
+            if not count(value):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (isinstance(diag_range, (list, tuple)) and len(diag_range) == 2
+                and all(map(finite, diag_range)) and 0.0 < diag_range[0] <= diag_range[1]):
+            raise ValueError(f"diag_range must be [lo, hi], 0 < lo <= hi < inf, got {diag_range!r}")
+        n, (d_lo, d_hi) = int(n), diag_range
         self.task = SyntheticQuadraticTask(
             theta_star=np.resize([0.5, -0.5], n),
             diag=np.logspace(np.log10(d_lo), np.log10(d_hi), n),
-            noise_scale=float(p.get("noise_scale", 1.0)),
+            noise_scale=noise_scale,
             seed=seed,
         )
         self.n_params = n
-        self.batch_size = config.batch_size
-        self.steps_per_epoch = int(p.get("steps_per_epoch", 100))
+        self.batch_size = batch_size
+        self.steps_per_epoch = int(steps_per_epoch)
 
     def init_params(self, seed: int) -> np.ndarray:
         return np.random.default_rng([seed, 90210]).normal(0.0, 1.0, self.n_params)
@@ -241,7 +231,7 @@ class _QuadraticModel:
 def _seed_task(config: RunConfig, seed: int, dataset_task):
     """(model, batches(epoch), test set or None) for one seed."""
     if dataset_task is None:
-        model = _QuadraticModel(config, seed)
+        model = _QuadraticModel(config.batch_size, seed, **config.task_params)
         return model, model.epoch_steps, None
     model, train, test = dataset_task
     return model, lambda epoch: minibatches(train, config.batch_size, seed, epoch), test
@@ -303,6 +293,8 @@ def _run_seed(
                 **stats,
             )
         )
+    if not np.all(np.isfinite(opt.mean)):  # no later step checks the last one's point
+        raise NonFiniteError(f"non-finite point after the last step (seed {seed})")
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +368,8 @@ def run(config: RunConfig) -> RunResult:
     # built once, before any data loads, so a config edited after construction
     # is checked again up front; optimizers only read it
     opt_config = config.optimizer_config()
-    synthetic = config.task == "synthetic_quadratic"
-    dataset_task = None if synthetic else _build_dataset_task(config)
+    build = TASKS[config.task]
+    dataset_task = None if build is None else build(config)
 
     rows: list[MetricsRecord] = []
     failed: dict[str, str] = {}
@@ -406,7 +398,7 @@ def run(config: RunConfig) -> RunResult:
         "milestones": list(config.effective_milestones),
         "eval_every": config.eval_every,
         "hyperparams": config.resolved_hyperparams(),
-        "normalization": None if synthetic else "pixel/255",
+        "normalization": None if build is None else "pixel/255",
         "failed_seeds": failed,
         "per_epoch": per_epoch,
         "final": per_epoch[-1] if per_epoch else None,

@@ -14,26 +14,63 @@ Sorensen 1983, "Computing a trust region step"), which on a network already
 lies in the solver's band. When C_mu(0) <= epsilon the optimum is interior
 and eta* = 0.
 The functions read epsilon, rho, nu and lambda_prec from the optimizer's
-TrustRegionConfig, passed as `tr`, which checks their ranges.
+TrustRegionConfig, defined here and passed as `tr`, which checks their ranges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import surrogate
+from .baselines import check_decay, check_milestones, check_reals
 from .errors import NonFiniteError, NumericalFault
-
-if TYPE_CHECKING:  # the optimizer module imports this one
-    from .optimizer import TrustRegionConfig
 
 ETA_MIN = 1e-12
 ETA_MAX = 1e12
 MAX_ITER = 50  # Newton steps before a solve fails; 0 or 1 are typical from the bound
+
+# the trust-region variants, spelled as the CLI, the CSV and the file names spell them
+MODES = ("standard", "fixed-eta", "adam-surrogate")
+
+
+@dataclass
+class TrustRegionConfig:
+    """Hyperparameters of the trust-region optimizer.
+
+    epsilon, rho, q and r are the task-tuned knobs; the remaining defaults
+    (nu, lambda_prec, sigma2_init, p0) rarely need changing. epsilon decays
+    by `epsilon_decay_factor` at each epoch in `schedule_milestones`, and
+    must stay a normal float (>= sys.float_info.min) through every decay.
+    """
+
+    epsilon: float = 0.01
+    rho: float = 0.05
+    q: float = 0.01
+    r: float = 1.0
+    nu: float = 1.3
+    lambda_prec: float = 0.0015
+    sigma2_init: float = 0.01
+    p0: float = 0.00005
+    weight_decay: float = 0.0
+    epsilon_decay_factor: float = 0.006
+    schedule_milestones: tuple[int, ...] = ()
+    mode: str = "standard"
+    fixed_eta: float | None = None
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # fixed_eta is optional outside its mode, checked wherever it is set
+        fixed = ("fixed_eta",) if self.mode == "fixed-eta" or self.fixed_eta is not None else ()
+        check_reals(self, positive=("epsilon", "r", "nu", "sigma2_init", "p0",
+                                    "epsilon_decay_factor"),
+                    non_negative=("rho", "q", "lambda_prec", "weight_decay") + fixed)
+        self.schedule_milestones = check_milestones(self.schedule_milestones,
+                                                    "schedule_milestones")
+        check_decay(self, "epsilon", "epsilon_decay_factor")
 
 
 class DualSolverError(NumericalFault, RuntimeError):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import struct
 from dataclasses import fields, replace
@@ -12,7 +13,6 @@ from kltrust.cli import main as cli_main
 from kltrust.data import SyntheticQuadraticTask, synthetic_grad
 from kltrust.harness import (
     CSV_COLUMNS,
-    QUADRATIC_PARAMS,
     MetricsRecord,
     RunConfig,
     aggregate,
@@ -161,7 +161,8 @@ def test_config_validation():
             RunConfig(task="synthetic_quadratic", optimizer="adam", task_params={key: value})
     # every key the quadratic reads is accepted, at its edge values
     edge = {"n": 1, "steps_per_epoch": 1, "noise_scale": 0.0, "diag_range": [2.0, 2.0]}
-    assert set(edge) == set(QUADRATIC_PARAMS)
+    assert set(edge) == set(inspect.signature(harness._QuadraticModel).parameters) - {
+        "batch_size", "seed"}
     RunConfig(task="synthetic_quadratic", optimizer="adam", task_params=edge,
               hyperparams={"learning_rate": 0.1})
 
@@ -394,6 +395,9 @@ def test_diverging_seed_is_isolated(tmp_path, monkeypatch):
     overflow = {"steps_per_epoch": 10, "noise_scale": 1e308}
     cases = (
         ("sgd", {"hyperparams": {"learning_rate": 1e30}}, "non-finite loss"),
+        # no later step sees the point the last one makes
+        ("sgd", {"hyperparams": {"learning_rate": 1e308}, "epochs": 1,
+                 "task_params": {"steps_per_epoch": 1}}, "non-finite point after the last step"),
         ("adam", {"hyperparams": {"learning_rate": 0.05}, "task_params": overflow},
          "non-finite point or gradient at step"),
         ("trust_region", {"task_params": overflow}, "non-finite point or gradient at step"),
@@ -453,10 +457,10 @@ def _quadratic(seed):
     ), np.random.default_rng([seed, 90210]).normal(0.0, 1.0, n)
 
 
-def test_no_step_replays_the_initial_point_as_noise(tmp_path):
+def test_no_step_replays_the_initial_point_as_noise():
     # the initial point is drawn from the generator keyed [seed, 90210]; a step
     # whose noise came from the same key would add that vector to theta*
-    model = harness._QuadraticModel(synth_config(tmp_path, batch_size=1), 3)
+    model = harness._QuadraticModel(1, 3, noise_scale=0.5)
     task = model.task
     _, grad = model.loss_and_grad(np.zeros(model.n_params), 90210)
     noise = (-grad / task.diag - task.theta_star) / task.noise_scale
