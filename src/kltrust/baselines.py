@@ -55,10 +55,11 @@ def check_milestones(values, name: str) -> tuple[int, ...]:
     return tuple(map(int, ms))
 
 
-def check_decay(config, name: str, factor: str) -> None:
-    """Raise ValueError unless field `name`, decayed by field `factor` at each
-    of the config's milestones, stays a normal float. on_epoch_end drops each
+def check_decay(config) -> None:
+    """Raise ValueError unless the field `config.DECAY` names, decayed by its
+    factor at each milestone, stays a normal float. on_epoch_end drops each
     milestone it passes, so a config it builds counts only the decays ahead."""
+    name, factor = config.DECAY
     value = getattr(config, name)
     for _ in config.schedule_milestones:
         value *= getattr(config, factor)
@@ -69,6 +70,7 @@ def check_decay(config, name: str, factor: str) -> None:
 
 @dataclass
 class BaselineConfig:
+    DECAY = ("learning_rate", "lr_decay_factor")  # for check_decay and on_epoch_end; not a field
     learning_rate: float
     momentum: float = 0.0
     beta1: float = 0.9
@@ -83,16 +85,13 @@ class BaselineConfig:
                     non_negative=("weight_decay",), unit=("momentum", "beta1", "beta2"))
         self.schedule_milestones = check_milestones(self.schedule_milestones,
                                                     "schedule_milestones")
-        check_decay(self, "learning_rate", "lr_decay_factor")
+        check_decay(self)
 
 
 class Optimizer:
     """Holds the point `mean`, built from `(n, config, mu0)`; each subclass's
     `step(grad)` binds `mean` to a new array, so a caller may hold the
     previous point across the step."""
-
-    # the config field each milestone decays, and the field of its factor
-    DECAY = ("learning_rate", "lr_decay_factor")
 
     def __init__(self, n: int, config, mu0: np.ndarray):
         mu0 = np.asarray(mu0, dtype=np.float64)
@@ -118,7 +117,7 @@ class Optimizer:
         self.epoch += 1
         cfg = self.config
         if self.epoch in cfg.schedule_milestones:  # replaced, not written: run() shares it
-            name, factor = self.DECAY
+            name, factor = cfg.DECAY
             ahead = tuple(m for m in cfg.schedule_milestones if m > self.epoch)
             self.config = replace(cfg, schedule_milestones=ahead,
                                   **{name: getattr(cfg, name) * getattr(cfg, factor)})

@@ -241,7 +241,7 @@ def _seed_task(config: RunConfig, seed: int, dataset_task):
 # training loop
 # ---------------------------------------------------------------------------
 
-def _evaluate_accuracy(model, params: np.ndarray, test: Dataset, chunk: int = 256) -> float:
+def _evaluate_accuracy(model, params, test: Dataset, where: str = "", chunk: int = 256) -> float:
     # 256 rows of 784 float64 pixels are 1.6 MB, the size of an MLP step's
     # vectors, so a chunk reuses the heap the step has freed; 512-row chunks
     # were mapped afresh on top of it and raised the MLP's peak RSS by 5 MB
@@ -249,7 +249,9 @@ def _evaluate_accuracy(model, params: np.ndarray, test: Dataset, chunk: int = 25
     for start in range(0, len(test), chunk):
         rows = slice(start, start + chunk)
         batch = Batch(test.rows(rows), test.labels[rows])
-        _, logits = model.forward_loss(params, batch)
+        loss, logits = model.forward_loss(params, batch)
+        if not math.isfinite(loss):  # NaN logits would argmax to class 0
+            raise NumericalFault(f"non-finite evaluation loss {where}")
         correct += int(np.sum(logits.argmax(axis=1) == batch.targets))
     return correct / len(test)
 
@@ -262,14 +264,14 @@ def _run_seed(
     opt = OPTIMIZERS[config.optimizer](model.n_params, opt_config, model.init_params(seed))
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        losses, diags = [], []
+        losses, diags, where = [], [], f"(seed {seed}, epoch {epoch})"
         for batch in batches(epoch):
             # holding the pre-step point until the next step keeps the allocator's
             # reuse pattern; freeing it inside step() raised MLP/Adam peak RSS 0.9%
             point = opt.mean
             loss, grad = model.loss_and_grad(point, batch)
             if not math.isfinite(loss):
-                raise NumericalFault(f"non-finite loss (seed {seed}, epoch {epoch})")
+                raise NumericalFault(f"non-finite loss {where}")
             losses.append(loss)
             diags.append(opt.step(grad))
         opt.on_epoch_end()
@@ -281,7 +283,7 @@ def _run_seed(
         accuracy = None
         due = (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1
         if test is not None and due:
-            accuracy = _evaluate_accuracy(model, opt.mean, test)
+            accuracy = _evaluate_accuracy(model, opt.mean, test, where)
         rows.append(
             MetricsRecord(
                 seed=seed,
@@ -326,18 +328,12 @@ def aggregate(rows: list[MetricsRecord]) -> list[dict]:
     return out
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
-
-
 def write_metrics_csv(path, rows: list[MetricsRecord]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
         for r in rows:
-            writer.writerow([_csv_cell(getattr(r, c)) for c in CSV_COLUMNS])
+            writer.writerow([getattr(r, c) for c in CSV_COLUMNS])  # None is an empty cell
 
 
 def read_metrics_csv(path) -> list[MetricsRecord]:

@@ -37,10 +37,8 @@ class StepDiagnostics:
 
 
 class TrustRegionOptimizer(Optimizer):
-    """Maintains the parameter distribution and advances it per gradient;
-    `mean` is the distribution's mean, and milestones decay epsilon."""
-
-    DECAY = ("epsilon", "epsilon_decay_factor")
+    """Maintains the parameter distribution `dist`, built once, and advances
+    it per gradient by rebinding its fields; `mean` is `dist.mu`."""
 
     def __init__(self, n: int, config: TrustRegionConfig, mu0: np.ndarray):
         super().__init__(n, config, mu0)
@@ -78,9 +76,9 @@ class TrustRegionOptimizer(Optimizer):
 
         mu_new = res.mu
         if cfg.weight_decay > 0.0:
-            # in place: the mean is the solve's own fresh array
-            mu_new *= 1.0 - cfg.weight_decay
+            mu_new *= 1.0 - cfg.weight_decay  # in place: the solve's own fresh array
 
-        self.dist = ParameterDistribution(mu_new, sigma2_new)
-        self.mean = mu_new
+        # checked where made: sigma2 by primal_variance, the mean by the next _check
+        self.dist.mu = self.mean = mu_new
+        self.dist.sigma2 = sigma2_new
         return StepDiagnostics(res.eta_star, res.c_mu, res.iterations, clamped)

@@ -46,6 +46,7 @@ class TrustRegionConfig:
     must stay a normal float (>= sys.float_info.min) through every decay.
     """
 
+    DECAY = ("epsilon", "epsilon_decay_factor")  # for check_decay and on_epoch_end; not a field
     epsilon: float = 0.01
     rho: float = 0.05
     q: float = 0.01
@@ -70,7 +71,7 @@ class TrustRegionConfig:
                     non_negative=("rho", "q", "lambda_prec", "weight_decay") + fixed)
         self.schedule_milestones = check_milestones(self.schedule_milestones,
                                                     "schedule_milestones")
-        check_decay(self, "epsilon", "epsilon_decay_factor")
+        check_decay(self)
 
 
 class DualSolverError(NumericalFault, RuntimeError):
@@ -78,9 +79,9 @@ class DualSolverError(NumericalFault, RuntimeError):
     surrogate is non-finite, or MAX_ITER steps ran out."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class ParameterDistribution:
-    """Diagonal Gaussian over the parameter vector."""
+    """Diagonal Gaussian over the parameter vector; the optimizer rebinds its fields."""
 
     mu: np.ndarray
     sigma2: np.ndarray
@@ -145,8 +146,8 @@ def primal_variance(
     out = np.add(a, tr.rho * tr.lambda_prec)
     out += tr.nu / prev.sigma2
     np.divide(tr.rho + tr.nu, out, out=out)
-    if not out.min() > 0.0:  # also false for a NaN
-        raise NonFiniteError("variance update produced a non-positive or NaN entry; a_j < 0?")
+    if not 0.0 < out.min() <= out.max() < math.inf:  # also false for a NaN
+        raise NonFiniteError("variance update produced a non-positive or NaN entry, or inf")
     return out
 
 

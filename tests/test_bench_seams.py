@@ -8,11 +8,12 @@ from pathlib import Path
 
 from kltrust.harness import RunConfig, run
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+def _load_perfbench(name):
+    """A module of perfbench/, which is not a package, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -27,7 +28,7 @@ def _quadratic_cell(tmp_path, optimizer, **kw):
 
 
 def test_every_seam_exists_and_the_quadratic_cells_call_them(tmp_path):
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     tracer = spans.Tracer()
     _, missing, restore = spans.install(tracer)
     try:

@@ -26,7 +26,7 @@ from kltrust.harness import (
 from kltrust.optimizer import MODES, TrustRegionConfig, TrustRegionOptimizer
 from kltrust.surrogate import FilterConsistencyError
 from kltrust.trust_region import primal_variance, solve_eta
-from test_bench_seams import _load_spans
+from test_bench_seams import _load_perfbench
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -404,9 +404,9 @@ def test_diverging_seed_is_isolated(tmp_path, monkeypatch):
         ("trust_region", {"variant": "adam-surrogate", "task_params": overflow},
          "non-finite point or gradient at step"),
         ("trust_region", {"fault": ("filter_update", _broken_filter)}, "positive definite"),
-        # a non-finite mean reaches ParameterDistribution, a negative curvature
-        # primal_variance: both raise NonFiniteError
-        ("trust_region", {"fault": ("solve_eta", _nan_mean_solver)}, "non-finite entries"),
+        # a NaN mean fails at the next step's loss; a negative curvature fails in
+        # primal_variance, which raises NonFiniteError
+        ("trust_region", {"fault": ("solve_eta", _nan_mean_solver)}, "non-finite loss"),
         ("trust_region", {"fault": ("primal_variance", _negative_curvature_variance)},
          "non-positive or NaN"),
         # with eta = 0 and no prior a slope clamped to 0 zeroes a denominator
@@ -431,6 +431,21 @@ def test_diverging_seed_is_isolated(tmp_path, monkeypatch):
                              out_dir=str(tmp_path / "ok"))
     ok = run(cfg_mixed)
     assert ok.summary["failed_seeds"] == {}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_evaluation_loss_fails_the_seed(tmp_path):
+    # one step to a finite point (max |w| about 4e307) whose test logits are
+    # NaN: they would argmax to class 0 and report an accuracy of 0.125
+    data = _load_perfbench("idxgen").write_fashion_mnist(tmp_path / "data", 0, 256, 128)
+    cfg = RunConfig(task="fashion_mnist_mlp", optimizer="sgd",
+                    hyperparams={"learning_rate": 1e308}, epochs=1, batch_size=256,
+                    seeds=(0,), milestones=(), data_dir=str(data),
+                    out_dir=str(tmp_path / "runs"))
+    result = run(cfg)
+    assert result.summary["failed_seeds"] == {
+        "0": "non-finite evaluation loss (seed 0, epoch 0)"}
+    assert read_metrics_csv(result.csv_path) == []  # the epoch's row is not kept
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -546,7 +561,7 @@ def test_a_milestone_leaves_the_config_every_seed_shares(tmp_path, monkeypatch,
 
 def test_every_traced_solve_reads_the_bound_of_its_epoch(tmp_path):
     # the benchmark's solve_eta span reads epsilon from its 4th argument
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     tracer = spans.Tracer()
     _, _, restore = spans.install(tracer)
     try:

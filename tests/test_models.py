@@ -92,6 +92,14 @@ def test_label_out_of_range():
     model = MLP((4, 2))
     with pytest.raises(ValueError):
         model.forward_loss(np.zeros(model.n_params), Batch(np.zeros((1, 4)), np.array([2])))
+    cnn = SmallCNN(in_shape=(1, 8, 8), num_classes=3, channels=(4, 5))
+    with pytest.raises(ValueError, match="label out of range"):
+        cnn.forward_loss(np.zeros(cnn.n_params), Batch(np.zeros((1, 1, 8, 8)), np.array([3])))
+
+
+def test_batch_rejects_a_negative_label():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Batch(np.zeros((2, 4)), np.array([0, -1]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,11 +8,12 @@ from test_surrogate import copied, unfused_update
 
 import kltrust.optimizer as optimizer_mod
 from kltrust import surrogate
-from kltrust.baselines import BaselineConfig
+from kltrust.baselines import BaselineConfig, Optimizer
 from kltrust.data import SyntheticQuadraticTask, synthetic_grad
+from kltrust.errors import NonFiniteError
 from kltrust.optimizer import MODES, StepDiagnostics, TrustRegionConfig, TrustRegionOptimizer
 from kltrust.surrogate import filter_update, init_state
-from kltrust.trust_region import ETA_MIN, DualSolve, kl_mean_term, primal_mean
+from kltrust.trust_region import ETA_MIN, DualSolve, kl_mean_term, primal_mean, solve_eta
 
 
 def quadratic_grad(D, theta_star):
@@ -151,6 +152,33 @@ def test_step_leaves_the_arrays_a_caller_holds_unchanged(mode):
                 assert new is x and np.array_equal(x, want)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_step_rebinds_the_distribution_it_built(mode):
+    # the distribution is the optimizer's state, built and checked once; each
+    # step rebinds its fields to the arrays it has just made and checked
+    opt = TrustRegionOptimizer(3, TrustRegionConfig(mode=mode, fixed_eta=1.0), mu0=np.ones(3))
+    dist = opt.dist
+    for g in np.random.default_rng(6).normal(size=(3, 3)):
+        opt.step(g)
+        assert opt.dist is dist and opt.dist.mu is opt.mean
+
+
+def test_nan_mean_from_the_solve_fails_at_the_next_step(monkeypatch):
+    # as in the baselines, a step's new point is checked by the next step's
+    # _check (or the harness's last-step check), not twice
+    def nan_solve(a, b, prev, tr):
+        res = solve_eta(a, b, prev, tr)
+        res.mu[0] = np.nan
+        return res
+
+    monkeypatch.setattr(optimizer_mod, "solve_eta", nan_solve)
+    opt = TrustRegionOptimizer(2, TrustRegionConfig(), mu0=np.zeros(2))
+    opt.step(np.ones(2))
+    assert np.isnan(opt.mean[0])
+    with pytest.raises(NonFiniteError, match="non-finite point or gradient at step 1"):
+        opt.step(np.ones(2))
+
+
 def test_step_allocates_fewer_than_four_vectors():
     # the new variance, the new mean and the clamped slopes, and block scratch
     # (1.5 n-vectors for the filter at n = 4 BLOCK, freed before the solve's
@@ -271,6 +299,17 @@ def test_epsilon_that_decays_out_of_range_is_rejected(cls, name, value, factor, 
     factor_name = "epsilon_decay_factor" if name == "epsilon" else "lr_decay_factor"
     with pytest.raises(ValueError, match=f"{name} decayed by {factor_name}"):
         cls(**{name: value, factor_name: factor}, schedule_milestones=milestones)
+
+
+@pytest.mark.parametrize("cls, decay", [
+    (TrustRegionConfig, ("epsilon", "epsilon_decay_factor")),
+    (BaselineConfig, ("learning_rate", "lr_decay_factor")),
+])
+def test_each_config_names_the_field_its_milestones_decay(cls, decay):
+    # a class attribute that check_decay and on_epoch_end read, not a setting
+    names = {f.name for f in fields(cls)}
+    assert cls.DECAY == decay and set(decay) <= names and "DECAY" not in names
+    assert not hasattr(Optimizer, "DECAY")
 
 
 def test_epsilon_decayed_to_the_edge_of_the_range_is_accepted():

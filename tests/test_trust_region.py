@@ -1,6 +1,7 @@
 import inspect
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,6 +126,13 @@ def test_variance_rejects_non_positive_or_nan_entries():
     for a in ([-2.0, 1.0], [np.nan, 1.0], [1.0, -1.5]):
         with pytest.raises(NonFiniteError):
             primal_variance(np.array(a), dist([0.0, 0.0], [1.0, 1.0]), tr)
+
+
+def test_variance_rejects_an_entry_that_overflows_to_inf():
+    # nu / sigma2_prev = 1e-308 leaves (rho + nu) / 1e-308 beyond the float range
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="inf"):
+        primal_variance(np.array([0.0, 1.0]), dist([0.0, 0.0], [1e308, 1.0]),
+                        params(rho=1.0, nu=1.0, lam=0.0))
 
 
 def test_variance_signature_has_no_eta():
@@ -311,6 +319,26 @@ def test_constraint_satisfied_on_random_instances():
             assert res.c_mu <= eps
         else:
             assert abs(res.c_mu - eps) <= 0.1 * eps + 1e-15
+
+
+@pytest.mark.parametrize("k", [10.0, 300.0])
+def test_scaling_the_surrogate_by_k_is_dividing_rho_and_nu_by_k(k):
+    # the step for (k a, k b) at (rho, nu) is the step for (a, b) at
+    # (rho / k, nu / k), with eta* multiplied by k: a loss scale is a setting
+    rng = np.random.default_rng(29)
+    interior = 0
+    for _ in range(100):
+        a, b, prev, tr = random_instance(rng, float(10 ** rng.uniform(-3, 3)))
+        tr_k = replace(tr, rho=tr.rho / k, nu=tr.nu / k)
+        scaled, unscaled = solve_eta(k * a, k * b, prev, tr), solve_eta(a, b, prev, tr_k)
+        assert scaled.eta_star == pytest.approx(k * unscaled.eta_star, rel=1e-12, abs=0.0)
+        interior += scaled.eta_star == 0.0
+        assert scaled.iterations == unscaled.iterations
+        assert np.all(np.abs(scaled.mu - unscaled.mu)
+                      <= 1e-10 * np.maximum(np.abs(unscaled.mu), 1e-12))
+        np.testing.assert_allclose(primal_variance(k * a, prev, tr),
+                                   primal_variance(a, prev, tr_k), rtol=1e-13, atol=0.0)
+    assert 0 < interior < 100  # both exits are covered
 
 
 def test_c_mu_nonincreasing_in_eta():
