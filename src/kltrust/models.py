@@ -7,6 +7,8 @@ unflatten(v) gives each layer's views of it, and the models compose with
 vector-space optimizers. Each backward pass writes every layer's gradient
 straight into that layer's view of one fresh flat vector. Losses are mean
 softmax cross-entropy; gradients are exact (ReLU subgradient at 0 taken as 0).
+Each ReLU writes over its pre-activation z, and its backward mask reads the
+activation: max(z, 0) > 0 exactly where z > 0, NaN included.
 """
 
 from __future__ import annotations
@@ -20,14 +22,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 @dataclass(frozen=True)
 class Batch:
+    """Input rows and one integer (not bool) label >= 0 per row; the model checks the rest."""
+
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
-        if self.inputs.shape[0] == 0:
+        if self.inputs.ndim == 0 or len(self.inputs) == 0:
             raise ValueError("batch must be nonempty")
-        if self.targets.shape != (self.inputs.shape[0],):
-            raise ValueError("targets must be one integer label per input row")
+        if self.targets.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got dtype {self.targets.dtype}")
+        if self.targets.shape != (len(self.inputs),):
+            raise ValueError(f"labels of shape {self.targets.shape}, expected one per row")
         if np.any(self.targets < 0):
             raise ValueError("labels must be nonnegative")
 
@@ -56,11 +62,25 @@ class _FlatParams:
     `shapes` lists (weight_shape, bias_shape) per layer. Dense weights are
     (fan_in, fan_out) and conv weights (out, in, kh, kw), so the Kaiming fan-in
     is the product of a conv weight's trailing axes, or a dense weight's first.
+    `in_shape` is one input row's shape and `num_classes` bounds the labels.
     """
 
-    def __init__(self, shapes):
+    def __init__(self, shapes, in_shape, num_classes):
         self._shapes = shapes
+        self.in_shape = in_shape
+        self.num_classes = num_classes
         self.n_params = sum(math.prod(ws) + math.prod(bs) for ws, bs in shapes)
+
+    def _check_batch(self, batch: Batch) -> np.ndarray:
+        """The inputs as float64, each row flattened when `in_shape` is 1-d."""
+        x = np.asarray(batch.inputs, dtype=np.float64)
+        if len(self.in_shape) == 1 and x.ndim > 2:
+            x = x.reshape(len(x), -1)
+        if x.shape[1:] != self.in_shape:
+            raise ValueError(f"input rows of shape {x.shape[1:]}, expected {self.in_shape}")
+        if np.any(batch.targets >= self.num_classes):
+            raise ValueError("label out of range")
+        return x
 
     def init_params(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -97,50 +117,34 @@ class MLP(_FlatParams):
         if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
             raise ValueError(f"need >= 2 positive layer sizes, got {layer_sizes}")
         self.layer_sizes = layer_sizes
-        self.num_classes = layer_sizes[-1]
-        super().__init__([((i, o), (o,)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])])
-
-    def _check_batch(self, batch: Batch) -> np.ndarray:
-        x = np.asarray(batch.inputs, dtype=np.float64)
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        if x.shape[1] != self.layer_sizes[0]:
-            raise ValueError(
-                f"inputs have {x.shape[1]} features, expected {self.layer_sizes[0]}"
-            )
-        if np.any(batch.targets >= self.num_classes):
-            raise ValueError("label out of range")
-        return x
+        super().__init__([((i, o), (o,)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])],
+                         layer_sizes[:1], layer_sizes[-1])
 
     def _forward(self, params: np.ndarray, x: np.ndarray):
         parts = self.unflatten(np.asarray(params, dtype=np.float64))
         acts = [x]
-        pre = []
-        h = x
         for li in range(len(self._shapes)):
-            w, b = parts[2 * li], parts[2 * li + 1]
-            z = h @ w + b
-            pre.append(z)
-            h = np.maximum(z, 0.0) if li < len(self._shapes) - 1 else z
-            acts.append(h)
-        return parts, acts, pre
+            z = acts[-1] @ parts[2 * li] + parts[2 * li + 1]
+            if li < len(self._shapes) - 1:
+                np.maximum(z, 0.0, out=z)
+            acts.append(z)
+        return parts, acts
 
     def forward_loss(self, params: np.ndarray, batch: Batch) -> tuple[float, np.ndarray]:
         x = self._check_batch(batch)
-        _, acts, _ = self._forward(params, x)
-        loss, _ = _softmax_ce(acts[-1], batch.targets)
-        return loss, acts[-1]
+        logits = self._forward(params, x)[1][-1]
+        return _softmax_ce(logits, batch.targets)[0], logits
 
     def loss_and_grad(self, params: np.ndarray, batch: Batch) -> tuple[float, np.ndarray]:
         x = self._check_batch(batch)
-        parts, acts, pre = self._forward(params, x)
+        parts, acts = self._forward(params, x)
         loss, delta = _softmax_ce(acts[-1], batch.targets)
         grad, views = self._empty_grad()
         for li in reversed(range(len(self._shapes))):
             np.matmul(acts[li].T, delta, out=views[2 * li])
             delta.sum(axis=0, out=views[2 * li + 1])
             if li > 0:
-                delta = (delta @ parts[2 * li].T) * (pre[li - 1] > 0.0)
+                delta = (delta @ parts[2 * li].T) * (acts[li] > 0.0)
         return loss, grad
 
 
@@ -199,41 +203,25 @@ class SmallCNN(_FlatParams):
     """conv3x3(c1) - relu - pool2 - conv3x3(c2) - relu - pool2 - dense."""
 
     def __init__(self, in_shape=(1, 28, 28), num_classes=10, channels=(16, 32)):
-        c, h, w = in_shape
+        c, h, w = (int(d) for d in in_shape)
         if h % 4 != 0 or w % 4 != 0:
             raise ValueError("input height/width must be divisible by 4")
-        self.in_shape = (int(c), int(h), int(w))
-        self.num_classes = int(num_classes)
         self.channels = (int(channels[0]), int(channels[1]))
         c1, c2 = self.channels
         self._dense_in = c2 * (h // 4) * (w // 4)
-        super().__init__(
-            [
-                ((c1, c, 3, 3), (c1,)),
-                ((c2, c1, 3, 3), (c2,)),
-                ((self._dense_in, self.num_classes), (self.num_classes,)),
-            ]
-        )
-
-    def _check_batch(self, batch: Batch) -> np.ndarray:
-        x = np.asarray(batch.inputs, dtype=np.float64)
-        if x.shape[1:] != self.in_shape:
-            raise ValueError(f"inputs of shape {x.shape[1:]}, expected {self.in_shape}")
-        if np.any(batch.targets >= self.num_classes):
-            raise ValueError("label out of range")
-        return x
+        k = int(num_classes)
+        super().__init__([((c1, c, 3, 3), (c1,)), ((c2, c1, 3, 3), (c2,)),
+                          ((self._dense_in, k), (k,))], (c, h, w), k)
 
     def _forward(self, params: np.ndarray, x: np.ndarray):
         w1, b1, w2, b2, wd, bd = self.unflatten(np.asarray(params, dtype=np.float64))
-        z1, cols1 = _conv3x3_forward(x, w1, b1)
-        a1 = np.maximum(z1, 0.0)
-        p1, idx1 = _pool2_forward(a1)
-        z2, cols2 = _conv3x3_forward(p1, w2, b2)
-        a2 = np.maximum(z2, 0.0)
-        p2, idx2 = _pool2_forward(a2)
+        a1, cols1 = _conv3x3_forward(x, w1, b1)
+        p1, idx1 = _pool2_forward(np.maximum(a1, 0.0, out=a1))
+        a2, cols2 = _conv3x3_forward(p1, w2, b2)
+        p2, idx2 = _pool2_forward(np.maximum(a2, 0.0, out=a2))
         flat = p2.reshape(x.shape[0], -1)
         logits = flat @ wd + bd
-        cache = (w2, wd, z1, cols1, idx1, p1, z2, cols2, idx2, flat)
+        cache = (w2, wd, a1, cols1, idx1, p1, a2, cols2, idx2, flat)
         return logits, cache
 
     def forward_loss(self, params: np.ndarray, batch: Batch) -> tuple[float, np.ndarray]:
@@ -245,19 +233,19 @@ class SmallCNN(_FlatParams):
     def loss_and_grad(self, params: np.ndarray, batch: Batch) -> tuple[float, np.ndarray]:
         x = self._check_batch(batch)
         logits, cache = self._forward(params, x)
-        w2, wd, z1, cols1, idx1, p1, z2, cols2, idx2, flat = cache
+        w2, wd, a1, cols1, idx1, p1, a2, cols2, idx2, flat = cache
         loss, dlogits = _softmax_ce(logits, batch.targets)
         grad, (dw1, db1, dw2, db2, dwd, dbd) = self._empty_grad()
 
         np.matmul(flat.T, dlogits, out=dwd)
         dlogits.sum(axis=0, out=dbd)
         dp2 = (dlogits @ wd.T).reshape(idx2.shape)
-        da2 = _pool2_backward(dp2, idx2, z2.shape)
-        dz2 = da2 * (z2 > 0.0)
+        da2 = _pool2_backward(dp2, idx2, a2.shape)
+        dz2 = da2 * (a2 > 0.0)
         _conv3x3_param_grads(dz2, cols2, dw2, db2)
         dp1 = _conv3x3_input_grad(dz2, w2, p1.shape)
-        da1 = _pool2_backward(dp1, idx1, z1.shape)
-        dz1 = da1 * (z1 > 0.0)
+        da1 = _pool2_backward(dp1, idx1, a1.shape)
+        dz1 = da1 * (a1 > 0.0)
         _conv3x3_param_grads(dz1, cols1, dw1, db1)  # the input needs no gradient
         return loss, grad
 
@@ -265,15 +253,16 @@ class SmallCNN(_FlatParams):
 def fd_check(model, params: np.ndarray, batch: Batch, coords, h: float = 1e-5) -> float:
     """Max relative error between loss_and_grad() and central finite differences.
 
-    Relative error per coordinate is |g_fd - g_bp| / max(|g_fd|, |g_bp|, 1e-8).
+    Relative error per coordinate is |g_fd - g_bp| / max(|g_fd|, |g_bp|, 1e-8);
+    a coordinate whose error is NaN makes the result inf, never a match.
     """
-    if h <= 0.0:
-        raise ValueError(f"step size h must be > 0, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size h must be finite and > 0, got {h}")
     coords = np.asarray(coords, dtype=int)
     if np.any(coords < 0) or np.any(coords >= model.n_params):
         raise ValueError("coordinate index out of range")
     g_bp = model.loss_and_grad(params, batch)[1]
-    worst = 0.0
+    errs = []
     for c in coords:
         bumped = np.array(params, dtype=np.float64)
         bumped[c] += h
@@ -281,6 +270,6 @@ def fd_check(model, params: np.ndarray, batch: Batch, coords, h: float = 1e-5) -
         bumped[c] -= 2.0 * h
         down, _ = model.forward_loss(bumped, batch)
         g_fd = (up - down) / (2.0 * h)
-        err = abs(g_fd - g_bp[c]) / max(abs(g_fd), abs(g_bp[c]), 1e-8)
-        worst = max(worst, err)
-    return worst
+        errs.append(abs(g_fd - g_bp[c]) / max(abs(g_fd), abs(g_bp[c]), 1e-8))
+    worst = float(np.max(errs, initial=0.0))  # np.max keeps a NaN
+    return math.inf if math.isnan(worst) else worst

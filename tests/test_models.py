@@ -102,6 +102,24 @@ def test_batch_rejects_a_negative_label():
         Batch(np.zeros((2, 4)), np.array([0, -1]))
 
 
+@pytest.mark.parametrize("method", ["loss_and_grad", "forward_loss"])
+@pytest.mark.parametrize("arch,inputs,labels,match", [
+    ("mlp", (2, 4), [0.0, 1.0], "labels must be integers, got dtype float64"),
+    ("mlp", (2, 4), [True, False], "labels must be integers, got dtype bool"),
+    ("cnn", (2, 1, 8, 8), [0.5, 1.0], "labels must be integers, got dtype float64"),
+    ("mlp", (4,), [0, 1, 0, 1], r"input rows of shape \(\), expected \(4,\)"),
+    ("cnn", (2, 1, 8, 4), [0, 1], r"input rows of shape \(1, 8, 4\), expected \(1, 8, 8\)"),
+    ("cnn", (2, 64), [0, 1], r"input rows of shape \(64,\), expected \(1, 8, 8\)"),
+], ids=["float-labels", "bool-labels", "cnn-float-labels", "mlp-1d-input", "cnn-wrong-shape",
+        "cnn-flat-input"])
+def test_batch_contract_is_one_value_error(arch, inputs, labels, match, method):
+    # a bad batch is a ValueError that names it, never an IndexError from the
+    # forward pass, and bool labels are not read as indices ([True, False] -> [0, 0])
+    model = MLP((4, 2)) if arch == "mlp" else SmallCNN((1, 8, 8), num_classes=3, channels=(2, 3))
+    with pytest.raises(ValueError, match=match):
+        getattr(model, method)(np.zeros(model.n_params), Batch(np.zeros(inputs), np.array(labels)))
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
@@ -154,24 +172,31 @@ def reference_grad(model, params, batch):
     """Each layer's gradient as its own array, concatenated in the flat layout."""
     x = np.asarray(batch.inputs, dtype=np.float64)
     if isinstance(model, MLP):
-        parts, acts, pre = model._forward(params, x)
+        # its own forward, with a fresh ReLU output and a mask read off z, so
+        # the model's in-place ReLU is checked against arithmetic it does not share
+        parts = model.unflatten(params)
+        acts, masks = [x], []
+        for li in range(len(parts) // 2):
+            z = acts[-1] @ parts[2 * li] + parts[2 * li + 1]
+            masks.append(z > 0.0)
+            acts.append(np.maximum(z, 0.0) if li < len(parts) // 2 - 1 else z)
         _, delta = _softmax_ce(acts[-1], batch.targets)
         grads = [None] * len(parts)
         for li in reversed(range(len(parts) // 2)):
             grads[2 * li] = acts[li].T @ delta
             grads[2 * li + 1] = delta.sum(axis=0)
             if li > 0:
-                delta = (delta @ parts[2 * li].T) * (pre[li - 1] > 0.0)
+                delta = (delta @ parts[2 * li].T) * masks[li - 1]
         return np.concatenate([g.ravel() for g in grads])
     logits, cache = model._forward(params, x)
-    w2, wd, z1, cols1, idx1, p1, z2, cols2, idx2, flat = cache
+    w2, wd, a1, cols1, idx1, p1, a2, cols2, idx2, flat = cache
     # the model's patches are views of its padded inputs; the oracle copies its own
     assert not cols1.flags.owndata and not cols2.flags.owndata
     _, dlogits = _softmax_ce(logits, batch.targets)
     dp2 = (dlogits @ wd.T).reshape(idx2.shape)
-    dz2 = _pool2_backward(dp2, idx2, z2.shape) * (z2 > 0.0)
+    dz2 = _pool2_backward(dp2, idx2, a2.shape) * (a2 > 0.0)
     dp1 = _conv3x3_input_grad(dz2, w2, p1.shape)
-    dz1 = _pool2_backward(dp1, idx1, z1.shape) * (z1 > 0.0)
+    dz1 = _pool2_backward(dp1, idx1, a1.shape) * (a1 > 0.0)
     grads = [np.einsum("bfhw,bcijhw->fcij", dz1, im2col_copy(x), optimize=True),
              dz1.sum(axis=(0, 2, 3)),
              np.einsum("bfhw,bcijhw->fcij", dz2, im2col_copy(p1), optimize=True),
@@ -252,6 +277,28 @@ def test_fd_check_rejects_bad_args(tiny_batch):
         fd_check(model, params, tiny_batch, [0], h=0.0)
     with pytest.raises(ValueError):
         fd_check(model, params, tiny_batch, [model.n_params])
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_fd_check_rejects_a_non_finite_step(tiny_batch, h):
+    # NaN passes `h <= 0`, and an infinite step makes every difference NaN
+    model = MLP((4, 2))
+    with pytest.raises(ValueError, match="finite"):
+        fd_check(model, model.init_params(seed=0), tiny_batch, [0, 1], h=h)
+
+
+class NaNBackward(MLP):
+    """A correct forward pass with a gradient that is NaN everywhere."""
+
+    def loss_and_grad(self, params, batch):
+        loss, grad = super().loss_and_grad(params, batch)
+        return loss, np.full_like(grad, np.nan)
+
+
+def test_fd_check_never_scores_a_nan_as_a_match(tiny_batch):
+    model = NaNBackward((4, 2))
+    params = model.init_params(seed=0)
+    assert fd_check(model, params, tiny_batch, range(model.n_params)) == math.inf
 
 
 def test_fd_check_small_on_analytic_case(tiny_batch):

@@ -11,6 +11,7 @@ from kltrust import surrogate
 from kltrust.baselines import BaselineConfig, Optimizer
 from kltrust.data import SyntheticQuadraticTask, synthetic_grad
 from kltrust.errors import NonFiniteError
+from kltrust.models import MLP, Batch
 from kltrust.optimizer import MODES, StepDiagnostics, TrustRegionConfig, TrustRegionOptimizer
 from kltrust.surrogate import filter_update, init_state
 from kltrust.trust_region import ETA_MIN, DualSolve, kl_mean_term, primal_mean, solve_eta
@@ -218,6 +219,34 @@ def test_one_block_size_splits_the_whole_step(monkeypatch, epsilon):
     for (d_whole, *x_whole), (d_blocked, *x_blocked) in zip(whole, blocked):
         assert d_blocked == d_whole
         assert all(np.array_equal(x, y) for x, y in zip(x_blocked, x_whole))
+
+
+@pytest.mark.parametrize("mode", ["standard", "fixed-eta"])
+def test_scaling_the_gradient_by_k_is_dividing_rho_and_nu_by_k(mode):
+    # a loss scaled by k = 256 is a setting: the filter's (a, b) scale by k, so
+    # the trust region at rho / k and nu / k (and fixed_eta / k) takes the same
+    # steps bit for bit, Newton steps included. Adam's eps breaks this scaling,
+    # so the adam-surrogate mode is left out
+    k = 256.0
+    model = MLP((12, 10, 4))
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(320, 12)), rng.integers(0, 4, 320)
+    tr = TrustRegionConfig(epsilon=10.0, mode=mode, fixed_eta=1.0 if mode == "fixed-eta" else None)
+    tr_k = replace(tr, rho=tr.rho / k, nu=tr.nu / k,
+                   fixed_eta=None if tr.fixed_eta is None else tr.fixed_eta / k)
+    mu0 = model.init_params(seed=1)
+    scaled = TrustRegionOptimizer(model.n_params, tr, mu0.copy())
+    unscaled = TrustRegionOptimizer(model.n_params, tr_k, mu0.copy())
+    newton = 0
+    for rows in np.split(np.arange(320), 40):
+        batch = Batch(x[rows], y[rows])
+        d_scaled = scaled.step(k * model.loss_and_grad(scaled.mean, batch)[1])
+        d_unscaled = unscaled.step(model.loss_and_grad(unscaled.mean, batch)[1])
+        assert d_scaled == replace(d_unscaled, eta_star=k * d_unscaled.eta_star)
+        assert np.array_equal(scaled.mean, unscaled.mean)
+        assert np.array_equal(scaled.dist.sigma2, unscaled.dist.sigma2)
+        newton += d_scaled.bisect_iters
+    assert (newton > 0) == (mode == "standard")
 
 
 def test_rejects_non_finite_gradient_with_step_index():

@@ -321,24 +321,33 @@ def test_constraint_satisfied_on_random_instances():
             assert abs(res.c_mu - eps) <= 0.1 * eps + 1e-15
 
 
-@pytest.mark.parametrize("k", [10.0, 300.0])
+@pytest.mark.parametrize("k", [10.0, 256.0, 300.0])
 def test_scaling_the_surrogate_by_k_is_dividing_rho_and_nu_by_k(k):
     # the step for (k a, k b) at (rho, nu) is the step for (a, b) at
-    # (rho / k, nu / k), with eta* multiplied by k: a loss scale is a setting
+    # (rho / k, nu / k), with eta* multiplied by k: a loss scale is a setting.
+    # A power of two scales every rounding exactly, so k = 256 is bitwise
     rng = np.random.default_rng(29)
-    interior = 0
-    for _ in range(100):
+    interior = newton = 0
+    for _ in range(1000):
         a, b, prev, tr = random_instance(rng, float(10 ** rng.uniform(-3, 3)))
+        # w = s (a + rho lambda) >= ETA_MIN at both scales, so both start at 0
+        assert tr.rho * tr.lambda_prec > 0.0
         tr_k = replace(tr, rho=tr.rho / k, nu=tr.nu / k)
         scaled, unscaled = solve_eta(k * a, k * b, prev, tr), solve_eta(a, b, prev, tr_k)
-        assert scaled.eta_star == pytest.approx(k * unscaled.eta_star, rel=1e-12, abs=0.0)
+        var_scaled, var_unscaled = primal_variance(k * a, prev, tr), primal_variance(a, prev, tr_k)
         interior += scaled.eta_star == 0.0
+        newton += scaled.iterations > 0
         assert scaled.iterations == unscaled.iterations
-        assert np.all(np.abs(scaled.mu - unscaled.mu)
-                      <= 1e-10 * np.maximum(np.abs(unscaled.mu), 1e-12))
-        np.testing.assert_allclose(primal_variance(k * a, prev, tr),
-                                   primal_variance(a, prev, tr_k), rtol=1e-13, atol=0.0)
-    assert 0 < interior < 100  # both exits are covered
+        if k == 256.0:
+            assert scaled.eta_star == k * unscaled.eta_star and scaled.c_mu == unscaled.c_mu
+            assert np.array_equal(scaled.mu, unscaled.mu)
+            assert np.array_equal(var_scaled, var_unscaled)
+            continue
+        assert scaled.eta_star == pytest.approx(k * unscaled.eta_star, rel=1e-13, abs=0.0)
+        assert scaled.c_mu == pytest.approx(unscaled.c_mu, rel=1e-14)
+        assert np.max(np.abs(scaled.mu - unscaled.mu)) <= 4e-15 * np.max(np.abs(unscaled.mu))
+        np.testing.assert_allclose(var_scaled, var_unscaled, rtol=2e-15, atol=0.0)
+    assert 0 < interior < 1000 and newton > 0  # both exits and Newton are covered
 
 
 def test_c_mu_nonincreasing_in_eta():
