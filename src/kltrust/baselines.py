@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NonFiniteError
 
 
-# the value rules every config shares, here in the module the others import
+# the value rules every config and public function shares, here in the module the others import
 
 def finite(x) -> bool:
     """A real number within the float range (so not NaN); a bool is not one."""
@@ -32,19 +32,24 @@ def count(x) -> bool:
     return isinstance(x, numbers.Integral) and finite(x) and x >= 1
 
 
-_RULES = {"positive": (lambda v: v > 0.0, "> 0"),
-          "non_negative": (lambda v: v >= 0.0, ">= 0"),
-          "unit": (lambda v: 0.0 <= v < 1.0, "in [0, 1)")}
+_RULES = {"count": (count, "an integer >= 1"),
+          "positive": (lambda v: finite(v) and v > 0.0, "finite and > 0"),
+          "non_negative": (lambda v: finite(v) and v >= 0.0, "finite and >= 0"),
+          "unit": (lambda v: finite(v) and 0.0 <= v < 1.0, "finite and in [0, 1)")}
+
+
+def check(rule: str, **values) -> None:
+    """Raise ValueError naming the first of `values` that breaks `rule`."""
+    ok, text = _RULES[rule]
+    for name, v in values.items():
+        if not ok(v):
+            raise ValueError(f"{name} must be {text}, got {v!r}")
 
 
 def check_reals(config, **names_by_rule) -> None:
-    """Raise ValueError naming the first field that is not finite within its rule."""
+    """check() each rule on the fields of `config` it names."""
     for rule, names in names_by_rule.items():
-        ok, text = _RULES[rule]
-        for name in names:
-            v = getattr(config, name)
-            if not (finite(v) and ok(v)):
-                raise ValueError(f"{name} must be finite and {text}, got {v!r}")
+        check(rule, **{name: getattr(config, name) for name in names})
 
 
 def check_milestones(values, name: str) -> tuple[int, ...]:
@@ -92,6 +97,7 @@ class Optimizer:
     """Holds the point `mean`, built from `(n, config, mu0)`; each subclass's
     `step(grad)` binds `mean` to a new array, so a caller may hold the
     previous point across the step."""
+    UNREAD: tuple[str, ...] = ()  # the config fields step never reads; not a setting
 
     def __init__(self, n: int, config, mu0: np.ndarray):
         mu0 = np.asarray(mu0, dtype=np.float64)
@@ -125,6 +131,7 @@ class Optimizer:
 
 class SGDMomentum(Optimizer):
     """Heavy-ball SGD; weight decay is folded into the gradient."""
+    UNREAD = ("beta1", "beta2", "adam_eps")
 
     def __init__(self, n: int, config: BaselineConfig, mu0: np.ndarray):
         super().__init__(n, config, mu0)
@@ -171,6 +178,7 @@ class AdamMoments:
 
 class Adam(Optimizer):
     """Bias-corrected Adam; weight decay is folded into the gradient."""
+    UNREAD = ("momentum",)
 
     def __init__(self, n: int, config: BaselineConfig, mu0: np.ndarray):
         super().__init__(n, config, mu0)

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .baselines import count, finite
+from .baselines import check
 from .models import Batch
 
 IDX_LABELS_MAGIC = 0x00000801
@@ -169,8 +169,7 @@ def load_cifar_binary(directory, which: int) -> tuple[Dataset, Dataset]:
 
 def minibatches(dataset: Dataset, batch_size: int, seed: int, epoch: int) -> Iterator[Batch]:
     """Seeded per-(seed, epoch) permutation; the last partial batch is kept."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    check("count", batch_size=batch_size)
     perm = np.random.default_rng([seed, epoch]).permutation(len(dataset))
     for start in range(0, len(dataset), batch_size):
         idx = perm[start : start + batch_size]
@@ -197,8 +196,7 @@ class SyntheticQuadraticTask:
         if not (np.isfinite(self.theta_star).all() and np.isfinite(self.diag).all()
                 and (self.diag > 0.0).all()):
             raise ValueError("theta_star must be finite, and diag entries finite and > 0")
-        if not (finite(self.noise_scale) and self.noise_scale >= 0.0):
-            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale!r}")
+        check("non_negative", noise_scale=self.noise_scale)
         object.__setattr__(self, "noise_scale", float(self.noise_scale))
 
     @property
@@ -215,7 +213,6 @@ def synthetic_grad(task: SyntheticQuadraticTask, mu: np.ndarray, step: int,
     """Mean gradient at `mu` of step `step`'s `draws` samples: one (draws, n) block
     from the generator keyed [task.seed, step, 1]. A key ending in 1 never equals,
     even zero-padded, the [seed, 90210] key of the quadratic task's initial point."""
-    if not count(draws):
-        raise ValueError(f"draws must be an integer >= 1, got {draws!r}")
+    check("count", draws=draws)
     z = np.random.default_rng([task.seed, step, 1]).standard_normal((draws, task.n))
     return task.diag * (mu - (task.theta_star + task.noise_scale * z).mean(axis=0))

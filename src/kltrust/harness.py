@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import presets
-from .baselines import Adam, AdamW, BaselineConfig, SGDMomentum, check_milestones, count, finite
+from .baselines import Adam, AdamW, BaselineConfig, SGDMomentum, check, check_milestones, finite
 from .data import (
     Dataset,
     SyntheticQuadraticTask,
@@ -97,10 +97,9 @@ class RunConfig:
             raise ValueError(f"unknown variant {self.variant!r}; known: {MODES}")
         if self.variant != "standard" and self.optimizer != "trust_region":
             raise ValueError("ablation variants only apply to the trust_region optimizer")
-        for name in ("epochs", "batch_size", "eval_every"):
-            if not count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
-            setattr(self, name, int(getattr(self, name)))
+        check("count", epochs=self.epochs, batch_size=self.batch_size, eval_every=self.eval_every)
+        self.epochs, self.batch_size, self.eval_every = map(
+            int, (self.epochs, self.batch_size, self.eval_every))
         if TASKS[self.task] is None:  # the quadratic judges its own settings
             try:
                 _QuadraticModel(self.batch_size, 0, **self.task_params)
@@ -130,6 +129,8 @@ class RunConfig:
     def optimizer_config(self) -> TrustRegionConfig | BaselineConfig:
         """The optimizer's config: resolved hyperparams, mode, milestones."""
         hp = self.resolved_hyperparams()
+        if unread := [name for name in OPTIMIZERS[self.optimizer].UNREAD if name in hp]:
+            raise ValueError(f"hyperparams for {self.optimizer}: {unread[0]} is never read")
         # a milestone past the last epoch never fires, so its decay is not checked
         milestones = tuple(m for m in self.effective_milestones if m <= self.epochs)
         try:
@@ -199,22 +200,15 @@ class _QuadraticModel:
     indices, and step k's gradient is the mean of `batch_size` samples that one
     generator draws (`synthetic_grad`). Its keywords are the task_params; it checks them."""
 
-    def __init__(self, batch_size: int, seed: int, n=10, diag_range=(0.1, 10.0),
-                 noise_scale=1.0, steps_per_epoch=100):
-        for name, value in (("n", n), ("steps_per_epoch", steps_per_epoch)):
-            if not count(value):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (isinstance(diag_range, (list, tuple)) and len(diag_range) == 2
-                and all(map(finite, diag_range)) and 0.0 < diag_range[0] <= diag_range[1]):
-            raise ValueError(f"diag_range must be [lo, hi], 0 < lo <= hi < inf, got {diag_range!r}")
-        n, (d_lo, d_hi) = int(n), diag_range
+    def __init__(self, batch_size: int, seed: int, n=10, noise_scale=1.0, steps_per_epoch=100):
+        check("count", n=n, steps_per_epoch=steps_per_epoch)
         self.task = SyntheticQuadraticTask(
             theta_star=np.resize([0.5, -0.5], n),
-            diag=np.logspace(np.log10(d_lo), np.log10(d_hi), n),
+            diag=np.logspace(-1.0, 1.0, n),
             noise_scale=noise_scale,
             seed=seed,
         )
-        self.n_params = n
+        self.n_params = int(n)
         self.batch_size = batch_size
         self.steps_per_epoch = int(steps_per_epoch)
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .baselines import check
+
 
 @dataclass(frozen=True)
 class Batch:
@@ -113,10 +115,11 @@ class MLP(_FlatParams):
     """Fully connected ReLU network; layer_sizes like (784, 256, 10)."""
 
     def __init__(self, layer_sizes):
-        layer_sizes = tuple(int(s) for s in layer_sizes)
-        if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
-            raise ValueError(f"need >= 2 positive layer sizes, got {layer_sizes}")
-        self.layer_sizes = layer_sizes
+        layer_sizes = tuple(layer_sizes)
+        if len(layer_sizes) < 2:
+            raise ValueError(f"need >= 2 layer sizes, got {layer_sizes}")
+        check("count", **{f"layer_sizes[{i}]": s for i, s in enumerate(layer_sizes)})
+        self.layer_sizes = layer_sizes = tuple(map(int, layer_sizes))
         super().__init__([((i, o), (o,)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])],
                          layer_sizes[:1], layer_sizes[-1])
 
@@ -203,11 +206,13 @@ class SmallCNN(_FlatParams):
     """conv3x3(c1) - relu - pool2 - conv3x3(c2) - relu - pool2 - dense."""
 
     def __init__(self, in_shape=(1, 28, 28), num_classes=10, channels=(16, 32)):
-        c, h, w = (int(d) for d in in_shape)
+        sizes = {f"in_shape[{i}]": d for i, d in enumerate(in_shape)}
+        sizes.update({f"channels[{i}]": d for i, d in enumerate(channels)})
+        check("count", num_classes=num_classes, **sizes)
+        c, h, w = map(int, in_shape)
         if h % 4 != 0 or w % 4 != 0:
             raise ValueError("input height/width must be divisible by 4")
-        self.channels = (int(channels[0]), int(channels[1]))
-        c1, c2 = self.channels
+        self.channels = c1, c2 = tuple(map(int, channels))
         self._dense_in = c2 * (h // 4) * (w // 4)
         k = int(num_classes)
         super().__init__([((c1, c, 3, 3), (c1,)), ((c2, c1, 3, 3), (c2,)),
@@ -256,8 +261,7 @@ def fd_check(model, params: np.ndarray, batch: Batch, coords, h: float = 1e-5) -
     Relative error per coordinate is |g_fd - g_bp| / max(|g_fd|, |g_bp|, 1e-8);
     a coordinate whose error is NaN makes the result inf, never a match.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step size h must be finite and > 0, got {h}")
+    check("positive", h=h)
     coords = np.asarray(coords, dtype=int)
     if np.any(coords < 0) or np.any(coords >= model.n_params):
         raise ValueError("coordinate index out of range")

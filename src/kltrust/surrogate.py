@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import check
 from .errors import NonFiniteError, NumericalFault
 
 # dimensions per block of filter_update and of solve_eta's sweeps, which both
@@ -47,10 +48,8 @@ class SurrogateState:
 
 def init_state(n: int, p0: float) -> SurrogateState:
     """Zero-mean prior with isotropic 2x2 covariance p0 * I per dimension."""
-    if n < 1:
-        raise ValueError(f"parameter dimension must be >= 1, got {n}")
-    if not np.isfinite(p0) or p0 <= 0.0:
-        raise ValueError(f"prior variance p0 must be > 0, got {p0}")
+    check("count", n=n)
+    check("positive", p0=p0)
     p0 = float(p0)
     return SurrogateState(np.zeros(n), np.zeros(n), np.full(n, p0), np.zeros(n), np.full(n, p0))
 
@@ -85,10 +84,8 @@ def filter_update(
         raise ValueError(
             f"expected vectors of length {state.n}, got {mu.shape} and {g.shape}"
         )
-    if not np.isfinite(q) or q < 0.0:
-        raise ValueError(f"drift variance q must be >= 0, got {q}")
-    if not np.isfinite(r) or r <= 0.0:
-        raise ValueError(f"measurement variance r must be > 0, got {r}")
+    check("non_negative", q=q)
+    check("positive", r=r)
 
     n = state.n
     scratch = np.empty((6, min(BLOCK, n)))  # one set of buffers for every block

@@ -1,12 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from kltrust.baselines import Adam, AdamW, BaselineConfig, Optimizer, SGDMomentum
+from kltrust.data import Dataset, SyntheticQuadraticTask, minibatches, synthetic_grad
 from kltrust.errors import NonFiniteError
-from kltrust.harness import OPTIMIZERS
+from kltrust.harness import OPTIMIZERS, RunConfig, _QuadraticModel
+from kltrust.models import MLP, Batch, SmallCNN, fd_check
 from kltrust.optimizer import TrustRegionConfig, TrustRegionOptimizer
+from kltrust.surrogate import filter_update, init_state
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +217,90 @@ def test_factory_dispatch(cls):
     assert opt.mean is mu0  # the point is held, not copied
     with pytest.raises(ValueError, match=r"mu0 has shape \(3,\), expected \(2,\)"):
         cls(2, _config(cls), np.zeros(3))
+
+
+BASE = dict(learning_rate=0.1, momentum=0.5, beta1=0.8, beta2=0.9, adam_eps=1e-3,
+            weight_decay=0.01, schedule_milestones=(1,), lr_decay_factor=0.5)
+
+
+def _trajectory(cls, **changed):
+    opt = cls(2, BaselineConfig(**{**BASE, **changed}), np.array([1.0, -2.0]))
+    points = []
+    for g in ([0.3, -0.1], [0.2, 0.4], [-0.5, 0.1]):
+        opt.step(np.array(g))
+        opt.on_epoch_end()
+        points.append(opt.mean)
+    return np.concatenate(points)
+
+
+@pytest.mark.parametrize("cls", [SGDMomentum, Adam, AdamW])
+@pytest.mark.parametrize("name", ["learning_rate", "momentum", "beta1", "beta2", "adam_eps",
+                                  "weight_decay", "lr_decay_factor"])
+def test_unread_names_exactly_the_fields_a_step_ignores(cls, name):
+    # RunConfig rejects a hyperparameter in UNREAD, so UNREAD must not name one that acts
+    moved = not np.array_equal(_trajectory(cls), _trajectory(cls, **{name: BASE[name] * 0.9}))
+    assert moved == (name not in cls.UNREAD)
+
+
+def _filter(q=0.1, r=1.0):
+    return filter_update(init_state(2, 1.0), np.zeros(2), np.zeros(2), q, r)
+
+
+def _quadratic_task(noise_scale):
+    return SyntheticQuadraticTask(np.zeros(2), np.ones(2), noise_scale)
+
+
+def _run_config(**kw):
+    return RunConfig(task="synthetic_quadratic", optimizer="adam",
+                     hyperparams={"learning_rate": 0.1}, **kw)
+
+
+def _fd_check(h):
+    model = MLP((2, 2))
+    return fd_check(model, model.init_params(0), Batch(np.ones((1, 2)), np.array([1])), [0], h)
+
+
+# every size and setting checked outside the configs: (where, name in the message, rule, call)
+SITES = [
+    ("init_state", "n", "count", lambda v: init_state(v, 1e-3)),
+    ("init_state", "p0", "positive", lambda v: init_state(2, v)),
+    ("filter_update", "q", "non_negative", lambda v: _filter(q=v)),
+    ("filter_update", "r", "positive", lambda v: _filter(r=v)),
+    ("minibatches", "batch_size", "count",
+     lambda v: next(minibatches(Dataset(np.zeros((4, 1)), np.zeros(4, int)), v, 0, 0))),
+    ("synthetic_grad", "draws", "count",
+     lambda v: synthetic_grad(_quadratic_task(1.0), np.zeros(2), 0, v)),
+    ("SyntheticQuadraticTask", "noise_scale", "non_negative", _quadratic_task),
+    ("MLP", "layer_sizes[0]", "count", lambda v: MLP((v, 2))),
+    ("MLP", "layer_sizes[1]", "count", lambda v: MLP((4, v))),
+    ("SmallCNN", "in_shape[0]", "count", lambda v: SmallCNN((v, 8, 8), 3, channels=(2, 3))),
+    ("SmallCNN", "channels[0]", "count", lambda v: SmallCNN((1, 8, 8), 3, channels=(v, 3))),
+    ("SmallCNN", "channels[1]", "count", lambda v: SmallCNN((1, 8, 8), 3, channels=(2, v))),
+    ("SmallCNN", "num_classes", "count", lambda v: SmallCNN((1, 8, 8), v, channels=(2, 3))),
+    ("fd_check", "h", "positive", _fd_check),
+    ("RunConfig", "epochs", "count", lambda v: _run_config(epochs=v)),
+    ("RunConfig", "batch_size", "count", lambda v: _run_config(batch_size=v)),
+    ("RunConfig", "eval_every", "count", lambda v: _run_config(eval_every=v)),
+    ("_QuadraticModel", "n", "count", lambda v: _QuadraticModel(4, 0, n=v)),
+    ("_QuadraticModel", "steps_per_epoch", "count",
+     lambda v: _QuadraticModel(4, 0, steps_per_epoch=v)),
+]
+# a bool is never a size or a real, a float is never truncated to a size
+BAD = {"count": (True, 4.7, 0, -2),
+       "positive": (True, 0.0, -1.0, math.nan, math.inf),
+       "non_negative": (True, -1e-3, math.nan, math.inf)}
+CASES = [(f"{where}.{name}-{bad}", name, call, bad)
+         for where, name, rule, call in SITES for bad in BAD[rule]]
+
+
+@pytest.mark.parametrize("name,call,bad", [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_every_size_and_setting_is_judged_by_the_shared_rules(name, call, bad):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be "):
+        call(bad)
+
+
+@pytest.mark.parametrize("rule,call", [site[2:] for site in SITES],
+                         ids=[f"{site[0]}.{site[1]}" for site in SITES])
+def test_every_site_accepts_a_value_at_the_edge_of_its_rule(rule, call):
+    call({"count": 1, "positive": 1e-6, "non_negative": 0.0}[rule])

@@ -89,6 +89,18 @@ def test_idx_truncated_file(tmp_path):
         load_idx(path)
 
 
+@pytest.mark.parametrize("raw,message", [
+    (b"\x00\x00\x08", "too short for an IDX header"),
+    (struct.pack(">II", 0x00000803, 5), "truncated IDX header"),  # 3 dims declared, 1 given
+    (struct.pack(">I", 0x00000801), "truncated IDX header"),
+], ids=["no-magic", "images-header-cut", "labels-header-missing"])
+def test_idx_header_too_short(tmp_path, raw, message):
+    path = tmp_path / "short"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=message):
+        load_idx(path)
+
+
 def test_idx_dimension_overflow(tmp_path):
     path = tmp_path / "huge"
     path.write_bytes(struct.pack(">IIII", 0x00000803, 2**31, 2**31, 4) + b"\x00" * 4)
@@ -106,6 +118,18 @@ def test_fashion_mnist_loader_composes(tmp_path):
     train, test = load_fashion_mnist(tmp_path)
     assert len(train) == 7 and len(test) == 4
     assert train.inputs.shape == (7, 28, 28)
+
+
+def test_fashion_mnist_loader_reads_gzipped_files(tmp_path):
+    for name in ("plain", "gz"):
+        (tmp_path / name).mkdir()
+    write_fashion_mnist(tmp_path / "plain", 7, 4)
+    for path in (tmp_path / "plain").iterdir():
+        (tmp_path / "gz" / (path.name + ".gz")).write_bytes(gzip.compress(path.read_bytes()))
+    for plain, gz in zip(load_fashion_mnist(tmp_path / "plain"),
+                         load_fashion_mnist(tmp_path / "gz"), strict=True):
+        assert np.array_equal(plain.pixels, gz.pixels)
+        assert np.array_equal(plain.labels, gz.labels)
 
 
 def test_fashion_mnist_missing_file(tmp_path):
@@ -151,6 +175,15 @@ def test_cifar_truncated_record(tmp_path):
     (tmp_path / "test.bin").write_bytes(b"\x00" * 3074)
     with pytest.raises(ValueError, match="record"):
         load_cifar_binary(tmp_path, 100)
+
+
+def test_cifar_missing_file(tmp_path):
+    rng = np.random.default_rng(4)
+    for i in (1, 2, 3, 5):  # data_batch_4.bin is missing
+        write_cifar10_batch(tmp_path / f"data_batch_{i}.bin", [1], rng)
+    write_cifar10_batch(tmp_path / "test_batch.bin", [1], rng)
+    with pytest.raises(FileNotFoundError, match="missing dataset file .*data_batch_4.bin"):
+        load_cifar_binary(tmp_path, 10)
 
 
 def test_cifar_bad_which(tmp_path):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kltrust import surrogate
@@ -58,6 +58,14 @@ def test_distribution_rejects_nonpositive_variance():
     for mu, sigma2 in (([np.inf], [1.0]), ([np.nan], [1.0]), ([0.0], [np.inf])):
         with pytest.raises(NonFiniteError):
             dist(mu, sigma2)
+
+
+@pytest.mark.parametrize("mu,sigma2", [
+    ([0.0, 1.0], [1.0]), ([0.0], [1.0, 1.0]), ([[0.0]], [[1.0]]), (0.0, 1.0),
+], ids=["shorter-sigma2", "shorter-mu", "matrices", "scalars"])
+def test_distribution_rejects_mismatched_shapes(mu, sigma2):
+    with pytest.raises(ValueError, match="mu and sigma2 must be 1-d vectors of equal length"):
+        dist(mu, sigma2)
 
 
 def test_params_validation():
@@ -447,15 +455,23 @@ def c_mu_and_rounding(a, b, prev, eta, tr):
     return c, err
 
 
+@st.composite
+def monotone_instances(draw):
+    """A dual instance and two multipliers lo <= hi. At eta = 0 the mean is
+    undefined where a_j + rho*lambda = 0, so 0 is drawn only where it is not;
+    any eta >= ETA_MIN keeps every denominator positive."""
+    a, b, prev, tr = draw(dual_instances())
+    eta = floats(ETA_MIN, 1e6)
+    if np.all(a + tr.rho * tr.lambda_prec > 0.0):
+        eta = st.one_of(st.just(0.0), eta)
+    return a, b, prev, tr, *sorted(draw(st.lists(eta, min_size=2, max_size=2)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(dual_instances(), st.lists(st.one_of(st.just(0.0), floats(ETA_MIN, 1e6)),
-                                  min_size=2, max_size=2))
+@given(monotone_instances())
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # C overflows near a_j = 0
-def test_c_mu_monotone_in_eta(instance, etas):
-    a, b, prev, tr = instance
-    lo, hi = sorted(etas)
-    # at eta = 0 the mean is undefined where a_j + rho*lambda = 0
-    assume(np.all(a + lo / prev.sigma2 + tr.rho * tr.lambda_prec > 0.0))
+def test_c_mu_monotone_in_eta(instance):
+    a, b, prev, tr, lo, hi = instance
     c_lo, err_lo = c_mu_and_rounding(a, b, prev, lo, tr)
     c_hi, err_hi = c_mu_and_rounding(a, b, prev, hi, tr)
     assert c_lo == math.inf or c_lo >= c_hi - (err_lo + err_hi)
