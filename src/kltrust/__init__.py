@@ -10,7 +10,7 @@ from .data import (
     minibatches,
     synthetic_grad,
 )
-from .harness import RunConfig, ablation_run, run, summarize, verify_hparams
+from .harness import RunConfig, run, summarize, verify_hparams
 from .models import MLP, Batch, SmallCNN, fd_check
 from .optimizer import StepDiagnostics, TrustRegionConfig, TrustRegionOptimizer
 from .surrogate import SurrogateState, filter_update, init_state
@@ -45,7 +45,6 @@ __all__ = [
     "SyntheticQuadraticTask",
     "TrustRegionConfig",
     "TrustRegionOptimizer",
-    "ablation_run",
     "dual_derivative",
     "fd_check",
     "filter_update",

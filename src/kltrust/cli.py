@@ -3,19 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .harness import RunConfig, run, summarize, verify_hparams
-from .optimizer import MODES
-
-
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(s) for s in text.split(",") if s.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed list {text!r}; expected e.g. 0,1,2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,9 +18,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one (task, optimizer, seeds) cell")
     p_run.add_argument("--config", required=True, help="path to a JSON run config")
-    p_run.add_argument("--seeds", type=_parse_seeds, help="override seeds, e.g. 0,1,2")
-    p_run.add_argument("--out", help="override output directory")
-    p_run.add_argument("--variant", choices=MODES, help="override trust-region variant")
 
     sub.add_parser("verify-hparams", help="check shipped presets against the tuned tables")
 
@@ -52,11 +40,7 @@ def main(argv=None) -> int:
         if args.command == "summarize":
             print(json.dumps(summarize(args.in_dir), indent=2))
             return 0
-        config = RunConfig.from_json(args.config)
-        overrides = {"seeds": args.seeds, "out_dir": args.out, "variant": args.variant}
-        overrides = {name: value for name, value in overrides.items() if value is not None}
-        config = dataclasses.replace(config, **overrides)
-        result = run(config)
+        result = run(RunConfig.from_json(args.config))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -395,11 +395,6 @@ def run(config: RunConfig) -> RunResult:
     }
     summary_path.write_text(json.dumps(summary, indent=2))
     return RunResult(csv_path, summary_path, summary)
-
-
-def ablation_run(config: RunConfig, variant: str) -> RunResult:
-    """run() with the trust-region mode swapped to an ablation variant."""
-    return run(replace(config, variant=variant))
 
 
 def summarize(in_dir) -> dict:

@@ -206,6 +206,9 @@ class SmallCNN(_FlatParams):
     """conv3x3(c1) - relu - pool2 - conv3x3(c2) - relu - pool2 - dense."""
 
     def __init__(self, in_shape=(1, 28, 28), num_classes=10, channels=(16, 32)):
+        for name, value, length in (("in_shape", in_shape, 3), ("channels", channels, 2)):
+            if len(value) != length:
+                raise ValueError(f"{name} must have {length} entries, got {value!r}")
         sizes = {f"in_shape[{i}]": d for i, d in enumerate(in_shape)}
         sizes.update({f"channels[{i}]": d for i, d in enumerate(channels)})
         check("count", num_classes=num_classes, **sizes)

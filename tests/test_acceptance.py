@@ -8,6 +8,7 @@ $KLTRUST_DATA_DIR/fashion_mnist/ and skip with instructions otherwise.
 import math
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from kltrust.data import SyntheticQuadraticTask, synthetic_grad
 from kltrust.harness import (
     DATA_DIR_ENV,
     RunConfig,
-    ablation_run,
     read_metrics_csv,
     run,
     verify_hparams,
@@ -401,8 +401,8 @@ def test_criterion_09_ablation_harness(tmp_path, monkeypatch):
         task_params={"steps_per_epoch": 25},
         out_dir=str(tmp_path / "ablations"),
     )
-    _assert_variant_schema(ablation_run(base, "fixed-eta"), "fixed-eta")
-    _assert_variant_schema(ablation_run(base, "adam-surrogate"), "adam-surrogate")
+    for variant in ("fixed-eta", "adam-surrogate"):
+        _assert_variant_schema(run(replace(base, variant=variant)), variant)
 
     # forced-constant-eta standard mode equals fixed-eta mode bitwise
     eta = 3.0
@@ -436,8 +436,8 @@ def test_criterion_09b_ablations_on_desk_benchmark(tmp_path):
         epochs=1,
         seeds=(0,),
     )
-    _assert_variant_schema(ablation_run(cfg, "fixed-eta"), "fixed-eta")
-    _assert_variant_schema(ablation_run(cfg, "adam-surrogate"), "adam-surrogate")
+    for variant in ("fixed-eta", "adam-surrogate"):
+        _assert_variant_schema(run(replace(cfg, variant=variant)), variant)
     _report(9, "desk-scale ablation variants run to completion")
 
 

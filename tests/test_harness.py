@@ -17,7 +17,6 @@ from kltrust.harness import (
     MetricsRecord,
     RunConfig,
     aggregate,
-    ablation_run,
     read_metrics_csv,
     run,
     summarize,
@@ -590,9 +589,9 @@ def test_every_traced_solve_reads_the_bound_of_its_epoch(tmp_path):
     assert traced == [0.02] * 10 + [eps1] * 20
 
 
-def test_ablation_run_tags_variant(tmp_path):
+def test_config_variant_tags_rows_and_summary(tmp_path):
     base = synth_config(tmp_path, hyperparams={"fixed_eta": 5.0})
-    result = ablation_run(base, "fixed-eta")
+    result = run(replace(base, variant="fixed-eta"))
     rows = read_metrics_csv(result.csv_path)
     assert all(r.variant == "fixed-eta" for r in rows)
     assert result.summary["variant"] == "fixed-eta"
@@ -741,14 +740,16 @@ def test_cli_run_and_summarize(tmp_path, capsys):
         "optimizer": "trust_region",
         "epochs": 1,
         "batch_size": 2,
-        "seeds": [0],
+        "seeds": [0, 1],
         "milestones": [],
         "task_params": {"steps_per_epoch": 5},
         "out_dir": str(tmp_path / "runs"),
     }))
-    assert cli_main(["run", "--config", str(cfg_path), "--seeds", "0,1"]) == 0
+    assert cli_main(["run", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "metrics:" in out and "summary:" in out
+    csv_path = tmp_path / "runs" / "synthetic_quadratic_trust_region_standard.csv"
+    assert {r.seed for r in read_metrics_csv(csv_path)} == {0, 1}
     assert cli_main(["summarize", "--in", str(tmp_path / "runs")]) == 0
     assert "per_epoch" in capsys.readouterr().out
 
@@ -759,11 +760,14 @@ def test_cli_summarize_of_a_directory_without_csvs_is_one_error_line(tmp_path, c
     assert capsys.readouterr().err == f"error: no metrics CSV files under {tmp_path}\n"
 
 
-def test_cli_rejects_a_seed_list_that_does_not_parse(tmp_path, capsys):
+@pytest.mark.parametrize("flag,value", [("--seeds", "0,1"), ("--out", "runs"),
+                                        ("--variant", "fixed-eta")])
+def test_cli_run_takes_no_override_of_its_config(tmp_path, capsys, flag, value):
+    # seeds, out_dir and variant are the config's; the CLI does not re-target it
     with pytest.raises(SystemExit) as exc:
-        cli_main(["run", "--config", str(tmp_path / "cfg.json"), "--seeds", "1,x"])
+        cli_main(["run", "--config", str(tmp_path / "cfg.json"), flag, value])
     assert exc.value.code == 2
-    assert "bad seed list '1,x'; expected e.g. 0,1,2" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
@@ -815,11 +819,11 @@ def test_cli_rejected_config_is_an_error_line(tmp_path, capsys):
         assert cli_main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-    # an override that the config rejects, and a config file that is not there
-    cfg_path.write_text(json.dumps({**base, "optimizer": "adam",
-                                    "hyperparams": {"learning_rate": 0.1}}))
-    assert cli_main(["run", "--config", str(cfg_path), "--variant", "fixed-eta"]) == 2
-    assert cli_main(["run", "--config", str(cfg_path), "--seeds", "0,0"]) == 2
+    # an ablation variant of a baseline, repeated seeds, and a config file that is not there
+    adam = {**base, "optimizer": "adam", "hyperparams": {"learning_rate": 0.1}}
+    for bad in ({"variant": "fixed-eta"}, {"seeds": [0, 0]}):
+        cfg_path.write_text(json.dumps({**adam, **bad}))
+        assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     assert capsys.readouterr().err.count("error: ") == 3
     assert not (tmp_path / "runs").exists()
@@ -924,11 +928,12 @@ def test_epsilon_decay_past_the_last_epoch_is_not_checked(tmp_path):
 
 
 @pytest.mark.parametrize("variant", MODES)
-def test_cli_variant_override(tmp_path, variant):
+def test_cli_runs_the_variant_its_config_names(tmp_path, variant):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "task": "synthetic_quadratic",
         "optimizer": "trust_region",
+        "variant": variant,
         "hyperparams": {"fixed_eta": 2.0},
         "epochs": 1,
         "batch_size": 2,
@@ -937,7 +942,7 @@ def test_cli_variant_override(tmp_path, variant):
         "task_params": {"steps_per_epoch": 5},
         "out_dir": str(tmp_path / "runs"),
     }))
-    assert cli_main(["run", "--config", str(cfg_path), "--variant", variant]) == 0
+    assert cli_main(["run", "--config", str(cfg_path)]) == 0
     rows = read_metrics_csv(tmp_path / "runs" / f"synthetic_quadratic_trust_region_{variant}.csv")
     assert rows and all(r.variant == variant for r in rows)
 

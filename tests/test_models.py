@@ -88,6 +88,17 @@ def test_forward_shape_mismatch():
         cnn.forward_loss(np.zeros(cnn.n_params), Batch(np.zeros((1, 3, 28, 28)), np.zeros(1, int)))
 
 
+@pytest.mark.parametrize("in_shape,channels,match", [
+    ((1, 8, 8), (2, 3, 4), r"^channels must have 2 entries, got \(2, 3, 4\)$"),
+    ((1, 8, 8), (2,), r"^channels must have 2 entries, got \(2,\)$"),
+    ((8, 8), (2, 3), r"^in_shape must have 3 entries, got \(8, 8\)$"),
+], ids=["three-channels", "one-channel", "no-channel-axis"])
+def test_small_cnn_names_a_mis_sized_shape(in_shape, channels, match):
+    # not a bare unpacking error ("too many values to unpack")
+    with pytest.raises(ValueError, match=match):
+        SmallCNN(in_shape, 3, channels=channels)
+
+
 def test_label_out_of_range():
     model = MLP((4, 2))
     with pytest.raises(ValueError):
