@@ -9,10 +9,14 @@ for SGD and Adam, decoupled for AdamW.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
+import os
 import sys
+import threading
 from dataclasses import dataclass, replace
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -71,6 +75,100 @@ def check_decay(config) -> None:
     if not (finite(value) and value >= sys.float_info.min):
         raise ValueError(f"{name} decayed by {factor} at milestones "
                          f"{config.schedule_milestones} leaves the normal float range: {value!r}")
+
+
+# halves(): whole-vector work split across two threads
+
+# Below this many elements (n rows of `width`) a split runs inline. Handing a
+# half to the worker and taking its reply costs about 25 us. Measured on a
+# 2-vCPU VM with one-thread BLAS: an Adam step breaks even near n = 32K
+# (0.60 ms inline, 0.55 ms split) and is 1.5x faster at n = 203,530; the
+# 784-256-10 MLP's gradient at batch 128 (32K first-layer outputs) is 1.5x
+# faster, and a 128-128-10 MLP's (16K) is 20% slower.
+MIN_SPLIT = 1 << 15
+# The first half's length is a multiple of this: whole cache lines of float64,
+# and whole micro-tiles of the BLAS kernels (models._matmul_by_rows).
+ALIGN = 64
+
+
+class _Worker:
+    """A daemon thread that runs the first half of each split: it takes
+    (context, fn, part) from `todo` and answers on `done` with None or the
+    exception fn raised, so a caller never waits for a reply that cannot come."""
+
+    def __init__(self):
+        self.todo: SimpleQueue = SimpleQueue()
+        self.done: SimpleQueue = SimpleQueue()
+        threading.Thread(target=self._serve, name="kltrust-halves", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            job = self.todo.get()
+            try:
+                job[0].run(job[1], job[2])
+            except BaseException as exc:  # raised again in the caller
+                reply = exc
+            else:
+                reply = None
+            # dropped before the reply: held here until the next job, fn's
+            # arrays would outlive the call, and the caller's next arrays
+            # would take fresh pages instead of the ones these free
+            job = None
+            self.done.put(reply)
+
+
+_worker: _Worker | None = None  # started by the first split, never at import
+_busy = threading.Lock()  # held by the call whose half the worker has
+_forked = False  # in a child after fork, where the worker thread does not exist
+
+
+def _after_fork_in_child() -> None:
+    global _worker, _forked
+    _worker, _forked = None, True
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without the call
+        return os.cpu_count() or 1
+
+
+def halves(fn, n: int, width: int = 1) -> None:
+    """Run fn(part) over two slices that cover range(n): the first, a multiple
+    of ALIGN long, on a worker thread in the caller's context (numpy's
+    errstate included), the second here; an exception from the worker's
+    half is raised here.
+
+    For numpy and BLAS work that releases the GIL: fn writes only its own
+    part of arrays the caller allocated, and calls nothing the bench wraps
+    (its tracer keeps one span stack). fn(slice(0, n)) runs here alone when
+    the process may use one CPU, when n rows of `width` elements are fewer
+    than MIN_SPLIT or than two ALIGNs of rows, in a child after fork, and
+    while another call has the worker.
+    """
+    global _worker
+    half = n // 2 // ALIGN * ALIGN
+    if (not half or n * width < MIN_SPLIT or _forked or _cpus() < 2
+            or not _busy.acquire(blocking=False)):
+        fn(slice(0, n))
+        return
+    try:
+        if _worker is None:
+            _worker = _Worker()
+        _worker.todo.put((contextvars.copy_context(), fn, slice(0, half)))
+        try:
+            fn(slice(half, n))
+        finally:
+            raised = _worker.done.get()
+    finally:
+        _busy.release()
+    if raised is not None:
+        raise raised
 
 
 @dataclass
@@ -146,7 +244,8 @@ class SGDMomentum(Optimizer):
 
 
 class AdamMoments:
-    """Adam's moment estimates; `update` writes m and v in place."""
+    """Adam's moment estimates, and the two work vectors each update writes,
+    held across steps so that an Adam step allocates only its new point."""
 
     def __init__(self, n: int, beta1: float, beta2: float, eps: float):
         self.beta1 = beta1
@@ -154,26 +253,40 @@ class AdamMoments:
         self.eps = eps
         self.m = np.zeros(n)
         self.v = np.zeros(n)
+        self.m_hat = np.empty(n)
+        self.denom = np.empty(n)
         self.t = 0
 
-    def update(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fold in one gradient; return the bias-corrected m_hat and Adam's
-        denominator sqrt(v_hat) + eps, as new arrays the caller may overwrite."""
+    def update(self, grad: np.ndarray, then=None) -> tuple[np.ndarray, np.ndarray]:
+        """Fold in one gradient; write the bias-corrected m_hat and Adam's
+        denominator sqrt(v_hat) + eps into the work vectors and return them,
+        for the caller to read or overwrite until the next update. The two
+        halves of the vectors are written by two threads (halves), and each
+        then runs then(part) on its half, if given."""
         self.t += 1
-        # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2, with
-        # the same roundings as those expressions
-        x = np.multiply(grad, 1.0 - self.beta1)
-        self.m *= self.beta1
-        self.m += x
-        np.multiply(grad, grad, out=x)
-        x *= 1.0 - self.beta2
-        self.v *= self.beta2
-        self.v += x
-        m_hat = np.divide(self.m, 1.0 - self.beta1**self.t, out=x)
-        denom = self.v / (1.0 - self.beta2**self.t)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        return m_hat, denom
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+
+        def part(s: slice) -> None:
+            g, m, v, x, d = grad[s], self.m[s], self.v[s], self.m_hat[s], self.denom[s]
+            # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2, with
+            # the same roundings as those expressions
+            np.multiply(g, 1.0 - self.beta1, out=x)
+            m *= self.beta1
+            m += x
+            np.multiply(g, g, out=x)
+            x *= 1.0 - self.beta2
+            v *= self.beta2
+            v += x
+            np.divide(m, c1, out=x)
+            np.divide(v, c2, out=d)
+            np.sqrt(d, out=d)
+            d += self.eps
+            if then is not None:
+                then(s)
+
+        halves(part, len(self.m))
+        return self.m_hat, self.denom
 
 
 class Adam(Optimizer):
@@ -184,18 +297,29 @@ class Adam(Optimizer):
         super().__init__(n, config, mu0)
         self.moments = AdamMoments(n, config.beta1, config.beta2, config.adam_eps)
 
-    def _delta(self, grad: np.ndarray) -> np.ndarray:
-        """lr * m_hat / (sqrt(v_hat) + eps), written into update's buffers."""
-        m_hat, denom = self.moments.update(grad)
-        m_hat *= self.config.learning_rate
-        m_hat /= denom
-        return m_hat
+    def _move(self, grad: np.ndarray, keep: float) -> None:
+        """Bind mean to a new vector, keep * mean - lr * m_hat / denom, each
+        half written by the thread that computed its m_hat and denom."""
+        lr, old, new = self.config.learning_rate, self.mean, np.empty(self.n)
+
+        def then(s: slice) -> None:
+            delta = self.moments.m_hat[s]
+            delta *= lr
+            delta /= self.moments.denom[s]
+            if keep == 1.0:
+                np.subtract(old[s], delta, out=new[s])
+            else:
+                np.multiply(old[s], keep, out=new[s])
+                new[s] -= delta
+
+        self.moments.update(grad, then)
+        self.mean = new
 
     def step(self, grad: np.ndarray) -> None:
         grad = self._check(grad)
         if self.config.weight_decay > 0.0:
             grad = grad + self.config.weight_decay * self.mean
-        self.mean = self.mean - self._delta(grad)
+        self._move(grad, 1.0)
 
 
 class AdamW(Adam):
@@ -203,7 +327,5 @@ class AdamW(Adam):
 
     def step(self, grad: np.ndarray) -> None:
         grad = self._check(grad)
-        if self.config.weight_decay > 0.0:
-            self.mean = self.mean * (1.0 - self.config.learning_rate * self.config.weight_decay)
-        self.mean = self.mean - self._delta(grad)
-
+        # 1.0 without decay, and then the point is not scaled
+        self._move(grad, 1.0 - self.config.learning_rate * self.config.weight_decay)

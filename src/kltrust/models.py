@@ -14,12 +14,13 @@ activation: max(z, 0) > 0 exactly where z > 0, NaN included.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .baselines import check
+from .baselines import check, halves
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,24 @@ def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
     dlogits = expz / sumexp
     dlogits[np.arange(batch), targets] -= 1.0
     return loss, dlogits / batch
+
+
+def _matmul_by_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.matmul(a, b, out=out), its rows written by two threads (halves) when
+    b's width is a multiple of 8.
+
+    A row's bits then do not depend on the split: probed on OpenBLAS 0.3.31's
+    SkylakeX, Haswell, Zen, SandyBridge, Nehalem and Prescott kernels, with
+    BLAS on one thread and the split at a multiple of 64 rows. At other
+    widths the SkylakeX kernels round some rows near the split differently,
+    so those products are one call.
+    """
+    if out is None:
+        out = np.empty((len(a), b.shape[1]))
+    if b.shape[1] % 8:
+        return np.matmul(a, b, out=out)
+    halves(lambda s: np.matmul(a[s], b, out=out[s]), len(a), b.shape[1])
+    return out
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -111,15 +130,21 @@ class _FlatParams:
         return grad, self.unflatten(grad)
 
 
+def _sizes(name: str, value, length: int | None = None) -> tuple[int, ...]:
+    """The entries of `value`, each an integer >= 1, as ints: `length` of them,
+    or at least two when length is None."""
+    entries = tuple(value) if isinstance(value, Iterable) else None
+    if entries is None or (len(entries) != length if length else len(entries) < 2):
+        raise ValueError(f"{name} must have {length or '>= 2'} entries, got {value!r}")
+    check("count", **{f"{name}[{i}]": v for i, v in enumerate(entries)})
+    return tuple(map(int, entries))
+
+
 class MLP(_FlatParams):
     """Fully connected ReLU network; layer_sizes like (784, 256, 10)."""
 
     def __init__(self, layer_sizes):
-        layer_sizes = tuple(layer_sizes)
-        if len(layer_sizes) < 2:
-            raise ValueError(f"need >= 2 layer sizes, got {layer_sizes}")
-        check("count", **{f"layer_sizes[{i}]": s for i, s in enumerate(layer_sizes)})
-        self.layer_sizes = layer_sizes = tuple(map(int, layer_sizes))
+        self.layer_sizes = layer_sizes = _sizes("layer_sizes", layer_sizes)
         super().__init__([((i, o), (o,)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])],
                          layer_sizes[:1], layer_sizes[-1])
 
@@ -127,7 +152,7 @@ class MLP(_FlatParams):
         parts = self.unflatten(np.asarray(params, dtype=np.float64))
         acts = [x]
         for li in range(len(self._shapes)):
-            z = acts[-1] @ parts[2 * li] + parts[2 * li + 1]
+            z = _matmul_by_rows(acts[-1], parts[2 * li]) + parts[2 * li + 1]
             if li < len(self._shapes) - 1:
                 np.maximum(z, 0.0, out=z)
             acts.append(z)
@@ -144,7 +169,7 @@ class MLP(_FlatParams):
         loss, delta = _softmax_ce(acts[-1], batch.targets)
         grad, views = self._empty_grad()
         for li in reversed(range(len(self._shapes))):
-            np.matmul(acts[li].T, delta, out=views[2 * li])
+            _matmul_by_rows(acts[li].T, delta, out=views[2 * li])
             delta.sum(axis=0, out=views[2 * li + 1])
             if li > 0:
                 delta = (delta @ parts[2 * li].T) * (acts[li] > 0.0)
@@ -206,16 +231,11 @@ class SmallCNN(_FlatParams):
     """conv3x3(c1) - relu - pool2 - conv3x3(c2) - relu - pool2 - dense."""
 
     def __init__(self, in_shape=(1, 28, 28), num_classes=10, channels=(16, 32)):
-        for name, value, length in (("in_shape", in_shape, 3), ("channels", channels, 2)):
-            if len(value) != length:
-                raise ValueError(f"{name} must have {length} entries, got {value!r}")
-        sizes = {f"in_shape[{i}]": d for i, d in enumerate(in_shape)}
-        sizes.update({f"channels[{i}]": d for i, d in enumerate(channels)})
-        check("count", num_classes=num_classes, **sizes)
-        c, h, w = map(int, in_shape)
+        c, h, w = _sizes("in_shape", in_shape, 3)
+        self.channels = c1, c2 = _sizes("channels", channels, 2)
+        check("count", num_classes=num_classes)
         if h % 4 != 0 or w % 4 != 0:
             raise ValueError("input height/width must be divisible by 4")
-        self.channels = c1, c2 = tuple(map(int, channels))
         self._dense_in = c2 * (h // 4) * (w // 4)
         k = int(num_classes)
         super().__init__([((c1, c, 3, 3), (c1,)), ((c2, c1, 3, 3), (c2,)),

@@ -1,0 +1,263 @@
+"""baselines.halves: whole-vector work in two halves on two threads, bitwise
+the one-thread result. A test forces the one-thread path by giving the
+process one CPU, and the two-thread path by giving it two, which the worker
+thread needs only to overlap, not to compute the same bits."""
+
+import copy
+import csv
+import functools
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from test_bench_seams import _load_perfbench
+
+from kltrust import baselines
+from kltrust.baselines import MIN_SPLIT, Adam, AdamW, BaselineConfig, halves
+from kltrust.models import MLP, Batch, _matmul_by_rows
+from kltrust.optimizer import TrustRegionConfig, TrustRegionOptimizer
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+N = 2 * MIN_SPLIT + 1  # split into halves of MIN_SPLIT and MIN_SPLIT + 1
+
+
+def on_cpus(monkeypatch, cpus, fn):
+    """fn() while the process may run on `cpus` CPUs."""
+    with monkeypatch.context() as m:
+        m.setattr(baselines, "_cpus", lambda: cpus)
+        return fn()
+
+
+def worker_running() -> bool:
+    return any(t.name == "kltrust-halves" for t in threading.enumerate())
+
+
+def both_ways(monkeypatch, fn):
+    """fn() on one CPU and on two, the second with the worker thread running."""
+    inline = on_cpus(monkeypatch, 1, fn)
+    threaded = on_cpus(monkeypatch, 2, fn)
+    assert worker_running()
+    return inline, threaded
+
+
+@pytest.mark.parametrize("n", [MIN_SPLIT, N])
+def test_each_half_runs_once_and_the_first_on_the_worker(monkeypatch, n):
+    seen = []
+    on_cpus(monkeypatch, 2, lambda: halves(lambda s: seen.append((s, threading.get_ident())), n))
+    (first, worker), (second, caller) = sorted(seen, key=lambda p: p[0].start)
+    assert (first, second) == (slice(0, n // 2), slice(n // 2, n))
+    assert caller == threading.get_ident() != worker
+
+
+@pytest.mark.parametrize("cpus,n", [(1, N), (2, MIN_SPLIT - 1)], ids=["one-cpu", "below-floor"])
+def test_one_cpu_or_a_small_n_runs_inline(monkeypatch, cpus, n):
+    seen = []
+    on_cpus(monkeypatch, cpus, lambda: halves(lambda s: seen.append((s, threading.get_ident())), n))
+    assert seen == [(slice(0, n), threading.get_ident())]
+
+
+def _step(cls, n=N, steps=3, **config):
+    rng = np.random.default_rng(7)
+    opt = cls(n, BaselineConfig(learning_rate=1e-3, **config), rng.normal(size=n))
+    for _ in range(steps):
+        opt.step(rng.normal(size=n))
+    return opt.mean.tobytes(), opt.moments.m.tobytes(), opt.moments.v.tobytes()
+
+
+@pytest.mark.parametrize("cls,config", [
+    (Adam, {}),
+    (Adam, {"weight_decay": 0.1}),
+    (AdamW, {"weight_decay": 0.1}),
+], ids=["adam", "adam-coupled-decay", "adamw-decoupled-decay"])
+def test_adam_steps_are_bitwise_the_one_cpu_steps(monkeypatch, cls, config):
+    inline, threaded = both_ways(monkeypatch, lambda: _step(cls, **config))
+    assert inline == threaded
+
+
+def test_an_adam_surrogate_step_is_bitwise_the_one_cpu_step(monkeypatch):
+    def steps():
+        rng = np.random.default_rng(8)
+        opt = TrustRegionOptimizer(N, TrustRegionConfig(mode="adam-surrogate"),
+                                   rng.normal(size=N))
+        diags = [opt.step(rng.normal(size=N)) for _ in range(3)]
+        return diags, opt.dist.mu.tobytes(), opt.dist.sigma2.tobytes()
+
+    inline, threaded = both_ways(monkeypatch, steps)
+    assert inline == threaded
+
+
+@pytest.mark.parametrize("sizes,rows", [
+    ((784, 256, 10), 128),
+    ((784, 256, 10), 127),
+    ((784, 256, 10), 1),
+    ((785, 264, 10), 131),
+    ((785, 255, 10), 131),
+], ids=["batch-128", "batch-127", "batch-1", "odd-rows", "width-not-a-multiple-of-8"])
+def test_mlp_gradient_and_loss_are_bitwise_the_one_cpu_ones(monkeypatch, sizes, rows):
+    model = MLP(sizes)
+    params = model.init_params(seed=4)
+    rng = np.random.default_rng(rows)
+    batch = Batch(rng.random((rows, sizes[0])), rng.integers(0, sizes[-1], rows))
+
+    def both():
+        loss, grad = model.loss_and_grad(params, batch)
+        eval_loss, logits = model.forward_loss(params, batch)
+        return loss, grad.tobytes(), eval_loss, logits.tobytes()
+
+    inline, threaded = both_ways(monkeypatch, both)
+    assert inline == threaded
+
+
+@pytest.mark.parametrize("rows,inner,width", [
+    (128, 784, 256), (131, 785, 264), (200, 10, 512), (255, 127, 136), (1000, 64, 64),
+])
+@pytest.mark.parametrize("transposed", [False, True], ids=["a", "a.T"])
+def test_a_row_split_product_is_bitwise_one_call(monkeypatch, rows, inner, width, transposed):
+    rng = np.random.default_rng(rows)
+    a = rng.random((inner, rows)).T if transposed else rng.random((rows, inner))
+    b = rng.random((inner, width))
+    split = on_cpus(monkeypatch, 2, lambda: _matmul_by_rows(a, b))
+    assert worker_running()
+    assert split.tobytes() == np.matmul(a, b).tobytes()
+
+
+def test_an_exception_in_the_workers_half_is_raised_in_the_caller(monkeypatch):
+    out = np.zeros(N)
+
+    def fill(s, fail):
+        if fail and s.start == 0:  # the worker's half
+            raise KeyError("the worker's half")
+        out[s] = s.start + 1
+
+    with pytest.raises(KeyError, match="the worker's half"):
+        on_cpus(monkeypatch, 2, lambda: halves(functools.partial(fill, fail=True), N))
+    assert np.all(out[:N // 2] == 0) and np.all(out[N // 2:] == N // 2 + 1)
+    on_cpus(monkeypatch, 2, lambda: halves(functools.partial(fill, fail=False), N))
+    assert np.all(out[:N // 2] == 1)
+
+
+def test_concurrent_callers_each_get_their_own_halves(monkeypatch):
+    # one worker serves every thread: a second caller must not take the
+    # reply meant for the first, and so return before its own half is written
+    monkeypatch.setattr(baselines, "_cpus", lambda: 2)
+    wrong = []
+
+    def caller(k):
+        out = np.zeros(N)
+
+        def fill(s):
+            out[s] = k
+
+        for _ in range(50):
+            out[:] = 0.0
+            halves(fill, N)
+            if not np.all(out == k):
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(1, 5)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_importing_kltrust_starts_no_thread():
+    code = ("import threading\n"
+            "before = threading.active_count()\n"
+            "import kltrust, kltrust.cli, kltrust.harness\n"
+            "assert threading.active_count() == before, threading.enumerate()\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def _step_in_child(opt, grad, expected):
+    opt.step(grad)
+    if opt.mean.tobytes() != expected:
+        raise SystemExit(1)
+
+
+# Python 3.12 and later warn that fork() in a process with threads may deadlock
+# the child; the child's own step must not
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_child_forked_after_a_threaded_step_steps_on_its_own(monkeypatch):
+    monkeypatch.setattr(baselines, "_cpus", lambda: 2)
+    rng = np.random.default_rng(9)
+    opt = Adam(N, BaselineConfig(learning_rate=1e-3), rng.normal(size=N))
+    opt.step(rng.normal(size=N))
+    assert worker_running()
+    grad = rng.normal(size=N)
+    reference = copy.deepcopy(opt)
+    reference.step(grad)
+    child = multiprocessing.get_context("fork").Process(
+        target=_step_in_child, args=(opt, grad, reference.mean.tobytes()))
+    child.start()
+    try:
+        child.join(timeout=60)
+        assert not child.is_alive(), "the forked child's step did not finish"
+    finally:
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_warm_adam_step_allocates_only_its_new_point(monkeypatch, cpus):
+    rng = np.random.default_rng(10)
+    opt = Adam(N, BaselineConfig(learning_rate=1e-3), rng.normal(size=N))
+    grad = rng.normal(size=N)
+    on_cpus(monkeypatch, cpus, lambda: opt.step(grad))  # the worker, if any, is started
+    tracemalloc.start()
+    try:
+        on_cpus(monkeypatch, cpus, lambda: opt.step(grad))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * N <= peak < 8 * N + 64 * 1024, peak / (8 * N)
+
+
+def _cli_run(tmp_path, name, data, one_cpu):
+    out = tmp_path / name
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps({
+        "task": "fashion_mnist_mlp", "optimizer": "adam", "preset": "fashion_mnist_cnn",
+        "epochs": 2, "batch_size": 128, "seeds": [0, 1], "milestones": [],
+        "data_dir": str(data), "out_dir": str(out)}))
+    pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if one_cpu else ""
+    code = ("import os, runpy, sys\n" + pin
+            + f"sys.argv = ['kltrust', 'run', '--config', {str(config)!r}]\n"
+            "runpy.run_module('kltrust.cli', run_name='__main__', alter_sys=True)\n")
+    # with BLAS on one thread (conftest.py), which the child inherits
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=300,
+                   env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True)
+    (csv_path,) = out.glob("*.csv")
+    with open(csv_path, newline="") as f:
+        rows = [{k: v for k, v in row.items() if k != "wall_seconds"}
+                for row in csv.DictReader(f)]
+    (summary,) = out.glob("*_summary.json")
+    return rows, json.loads(summary.read_text())
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a process that may run on two CPUs")
+def test_a_run_on_one_cpu_writes_what_a_run_on_two_writes(tmp_path):
+    # the MLP's first layer (128 x 256 outputs) and its Adam step
+    # (n = 203,530) are both above MIN_SPLIT, so the two-CPU run splits both
+    data = _load_perfbench("idxgen").write_fashion_mnist(tmp_path / "data", 0, 512, 256)
+    one = _cli_run(tmp_path, "one-cpu", data, one_cpu=True)
+    two = _cli_run(tmp_path, "two-cpus", data, one_cpu=False)
+    assert len(one[0]) == 4
+    assert one == two

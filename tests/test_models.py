@@ -92,11 +92,22 @@ def test_forward_shape_mismatch():
     ((1, 8, 8), (2, 3, 4), r"^channels must have 2 entries, got \(2, 3, 4\)$"),
     ((1, 8, 8), (2,), r"^channels must have 2 entries, got \(2,\)$"),
     ((8, 8), (2, 3), r"^in_shape must have 3 entries, got \(8, 8\)$"),
-], ids=["three-channels", "one-channel", "no-channel-axis"])
+    (5, (2, 3), r"^in_shape must have 3 entries, got 5$"),
+    ((1, 8, 8), 4, r"^channels must have 2 entries, got 4$"),
+], ids=["three-channels", "one-channel", "no-channel-axis", "scalar-in-shape", "scalar-channels"])
 def test_small_cnn_names_a_mis_sized_shape(in_shape, channels, match):
-    # not a bare unpacking error ("too many values to unpack")
+    # not a bare unpacking error ("too many values to unpack") or a TypeError
     with pytest.raises(ValueError, match=match):
         SmallCNN(in_shape, 3, channels=channels)
+
+
+@pytest.mark.parametrize("layer_sizes,match", [
+    (5, r"^layer_sizes must have >= 2 entries, got 5$"),
+    ((5,), r"^layer_sizes must have >= 2 entries, got \(5,\)$"),
+], ids=["scalar", "one-size"])
+def test_mlp_names_mis_sized_layer_sizes(layer_sizes, match):
+    with pytest.raises(ValueError, match=match):
+        MLP(layer_sizes)
 
 
 def test_label_out_of_range():
