@@ -20,7 +20,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .data import (
 )
 from .errors import NonFiniteError, NumericalFault
 from .models import MLP, Batch, SmallCNN
-from .optimizer import MODES, TrustRegionConfig, TrustRegionOptimizer
+from .optimizer import MODES, StepDiagnostics, TrustRegionConfig, TrustRegionOptimizer
 
 DATA_DIR_ENV = "KLTRUST_DATA_DIR"
 
@@ -45,25 +45,21 @@ OPTIMIZERS = {"trust_region": TrustRegionOptimizer, "sgd": SGDMomentum, "adam": 
               "adamw": AdamW}
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    seed: int
-    epoch: int
-    train_loss: float
-    test_accuracy: float | None
-    wall_seconds: float
-    eta_star: float | None
-    c_mu: float | None
-    bisect_iters: float | None
-    variant: str
-
+# one row per (seed, epoch); between wall_seconds and variant, one column per
+# StepDiagnostics field: its epoch mean, or None (an empty cell) for a baseline
+MetricsRecord = make_dataclass("MetricsRecord", [
+    ("seed", "int"), ("epoch", "int"), ("train_loss", "float"),
+    ("test_accuracy", "float | None"), ("wall_seconds", "float"),
+    *((f.name, "float | None") for f in fields(StepDiagnostics)), ("variant", "str"),
+], frozen=True)
+MetricsRecord.__module__ = __name__  # records pickle as kltrust.harness.MetricsRecord
 
 CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 # each column's parser, from the field's declared type; an empty cell is None
 _CELL_PARSERS = {"int": int, "float": float, "str": str,
                  "float | None": lambda cell: float(cell) if cell else None}
-_COLUMN_PARSERS = tuple((f.name, _CELL_PARSERS[f.type]) for f in fields(MetricsRecord))
+_COLUMN_PARSERS = tuple(_CELL_PARSERS[f.type] for f in fields(MetricsRecord))
 
 
 @dataclass
@@ -271,8 +267,8 @@ def _run_seed(
         opt.on_epoch_end()
         diags = [d for d in diags if d is not None]  # baselines report none
         stats = {
-            name: float(np.mean([getattr(d, name) for d in diags])) if diags else None
-            for name in ("eta_star", "c_mu", "bisect_iters")
+            f.name: float(np.mean([getattr(d, f.name) for d in diags])) if diags else None
+            for f in fields(StepDiagnostics)
         }
         accuracy = None
         due = (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1
@@ -337,14 +333,17 @@ def read_metrics_csv(path) -> list[MetricsRecord]:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-        raise ValueError(f"{path}, line 1: unexpected columns {reader.fieldnames}")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if tuple(header or ()) != CSV_COLUMNS:
+        raise ValueError(f"{path}, line 1: unexpected columns {header}")
     rows = []
-    for rec in reader:
+    for cells in filter(None, reader):  # a blank line is no row
         try:
-            rows.append(MetricsRecord(**{c: parse(rec[c]) for c, parse in _COLUMN_PARSERS}))
-        except (TypeError, ValueError) as exc:  # a bad cell, or a short row's None
+            if len(cells) != len(CSV_COLUMNS):  # a row cut short, or one with extra cells
+                raise ValueError(f"expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
+            rows.append(MetricsRecord(*(parse(c) for parse, c in zip(_COLUMN_PARSERS, cells))))
+        except ValueError as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return rows
 

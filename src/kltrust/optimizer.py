@@ -30,9 +30,10 @@ from .trust_region import (  # MODES and the config are also imported from here
 
 @dataclass(frozen=True)
 class StepDiagnostics:
+    """One step's report; each field is a metrics CSV column (its epoch mean)."""
     eta_star: float
     c_mu: float
-    bisect_iters: int
+    newton_iters: int
     clamped: int
 
 

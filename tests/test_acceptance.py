@@ -143,9 +143,9 @@ def test_criterion_02_constraint_satisfaction_and_iterations():
     iters, constrained_iters = [], []
     for step in range(300):
         diag = opt.step(synthetic_grad(task, opt.mean, step, 32))
-        iters.append(diag.bisect_iters)
+        iters.append(diag.newton_iters)
         if diag.eta_star > 0.0:
-            constrained_iters.append(diag.bisect_iters)
+            constrained_iters.append(diag.newton_iters)
     median_all = float(np.median(iters))
     assert median_all <= 6.0
     if constrained_iters:

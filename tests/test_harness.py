@@ -1,5 +1,6 @@
 import inspect
 import json
+import pickle
 import struct
 from dataclasses import fields, replace
 from pathlib import Path
@@ -23,12 +24,13 @@ from kltrust.harness import (
     verify_hparams,
     write_metrics_csv,
 )
-from kltrust.optimizer import MODES, TrustRegionConfig, TrustRegionOptimizer
+from kltrust.optimizer import MODES, StepDiagnostics, TrustRegionConfig, TrustRegionOptimizer
 from kltrust.surrogate import FilterConsistencyError
 from kltrust.trust_region import primal_variance, solve_eta
 from test_bench_seams import _load_perfbench
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DIAGNOSTICS = tuple(f.name for f in fields(StepDiagnostics))
 
 
 def synth_config(tmp_path, optimizer="trust_region", seeds=(0, 1), **kw):
@@ -51,8 +53,7 @@ def synth_config(tmp_path, optimizer="trust_region", seeds=(0, 1), **kw):
 def record(seed, epoch, acc, variant="standard"):
     return MetricsRecord(
         seed=seed, epoch=epoch, train_loss=1.0, test_accuracy=acc,
-        wall_seconds=0.1, eta_star=None, c_mu=None, bisect_iters=None,
-        variant=variant,
+        wall_seconds=0.1, **dict.fromkeys(DIAGNOSTICS), variant=variant,
     )
 
 
@@ -80,11 +81,19 @@ def test_metrics_csv_round_trip(tmp_path):
         record(3, 0, None),
         MetricsRecord(seed=4, epoch=1, train_loss=0.1 + 0.2, test_accuracy=1 / 3,
                       wall_seconds=2.5e-7, eta_star=1e12, c_mu=0.011000000000000001,
-                      bisect_iters=1.75, variant="adam-surrogate"),
+                      newton_iters=1.75, clamped=0.1 + 0.7, variant="adam-surrogate"),
     ]
     path = tmp_path / "rows.csv"
     write_metrics_csv(path, rows)
     assert list(map(repr, read_metrics_csv(path))) == list(map(repr, rows))
+    assert pickle.loads(pickle.dumps(rows)) == rows
+
+
+def test_diagnostic_columns_are_the_step_diagnostics_fields():
+    # in order, between wall_seconds and variant; each an optional float
+    start = CSV_COLUMNS.index("wall_seconds") + 1
+    assert CSV_COLUMNS[start:] == (*DIAGNOSTICS, "variant")
+    assert [f.type for f in fields(MetricsRecord)[start:-1]] == ["float | None"] * len(DIAGNOSTICS)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +335,7 @@ def test_synthetic_run_schema(tmp_path):
 def test_baseline_run_emits_null_eta(tmp_path):
     result = run(synth_config(tmp_path, optimizer="adam"))
     rows = read_metrics_csv(result.csv_path)
-    assert all(r.eta_star is None and r.bisect_iters is None for r in rows)
+    assert all(getattr(r, name) is None for r in rows for name in DIAGNOSTICS)
 
 
 def test_run_determinism_modulo_wall_clock(tmp_path):
@@ -334,9 +343,7 @@ def test_run_determinism_modulo_wall_clock(tmp_path):
     r2 = run(synth_config(tmp_path, out_dir=str(tmp_path / "b")))
     rows1, rows2 = read_metrics_csv(r1.csv_path), read_metrics_csv(r2.csv_path)
     for a, b in zip(rows1, rows2):
-        for field in ("seed", "epoch", "train_loss", "test_accuracy",
-                      "eta_star", "c_mu", "bisect_iters", "variant"):
-            assert getattr(a, field) == getattr(b, field)
+        assert replace(a, wall_seconds=0.0) == replace(b, wall_seconds=0.0)
 
 
 # every column but wall_seconds of the shipped quadratic config at seed 0,
@@ -345,23 +352,25 @@ def test_run_determinism_modulo_wall_clock(tmp_path):
 QUADRATIC_TRAJECTORY = {
     "standard": [
         (0, 0, 4.823336891172805, None, 4.075604156858167, 0.010139232941987947, 0.035,
-         "standard"),
+         0.0, "standard"),
         (0, 1, 0.018363529556156187, None, 0.18728256440839416, 0.010321387564726834, 0.065,
-         "standard"),
+         0.0, "standard"),
     ],
     "fixed-eta": [
-        (0, 0, 13.575844445328576, None, 50.0, 0.0003884492020141805, 0.0, "fixed-eta"),
-        (0, 1, 7.0382278157452784, None, 50.0, 0.00023946637882705515, 0.0, "fixed-eta"),
+        (0, 0, 13.575844445328576, None, 50.0, 0.0003884492020141805, 0.0, 0.0,
+         "fixed-eta"),
+        (0, 1, 7.0382278157452784, None, 50.0, 0.00023946637882705515, 0.0, 0.0,
+         "fixed-eta"),
     ],
     "adam-surrogate": [
         (0, 0, 6.325073460652471, None, 4.669272182078384, 0.010012017686655977, 0.0,
-         "adam-surrogate"),
+         0.0, "adam-surrogate"),
         (0, 1, 0.0481298059329859, None, 0.4103971184957897, 0.01006814794688793, 0.0,
-         "adam-surrogate"),
+         0.0, "adam-surrogate"),
     ],
     "adam": [
-        (0, 0, 4.957575392742729, None, None, None, None, "standard"),
-        (0, 1, 0.1395641970649663, None, None, None, None, "standard"),
+        (0, 0, 4.957575392742729, None, None, None, None, None, "standard"),
+        (0, 1, 0.1395641970649663, None, None, None, None, None, "standard"),
     ],
 }
 
@@ -379,15 +388,13 @@ def test_shipped_quadratic_config_trajectory_is_pinned(tmp_path, case):
     assert [tuple(getattr(r, c) for c in pinned) for r in rows] == QUADRATIC_TRAJECTORY[case]
 
 
-def test_summarize_matches_shipped_summary(tmp_path):
-    result = run(synth_config(tmp_path))
-    recomputed = summarize(result.csv_path.parent)[result.csv_path.name]
-    for mine, theirs in zip(result.summary["per_epoch"], recomputed["per_epoch"]):
-        for key in ("mean_train_loss", "mean_test_accuracy", "two_se_test_accuracy"):
-            if mine[key] is None:
-                assert theirs[key] is None
-            else:
-                assert abs(mine[key] - theirs[key]) < 1e-12
+@pytest.mark.parametrize("variant", MODES)
+def test_summarize_matches_shipped_summary(tmp_path, variant):
+    # floats are written with full repr, so the CSV reproduces the summary exactly
+    config = RunConfig.from_json(CONFIGS / "synthetic_quadratic_trust_region.json")
+    result = run(replace(config, variant=variant, out_dir=str(tmp_path)))
+    recomputed = summarize(tmp_path)[result.csv_path.name]
+    assert recomputed == {key: result.summary[key] for key in ("per_epoch", "final")}
 
 
 def _broken_filter(*args, **kwargs):
@@ -477,6 +484,27 @@ def test_completed_epochs_survive_late_divergence(tmp_path):
     assert max(epochs_present) < 3
 
 
+def test_a_seed_that_fails_midway_keeps_its_finished_epochs(tmp_path, monkeypatch):
+    # seed 1's loss turns NaN in epoch 1: its epoch-0 row stays in the CSV, and
+    # from epoch 1 on the summary's means cover the surviving seed alone
+    loss_and_grad = harness._QuadraticModel.loss_and_grad
+
+    def failing(model, params, step):
+        loss, grad = loss_and_grad(model, params, step)
+        return (np.nan if model.task.seed == 1 and step >= model.steps_per_epoch else loss), grad
+
+    monkeypatch.setattr(harness._QuadraticModel, "loss_and_grad", failing)
+    result = run(synth_config(tmp_path, seeds=(0, 1), epochs=3))
+    rows = read_metrics_csv(result.csv_path)
+    assert [(r.seed, r.epoch) for r in rows] == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert result.summary["failed_seeds"] == {"1": "non-finite loss (seed 1, epoch 1)"}
+    per_epoch = result.summary["per_epoch"]
+    assert [e["n_seeds"] for e in per_epoch] == [2, 1, 1]
+    assert per_epoch[0]["mean_train_loss"] == float(np.mean([rows[0].train_loss,
+                                                             rows[3].train_loss]))
+    assert [e["mean_train_loss"] for e in per_epoch[1:]] == [r.train_loss for r in rows[1:3]]
+
+
 def _quadratic(seed):
     n = 10
     return SyntheticQuadraticTask(
@@ -519,7 +547,7 @@ def test_harness_matches_hand_loop_baseline(tmp_path, optimizer, cls, hp):
             step += 1
         opt.on_epoch_end()
         assert row.train_loss == float(np.mean(losses))
-        assert row.eta_star is None and row.c_mu is None and row.bisect_iters is None
+        assert all(getattr(row, name) is None for name in DIAGNOSTICS)
 
 
 def test_harness_matches_hand_loop_trust_region(tmp_path):
@@ -541,9 +569,9 @@ def test_harness_matches_hand_loop_trust_region(tmp_path):
             step += 1
         opt.on_epoch_end()
         assert row.train_loss == float(np.mean(losses))
-        assert row.eta_star == float(np.mean([d.eta_star for d in diags]))
-        assert row.c_mu == float(np.mean([d.c_mu for d in diags]))
-        assert row.bisect_iters == float(np.mean([d.bisect_iters for d in diags]))
+        for name in DIAGNOSTICS:
+            assert getattr(row, name) == float(np.mean([getattr(d, name) for d in diags]))
+    assert any(row.clamped > 0 for row in rows)  # the column is not trivially 0
 
 
 @pytest.mark.parametrize("optimizer, name, value", [
@@ -786,16 +814,24 @@ def test_cli_reports_failed_seeds_on_stderr(tmp_path, capsys):
     assert "'1': 'non-finite loss" in err
 
 
+HEADER = ",".join(CSV_COLUMNS)
+NO_DIAGNOSTICS = "," * len(DIAGNOSTICS)  # a baseline row's empty diagnostic cells
+BASELINE_ROW = f"0,0,1.0,,0.5{NO_DIAGNOSTICS},standard\n"
+
 # a CSV summarize cannot read, and where its error line must point
 MALFORMED_CSVS = {
     "columns": (b"a,b\n1,2\n", "line 1: unexpected columns ['a', 'b']"),
-    "epoch-word": ((",".join(CSV_COLUMNS) + "\n0,zero,1.0,,0.5,,,,standard\n").encode(),
+    "epoch-word": (f"{HEADER}\n0,zero,1.0,,0.5{NO_DIAGNOSTICS},standard\n".encode(),
                    "line 2: invalid literal for int() with base 10: 'zero'"),
-    "utf16": (b"\xff\xfe" + ",".join(CSV_COLUMNS).encode("utf-16-le"),
+    "utf16": (b"\xff\xfe" + HEADER.encode("utf-16-le"),
               "line 1: not UTF-8 text (invalid start byte)"),
-    "latin1-cell": ((",".join(CSV_COLUMNS) + "\n0,0,1.0,,0.5,,,,standard\n0,1,1.0,,0.5,,,,"
-                     "d\u00e9faut\n").encode("latin-1"),
-                    "line 3: not UTF-8 text (invalid continuation byte)"),
+    "latin1-cell": (f"{HEADER}\n{BASELINE_ROW}0,1,1.0,,0.5{NO_DIAGNOSTICS},d\u00e9faut\n"
+                    .encode("latin-1"), "line 3: not UTF-8 text (invalid continuation byte)"),
+    # a write cut off mid-row, and a row with cells no column names
+    "short-row": (f"{HEADER}\n{BASELINE_ROW}0,1,1.0,,0.5".encode(),
+                  f"line 3: expected {len(CSV_COLUMNS)} cells, got 5"),
+    "long-row": (f"{HEADER}\n0,0,1.0,,0.5{NO_DIAGNOSTICS},standard,EXTRA,9\n".encode(),
+                 f"line 2: expected {len(CSV_COLUMNS)} cells, got {len(CSV_COLUMNS) + 2}"),
 }
 
 

@@ -215,7 +215,7 @@ def test_one_block_size_splits_the_whole_step(monkeypatch, epsilon):
     whole = steps()
     monkeypatch.setattr(surrogate, "BLOCK", 4)
     blocked = steps()
-    assert (sum(d.bisect_iters for d, *_ in whole) > 0) == (epsilon > 1.0)
+    assert (sum(d.newton_iters for d, *_ in whole) > 0) == (epsilon > 1.0)
     for (d_whole, *x_whole), (d_blocked, *x_blocked) in zip(whole, blocked):
         assert d_blocked == d_whole
         assert all(np.array_equal(x, y) for x, y in zip(x_blocked, x_whole))
@@ -245,7 +245,7 @@ def test_scaling_the_gradient_by_k_is_dividing_rho_and_nu_by_k(mode):
         assert d_scaled == replace(d_unscaled, eta_star=k * d_unscaled.eta_star)
         assert np.array_equal(scaled.mean, unscaled.mean)
         assert np.array_equal(scaled.dist.sigma2, unscaled.dist.sigma2)
-        newton += d_scaled.bisect_iters
+        newton += d_scaled.newton_iters
     assert (newton > 0) == (mode == "standard")
 
 
@@ -434,7 +434,7 @@ def test_diagnostics_fields():
     assert isinstance(diag, StepDiagnostics)
     assert diag.eta_star >= 0.0
     assert diag.c_mu >= 0.0
-    assert diag.bisect_iters >= 0
+    assert diag.newton_iters >= 0
     assert diag.clamped >= 0
 
 
@@ -486,7 +486,7 @@ def test_multi_block_step_is_bitwise_the_whole_vector_step():
         eta, mu_new, c, its = whole_vector_solve(a, state.b, mu, sigma2, tr)
         sigma2 = (tr.rho + tr.nu) / ((a + tr.rho * tr.lambda_prec) + tr.nu / sigma2)
         mu = mu_new * (1.0 - tr.weight_decay)
-        assert (diag.eta_star, diag.c_mu, diag.bisect_iters) == (eta, c, its), t
+        assert (diag.eta_star, diag.c_mu, diag.newton_iters) == (eta, c, its), t
         assert diag.clamped == np.count_nonzero(state.a < 0.0), t
         assert np.array_equal(opt.mean, mu) and np.array_equal(opt.dist.sigma2, sigma2), t
         iterations.add(its > 0)
