@@ -91,43 +91,28 @@ MIN_SPLIT = 1 << 15
 ALIGN = 64
 
 
-class _Worker:
-    """A daemon thread that runs the first half of each split: it takes
-    (context, fn, part) from `todo` and answers on `done` with None or the
-    exception fn raised, so a caller never waits for a reply that cannot come."""
-
-    def __init__(self):
-        self.todo: SimpleQueue = SimpleQueue()
-        self.done: SimpleQueue = SimpleQueue()
-        threading.Thread(target=self._serve, name="kltrust-halves", daemon=True).start()
-
-    def _serve(self) -> None:
-        while True:
-            job = self.todo.get()
-            try:
-                job[0].run(job[1], job[2])
-            except BaseException as exc:  # raised again in the caller
-                reply = exc
-            else:
-                reply = None
-            # dropped before the reply: held here until the next job, fn's
-            # arrays would outlive the call, and the caller's next arrays
-            # would take fresh pages instead of the ones these free
-            job = None
-            self.done.put(reply)
+def _serve(todo: SimpleQueue, done: SimpleQueue) -> None:
+    """The worker thread: run each (context, fn, part) from `todo` and answer
+    on `done` with None or the exception fn raised, so a caller never waits
+    for a reply that cannot come."""
+    while True:
+        job = todo.get()
+        try:
+            job[0].run(job[1], job[2])
+        except BaseException as exc:  # raised again in the caller
+            reply = exc
+        else:
+            reply = None
+        # dropped before the reply: held here until the next job, fn's
+        # arrays would outlive the call, and the caller's next arrays
+        # would take fresh pages instead of the ones these free
+        job = None
+        done.put(reply)
 
 
-_worker: _Worker | None = None  # started by the first split, never at import
+_queues: tuple[SimpleQueue, SimpleQueue] | None = None  # (todo, done), made by the first split
 _busy = threading.Lock()  # held by the call whose half the worker has
-_forked = False  # in a child after fork, where the worker thread does not exist
-
-
-def _after_fork_in_child() -> None:
-    global _worker, _forked
-    _worker, _forked = None, True
-
-
-os.register_at_fork(after_in_child=_after_fork_in_child)
+_PID = os.getpid()  # a child forked after import has no worker thread and splits nothing
 
 
 def _cpus() -> int:
@@ -151,20 +136,23 @@ def halves(fn, n: int, width: int = 1) -> None:
     than MIN_SPLIT or than two ALIGNs of rows, in a child after fork, and
     while another call has the worker.
     """
-    global _worker
+    global _queues
     half = n // 2 // ALIGN * ALIGN
-    if (not half or n * width < MIN_SPLIT or _forked or _cpus() < 2
+    if (not half or n * width < MIN_SPLIT or os.getpid() != _PID or _cpus() < 2
             or not _busy.acquire(blocking=False)):
         fn(slice(0, n))
         return
     try:
-        if _worker is None:
-            _worker = _Worker()
-        _worker.todo.put((contextvars.copy_context(), fn, slice(0, half)))
+        if _queues is None:
+            _queues = SimpleQueue(), SimpleQueue()
+            threading.Thread(target=_serve, args=_queues, name="kltrust-halves",
+                             daemon=True).start()
+        todo, done = _queues
+        todo.put((contextvars.copy_context(), fn, slice(0, half)))
         try:
             fn(slice(half, n))
         finally:
-            raised = _worker.done.get()
+            raised = done.get()
     finally:
         _busy.release()
     if raised is not None:

@@ -326,6 +326,16 @@ def write_metrics_csv(path, rows: list[MetricsRecord]) -> None:
             writer.writerow([getattr(r, c) for c in CSV_COLUMNS])  # None is an empty cell
 
 
+def _replace(path: Path, write) -> None:
+    """write(tmp) beside `path`, then rename tmp over it: no one reads part of a file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def read_metrics_csv(path) -> list[MetricsRecord]:
     data = Path(path).read_bytes()
     try:
@@ -360,6 +370,12 @@ def run(config: RunConfig) -> RunResult:
     build = TASKS[config.task]
     dataset_task = None if build is None else build(config)
 
+    out_dir = Path(config.out_dir)
+    # here: a bad dataset leaves no directory, and a bad out_dir wastes no training
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stem = f"{config.task}_{config.optimizer}_{config.variant}"
+    csv_path = out_dir / f"{stem}.csv"
+    summary_path = out_dir / f"{stem}_summary.json"
     rows: list[MetricsRecord] = []
     failed: dict[str, str] = {}
     for seed in config.seeds:
@@ -368,13 +384,8 @@ def run(config: RunConfig) -> RunResult:
             _run_seed(config, opt_config, model, batches, test, seed, rows)
         except NumericalFault as exc:
             failed[str(seed)] = str(exc)
-
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{config.task}_{config.optimizer}_{config.variant}"
-    csv_path = out_dir / f"{stem}.csv"
-    summary_path = out_dir / f"{stem}_summary.json"
-    write_metrics_csv(csv_path, rows)
+        # after every seed, so a run cut short keeps the seeds it finished
+        _replace(csv_path, lambda tmp: write_metrics_csv(tmp, rows))
 
     per_epoch = aggregate(rows)
     summary = {
@@ -392,7 +403,7 @@ def run(config: RunConfig) -> RunResult:
         "per_epoch": per_epoch,
         "final": per_epoch[-1] if per_epoch else None,
     }
-    summary_path.write_text(json.dumps(summary, indent=2))
+    _replace(summary_path, lambda tmp: tmp.write_text(json.dumps(summary, indent=2)))
     return RunResult(csv_path, summary_path, summary)
 
 

@@ -214,6 +214,28 @@ def test_a_child_forked_after_a_threaded_step_steps_on_its_own(monkeypatch):
     assert child.exitcode == 0
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_child_forked_before_any_split_runs_each_split_inline():
+    # in a fresh interpreter, so that no split has started the worker; the
+    # importing process still splits after the fork
+    code = ("import os, sys, threading\n"
+            "from kltrust import baselines\n"
+            f"baselines._cpus, n = lambda: 2, {N}\n"
+            "def parts():\n"
+            "    seen = []\n"
+            "    baselines.halves(seen.append, n)\n"
+            "    return sorted((s.start, s.stop) for s in seen)\n"
+            "def worker():\n"
+            "    return any(t.name == 'kltrust-halves' for t in threading.enumerate())\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os._exit(0 if parts() == [(0, n)] and not worker() else 1)\n"
+            "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0, 'the child split'\n"
+            "assert parts() == [(0, n // 2), (n // 2, n)] and worker()\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_warm_adam_step_allocates_only_its_new_point(monkeypatch, cpus):
     rng = np.random.default_rng(10)

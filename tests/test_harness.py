@@ -455,6 +455,22 @@ def test_diverging_seed_is_isolated(tmp_path, monkeypatch):
     assert ok.summary["failed_seeds"] == {}
 
 
+@pytest.mark.parametrize("r,failed", [(1e-15, set()), (1e-16, {"0", "1"})],
+                         ids=["1e-15", "1e-16"])
+def test_a_real_filter_fault_fails_the_seed_not_the_grid(tmp_path, r, failed):
+    # on this quadratic an observation noise of 1e-16 breaks the filter's
+    # covariance within 30 steps, and 1e-15 does not
+    cfg = RunConfig(task="synthetic_quadratic", optimizer="trust_region", epochs=1,
+                    seeds=(0, 1), milestones=(), hyperparams={"r": r},
+                    task_params={"n": 1000, "steps_per_epoch": 30},
+                    out_dir=str(tmp_path / "runs"))
+    result = run(cfg)
+    assert result.summary["failed_seeds"] == dict.fromkeys(
+        failed, "covariance not positive definite or state non-finite")
+    # the fault comes within the one epoch, so a failed seed leaves no row
+    assert {str(row.seed) for row in read_metrics_csv(result.csv_path)} == {"0", "1"} - failed
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_evaluation_loss_fails_the_seed(tmp_path):
     # one step to a finite point (max |w| about 4e307) whose test logits are
@@ -503,6 +519,67 @@ def test_a_seed_that_fails_midway_keeps_its_finished_epochs(tmp_path, monkeypatc
     assert per_epoch[0]["mean_train_loss"] == float(np.mean([rows[0].train_loss,
                                                              rows[3].train_loss]))
     assert [e["mean_train_loss"] for e in per_epoch[1:]] == [r.train_loss for r in rows[1:3]]
+
+
+def test_an_out_dir_that_cannot_be_made_fails_before_any_seed_trains(tmp_path, monkeypatch,
+                                                                     capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    trained = []
+    monkeypatch.setattr(harness, "_run_seed", lambda *args: trained.append(args[-2]))
+    with pytest.raises(OSError):
+        run(synth_config(tmp_path, out_dir=str(blocker / "runs")))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": "synthetic_quadratic", "optimizer": "trust_region", "epochs": 1,
+        "milestones": [], "task_params": {"steps_per_epoch": 5},
+        "out_dir": str(blocker / "runs")}))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert trained == []
+
+
+def test_an_interrupted_grid_keeps_the_seeds_it_finished(tmp_path, monkeypatch, capsys):
+    # seed 2 of 3 is interrupted in its second epoch, after its first epoch's row
+    loss_and_grad = harness._QuadraticModel.loss_and_grad
+
+    def interrupted(model, params, step):
+        if model.task.seed == 2 and step >= model.steps_per_epoch:
+            raise KeyboardInterrupt
+        return loss_and_grad(model, params, step)
+
+    with monkeypatch.context() as m:
+        m.setattr(harness._QuadraticModel, "loss_and_grad", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(synth_config(tmp_path, seeds=(0, 1, 2)))
+    runs = tmp_path / "runs"
+    csv_name = "synthetic_quadratic_trust_region_standard.csv"
+    assert [p.name for p in runs.iterdir()] == [csv_name]  # no summary, no temp file
+    whole = run(synth_config(tmp_path, seeds=(0, 1), out_dir=str(tmp_path / "whole")))
+
+    def timeless(path):
+        return [replace(r, wall_seconds=0.0) for r in read_metrics_csv(path)]
+
+    assert timeless(runs / csv_name) == timeless(whole.csv_path)
+    assert cli_main(["summarize", "--in", str(runs)]) == 0
+    summary = json.loads(capsys.readouterr().out)[csv_name]
+    assert summary["per_epoch"] == whole.summary["per_epoch"]
+
+
+def test_an_interrupted_write_leaves_the_last_whole_csv(tmp_path, monkeypatch):
+    write = harness.write_metrics_csv
+
+    def cut_at_seed_1(path, rows):
+        write(path, rows)
+        if any(r.seed == 1 for r in rows):
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "write_metrics_csv", cut_at_seed_1)
+    with pytest.raises(KeyboardInterrupt):
+        run(synth_config(tmp_path, seeds=(0, 1)))
+    (csv_path,) = (tmp_path / "runs").iterdir()
+    assert [(r.seed, r.epoch) for r in read_metrics_csv(csv_path)] == [(0, 0), (0, 1)]
 
 
 def _quadratic(seed):
