@@ -84,7 +84,12 @@ def check_decay(config) -> None:
 # 2-vCPU VM with one-thread BLAS: an Adam step breaks even near n = 32K
 # (0.60 ms inline, 0.55 ms split) and is 1.5x faster at n = 203,530; the
 # 784-256-10 MLP's gradient at batch 128 (32K first-layer outputs) is 1.5x
-# faster, and a 128-128-10 MLP's (16K) is 20% slower.
+# faster, and a 128-128-10 MLP's (16K) is 20% slower. A split also costs per
+# numpy call in each half, as each call's return waits for the GIL, so the
+# trust-region step's parts walk blocks of surrogate.BLOCK // 2. Split, at
+# n = 32K the filter and the dual solve are 10% and 60% slower; at 64K the
+# filter is 1.5x faster and the solve 1.3x slower; at n = 203,530 the filter
+# is 1.6x faster, the solve 1.1x faster and the variance no faster.
 MIN_SPLIT = 1 << 15
 # The first half's length is a multiple of this: whole cache lines of float64,
 # and whole micro-tiles of the BLAS kernels (models._matmul_by_rows).

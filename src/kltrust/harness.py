@@ -19,13 +19,14 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import presets
+from . import baselines, presets
 from .baselines import Adam, AdamW, BaselineConfig, SGDMomentum, check, check_milestones, finite
 from .data import (
     Dataset,
@@ -362,6 +363,21 @@ def read_metrics_csv(path) -> list[MetricsRecord]:
 # entry points
 # ---------------------------------------------------------------------------
 
+# the variables that set BLAS's thread count, which rounds some products
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def machine() -> dict:
+    """What a run's results or speed may follow besides its config: the
+    versions, the platform, the CPUs the process may use (halves splits only
+    on two or more) and the BLAS thread variables (None when unset)."""
+    return {"python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "platform": sys.platform,
+            "cpus": baselines._cpus(),
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+
+
 def run(config: RunConfig) -> RunResult:
     """Execute the (seed) grid for one (task, optimizer, variant) cell."""
     # built once, before any data loads, so a config edited after construction
@@ -402,6 +418,7 @@ def run(config: RunConfig) -> RunResult:
         "failed_seeds": failed,
         "per_epoch": per_epoch,
         "final": per_epoch[-1] if per_epoch else None,
+        "machine": machine(),
     }
     _replace(summary_path, lambda tmp: tmp.write_text(json.dumps(summary, indent=2)))
     return RunResult(csv_path, summary_path, summary)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import surrogate
-from .baselines import check_decay, check_milestones, check_reals
+from .baselines import check_decay, check_milestones, check_reals, halves
 from .errors import NonFiniteError, NumericalFault
 
 ETA_MIN = 1e-12
@@ -134,6 +134,21 @@ def primal_mean(
     return (eta * prev.mu / prev.sigma2 - b) / denom
 
 
+def _extremes(part, n: int) -> tuple[float, float]:
+    """Run part(h), a generator of blocks, over each part h that halves()
+    makes of range(n); return the lowest and the highest entry of all the
+    blocks, a NaN kept. Each part keeps its own pair, combined here."""
+    low, high = np.full(2, np.inf), np.full(2, -np.inf)
+
+    def extremes(h: slice) -> None:
+        k = int(h.start > 0)  # the part's slot
+        for x in part(h):
+            low[k], high[k] = np.minimum(low[k], x.min()), np.maximum(high[k], x.max())
+
+    halves(extremes, n)
+    return low.min(), high.max()
+
+
 def primal_variance(
     a: np.ndarray,
     prev: ParameterDistribution,
@@ -142,11 +157,21 @@ def primal_variance(
     """Optimal variance; structurally independent of the multiplier.
 
     sigma2_j = (rho + nu) / (a_j + rho * lambda_prec + nu / sigma2_prev_j)
+
+    Computed a block at a time on two threads (surrogate.blocks and halves).
     """
-    out = np.add(a, tr.rho * tr.lambda_prec)
-    out += tr.nu / prev.sigma2
-    np.divide(tr.rho + tr.nu, out, out=out)
-    if not 0.0 < out.min() <= out.max() < math.inf:  # also false for a NaN
+    rl, nu = tr.rho * tr.lambda_prec, tr.nu
+    out = np.empty(prev.n)
+    scratch = np.empty((1, min(surrogate.BLOCK, prev.n)))
+
+    def part(h: slice):
+        for s, (x,) in surrogate.blocks(h, scratch):
+            o = np.add(a[s], rl, out=out[s])
+            o += np.divide(nu, prev.sigma2[s], out=x)
+            yield np.divide(tr.rho + nu, o, out=o)
+
+    low, high = _extremes(part, prev.n)
+    if not 0.0 < low <= high < math.inf:  # also false for a NaN
         raise NonFiniteError("variance update produced a non-positive or NaN entry, or inf")
     return out
 
@@ -197,18 +222,19 @@ def solve_eta(
     One n-vector holds z, then each evaluation's p = z / (w + eta), then the
     returned mean; w, and z after a Newton step, are rebuilt per block from
     a, b and prev. Only Newton allocates a second n-vector, p / (w + eta).
+    Each sweep runs on two threads (surrogate.blocks and halves), and each
+    dot runs here on the whole vector, so no result depends on the split.
     """
     eps = tr.epsilon
     rl = tr.rho * tr.lambda_prec
-    n, block = prev.n, surrogate.BLOCK
-    # per block: w in scratch that stays in cache, and z, if asked, into out
+    n = prev.n
     out = np.empty(n)
-    scratch = np.empty((2, min(block, n)))
+    scratch = np.empty((2, min(surrogate.BLOCK, n)))
 
-    def blocks(z: bool):
-        for lo in range(0, n, block):
-            s = slice(lo, lo + block)
-            w, root = scratch[:, : min(block, n - lo)]
+    def blocks(h: slice, z: bool):
+        # per block of the part h: w in scratch that stays in cache, and z,
+        # if asked, into out
+        for s, (w, root) in surrogate.blocks(h, scratch):
             np.add(a[s], rl, out=w)
             if z:
                 zs = np.multiply(w, prev.mu[s], out=out[s])
@@ -217,20 +243,34 @@ def solve_eta(
             w *= prev.sigma2[s]
             yield s, w
 
-    w_min, w_max = np.inf, -np.inf
-    for _, w in blocks(z=True):
-        w_min, w_max = min(w_min, w.min()), max(w_max, w.max())
-
     def secular(eta: float, z: bool) -> float:
         # p = z / (w + eta) gives C = 1/2 p.p and -C'(eta) = p.(p / (w + eta))
-        for s, w in blocks(z):
-            w += eta
-            out[s] /= w
+        def part(h: slice) -> None:
+            for s, w in blocks(h, z):
+                w += eta
+                out[s] /= w
+
+        halves(part, n)
         return 0.5 * float(np.dot(out, out))
 
+    def slope(h: slice) -> None:
+        # p / (w + eta) into dp, at the current eta
+        for s, w in blocks(h, z=False):
+            w += eta
+            np.divide(out[s], w, out=dp[s])
+
+    def mean(h: slice) -> None:
+        # mu(eta*) = mu_prev - sqrt(s) * p, written over p
+        for s, (root, _) in surrogate.blocks(h, scratch):
+            p = out[s]
+            p *= np.sqrt(prev.sigma2[s], out=root)
+            np.subtract(prev.mu[s], p, out=p)
+
+    w_min, w_max = _extremes(lambda h: (w for _, w in blocks(h, z=True)), n)
     # below ETA_MIN a w_j makes the eta = 0 step undefined (w_j = 0) or
-    # overflow C and C', so the solve starts at the smallest multiplier
-    start = 0.0 if w_min >= ETA_MIN else ETA_MIN
+    # overflow C and C', so the solve starts at the smallest multiplier; a
+    # NaN w_j is not below it, and makes z.z NaN, which fails the solve
+    start = ETA_MIN if w_min < ETA_MIN else 0.0
     zz = float(np.dot(out, out))
     # a non-finite z.z (overflow or NaN) bounds nothing, and the start stays
     bound = math.sqrt(zz) / math.sqrt(2.0 * eps) - w_max if math.isfinite(zz) else -math.inf
@@ -247,9 +287,7 @@ def solve_eta(
     done = c <= eps if eta == start else abs(c - eps) <= 0.1 * eps
     dp = None if done else np.empty(n)  # p / (w + eta), only when Newton runs
     while not done:
-        for s, w in blocks(z=False):
-            w += eta
-            np.divide(out[s], w, out=dp[s])
+        halves(slope, n)
         # numpy division: a zero C' gives an infinite step, which fails below
         step = float(2.0 * c * (math.sqrt(c / eps) - 1.0) / np.dot(out, dp))
         iterations += 1
@@ -261,9 +299,5 @@ def solve_eta(
         eta += step
         c = secular(eta, z=True)
         done = abs(c - eps) <= 0.1 * eps
-    # mu(eta*) = mu_prev - sqrt(s) * p, written over p
-    for lo in range(0, n, block):
-        p, root = out[lo : lo + block], scratch[0, : min(block, n - lo)]
-        p *= np.sqrt(prev.sigma2[lo : lo + block], out=root)
-        np.subtract(prev.mu[lo : lo + block], p, out=p)
+    halves(mean, n)
     return DualSolve(eta, out, c, iterations)

@@ -19,10 +19,13 @@ import numpy as np
 import pytest
 from test_bench_seams import _load_perfbench
 
-from kltrust import baselines
+from kltrust import baselines, surrogate
 from kltrust.baselines import MIN_SPLIT, Adam, AdamW, BaselineConfig, halves
+from kltrust.errors import NonFiniteError
 from kltrust.models import MLP, Batch, _matmul_by_rows
 from kltrust.optimizer import TrustRegionConfig, TrustRegionOptimizer
+from kltrust.surrogate import FilterConsistencyError, filter_update, init_state
+from kltrust.trust_region import ETA_MIN, ParameterDistribution, primal_variance, solve_eta
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 N = 2 * MIN_SPLIT + 1  # split into halves of MIN_SPLIT and MIN_SPLIT + 1
@@ -81,16 +84,99 @@ def test_adam_steps_are_bitwise_the_one_cpu_steps(monkeypatch, cls, config):
     assert inline == threaded
 
 
-def test_an_adam_surrogate_step_is_bitwise_the_one_cpu_step(monkeypatch):
+@pytest.mark.parametrize("block", [3, 8, 3000, surrogate.BLOCK])
+@pytest.mark.parametrize("n", [MIN_SPLIT, N, 3 * surrogate.BLOCK + 77])
+def test_the_two_parts_walk_their_own_scratch_columns(monkeypatch, block, n):
+    monkeypatch.setattr(surrogate, "BLOCK", block)
+    parts = []
+    on_cpus(monkeypatch, 2, lambda: halves(parts.append, n))
+    scratch = np.zeros((2, min(block, n)), dtype=np.int64)
+    first, second = (list(surrogate.blocks(h, scratch)) for h in sorted(parts, key=lambda h: h.start))
+    assert [i for s, _ in first + second for i in range(s.start, s.stop)] == list(range(n))
+    assert all(x.shape == (2, s.stop - s.start) for s, x in first + second)
+    for bit, part in ((1, first), (2, second)):
+        for _, x in part:
+            x |= bit
+    assert not np.any(scratch == 3)  # no column written by both parts
+
+
+@pytest.mark.parametrize("block", [None, 3000], ids=["default-block", "blocks-of-1500"])
+@pytest.mark.parametrize("config", [
+    {"epsilon": 0.01},
+    {"epsilon": 1e3},
+    {"mode": "fixed-eta", "fixed_eta": 10.0},
+    {"mode": "adam-surrogate"},
+], ids=["standard", "standard-newton", "fixed-eta", "adam-surrogate"])
+def test_a_trust_region_step_is_bitwise_the_one_cpu_step(monkeypatch, config, block):
+    # the filter or Adam's moments, the variance and every sweep of the solve
+    # split; at BLOCK = 3000 each half walks many blocks, the last one partial
+    if block is not None:
+        monkeypatch.setattr(surrogate, "BLOCK", block)
+
     def steps():
-        rng = np.random.default_rng(8)
-        opt = TrustRegionOptimizer(N, TrustRegionConfig(mode="adam-surrogate"),
-                                   rng.normal(size=N))
+        rng = np.random.default_rng(11)
+        opt = TrustRegionOptimizer(N, TrustRegionConfig(**config), rng.normal(size=N))
         diags = [opt.step(rng.normal(size=N)) for _ in range(3)]
-        return diags, opt.dist.mu.tobytes(), opt.dist.sigma2.tobytes()
+        held = vars(opt.moments if config.get("mode") == "adam-surrogate" else opt.filter)
+        state = [x.tobytes() for x in held.values() if isinstance(x, np.ndarray)]
+        return diags, opt.dist.mu.tobytes(), opt.dist.sigma2.tobytes(), state
 
     inline, threaded = both_ways(monkeypatch, steps)
     assert inline == threaded
+    newton = sum(d.newton_iters for d in inline[0])
+    assert (newton > 0) == (config.get("epsilon") == 1e3)
+
+
+def _outcome(fn):
+    """fn()'s result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _not_pd(j):
+    # p11 < 0 in dimension j, where mu = 0 leaves it < 0 after the update
+    rng = np.random.default_rng(12)
+    state, mu = init_state(N, 0.3), rng.normal(size=N)
+    state.p11[j], mu[j] = -1.0, 0.0
+    filter_update(state, mu, rng.normal(size=N), 0.02, 1.3)
+
+
+def _nan_variance(j):
+    rng = np.random.default_rng(13)
+    a = rng.uniform(0.0, 1.0, size=N)
+    a[j] = np.nan
+    primal_variance(a, ParameterDistribution(rng.normal(size=N), np.full(N, 0.5)),
+                    TrustRegionConfig())
+
+
+def _zero_w(j):
+    # w_j = 0 with rho * lambda = 0: the solve must start from ETA_MIN, as
+    # 0/0 at eta = 0 would fail it
+    rng = np.random.default_rng(14)
+    a, b = rng.uniform(0.0, 1.0, size=N), rng.normal(size=N)
+    a[j] = b[j] = 0.0
+    res = solve_eta(a, b, ParameterDistribution(rng.normal(size=N), np.full(N, 0.5)),
+                    TrustRegionConfig(epsilon=10.0, lambda_prec=0.0))
+    assert res.eta_star >= ETA_MIN
+    return res.eta_star, res.c_mu, res.iterations, res.mu.tobytes()
+
+
+@pytest.mark.parametrize("j", [5, N - 5], ids=["workers-half", "callers-half"])
+@pytest.mark.parametrize("fault,expected", [
+    (_not_pd, (FilterConsistencyError, "covariance not positive definite or state non-finite")),
+    (_nan_variance, (NonFiniteError,
+                     "variance update produced a non-positive or NaN entry, or inf")),
+    (_zero_w, None),
+], ids=["filter-not-pd", "variance-nan", "solve-zero-w"])
+def test_what_either_half_finds_counts(monkeypatch, fault, expected, j):
+    # each half keeps its own min, max or check sum, and the caller combines
+    # them: a fault in either half is what one CPU finds
+    inline, threaded = both_ways(monkeypatch, lambda: _outcome(lambda: fault(j)))
+    assert inline == threaded
+    if expected is not None:
+        assert inline == expected
 
 
 @pytest.mark.parametrize("sizes,rows", [
@@ -251,11 +337,11 @@ def test_a_warm_adam_step_allocates_only_its_new_point(monkeypatch, cpus):
     assert 8 * N <= peak < 8 * N + 64 * 1024, peak / (8 * N)
 
 
-def _cli_run(tmp_path, name, data, one_cpu):
+def _cli_run(tmp_path, name, data, one_cpu, optimizer):
     out = tmp_path / name
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps({
-        "task": "fashion_mnist_mlp", "optimizer": "adam", "preset": "fashion_mnist_cnn",
+        "task": "fashion_mnist_mlp", "optimizer": optimizer, "preset": "fashion_mnist_cnn",
         "epochs": 2, "batch_size": 128, "seeds": [0, 1], "milestones": [],
         "data_dir": str(data), "out_dir": str(out)}))
     pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if one_cpu else ""
@@ -275,11 +361,14 @@ def _cli_run(tmp_path, name, data, one_cpu):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs a process that may run on two CPUs")
-def test_a_run_on_one_cpu_writes_what_a_run_on_two_writes(tmp_path):
-    # the MLP's first layer (128 x 256 outputs) and its Adam step
-    # (n = 203,530) are both above MIN_SPLIT, so the two-CPU run splits both
+@pytest.mark.parametrize("optimizer", ["adam", "trust_region"])
+def test_a_run_on_one_cpu_writes_what_a_run_on_two_writes(tmp_path, optimizer):
+    # the MLP's first layer (128 x 256 outputs), its Adam step and its
+    # trust-region step (n = 203,530) are all above MIN_SPLIT, so the two-CPU
+    # run splits them; the summary's machine key records the CPU count
     data = _load_perfbench("idxgen").write_fashion_mnist(tmp_path / "data", 0, 512, 256)
-    one = _cli_run(tmp_path, "one-cpu", data, one_cpu=True)
-    two = _cli_run(tmp_path, "two-cpus", data, one_cpu=False)
+    one = _cli_run(tmp_path, "one-cpu", data, True, optimizer)
+    two = _cli_run(tmp_path, "two-cpus", data, False, optimizer)
     assert len(one[0]) == 4
+    assert one[1].pop("machine")["cpus"] == 1 < two[1].pop("machine")["cpus"]
     assert one == two

@@ -2,6 +2,7 @@ import inspect
 import json
 import pickle
 import struct
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -330,6 +331,21 @@ def test_synthetic_run_schema(tmp_path):
         assert r.variant == "standard"
     assert result.summary["final"]["n_seeds"] == 2
     assert result.summary["failed_seeds"] == {}
+
+
+def test_the_summary_records_the_machine(tmp_path, monkeypatch):
+    # read from the process, not the config: the CPUs it may use and the
+    # BLAS thread variables (conftest.py sets all three; unset reads null)
+    monkeypatch.setattr(harness.baselines, "_cpus", lambda: 3)
+    monkeypatch.delenv("MKL_NUM_THREADS")
+    result = run(synth_config(tmp_path))
+    summary = json.loads(result.summary_path.read_text())
+    assert summary == result.summary
+    assert summary["machine"] == {
+        "python": "{}.{}.{}".format(*sys.version_info), "numpy": np.__version__,
+        "platform": sys.platform, "cpus": 3,
+        "blas_threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                         "MKL_NUM_THREADS": None}}
 
 
 def test_baseline_run_emits_null_eta(tmp_path):

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from test_halves import on_cpus
 from test_surrogate import copied, unfused_update
 
 import kltrust.optimizer as optimizer_mod
@@ -180,17 +181,19 @@ def test_nan_mean_from_the_solve_fails_at_the_next_step(monkeypatch):
         opt.step(np.ones(2))
 
 
-def test_step_allocates_fewer_than_four_vectors():
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_step_allocates_fewer_than_four_vectors(monkeypatch, cpus):
     # the new variance, the new mean and the clamped slopes, and block scratch
     # (1.5 n-vectors for the filter at n = 4 BLOCK, freed before the solve's
-    # half): the filter state is updated in place
+    # half): the filter state is updated in place, and on two CPUs the
+    # worker's half allocates nothing
     n = 4 * surrogate.BLOCK
     rng = np.random.default_rng(3)
     opt = TrustRegionOptimizer(n, TrustRegionConfig(), mu0=rng.normal(size=n))
     grad = rng.normal(size=n)
     tracemalloc.start()
     try:
-        diag = opt.step(grad)
+        diag = on_cpus(monkeypatch, cpus, lambda: opt.step(grad))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -201,7 +204,7 @@ def test_step_allocates_fewer_than_four_vectors():
 @pytest.mark.parametrize("epsilon", [0.01, 1e3], ids=["no-newton", "newton"])
 def test_one_block_size_splits_the_whole_step(monkeypatch, epsilon):
     # surrogate.BLOCK is read at call time by the filter and by the dual solve,
-    # so one patch splits both: n = 10 at BLOCK = 4 is blocks of 4, 4 and 2
+    # so one patch splits both: n = 10 at BLOCK = 8 is blocks of 4, 4 and 2
     assert "BLOCK" not in optimizer_mod.solve_eta.__globals__
     rng = np.random.default_rng(21)
     mu0, grads = rng.normal(size=10), rng.normal(size=(5, 10))
@@ -213,7 +216,7 @@ def test_one_block_size_splits_the_whole_step(monkeypatch, epsilon):
                 for g in grads]
 
     whole = steps()
-    monkeypatch.setattr(surrogate, "BLOCK", 4)
+    monkeypatch.setattr(surrogate, "BLOCK", 8)
     blocked = steps()
     assert (sum(d.newton_iters for d, *_ in whole) > 0) == (epsilon > 1.0)
     for (d_whole, *x_whole), (d_blocked, *x_blocked) in zip(whole, blocked):

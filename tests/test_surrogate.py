@@ -275,8 +275,9 @@ def test_dimensions_update_independently(monkeypatch):
     mu = rng.normal(size=6)
     g = rng.normal(size=6)
     state = init_state(6, 0.3)
-    # one block, then two blocks with the second one partial
-    for block in (surrogate.BLOCK, 4):
+    # one block, then two blocks with the second one partial (a part of
+    # halves walks blocks of BLOCK // 2)
+    for block in (surrogate.BLOCK, 8):
         monkeypatch.setattr(surrogate, "BLOCK", block)
         joint = filter_update(copied(state), mu, g, 0.02, 1.3)
         for j in range(6):
@@ -308,8 +309,8 @@ def oracle_fault(state, v):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_folded_check_catches_a_fault_in_every_block(monkeypatch):
-    # n = 10 at BLOCK = 4 is blocks of 4, 4 and 2 dimensions
-    monkeypatch.setattr(surrogate, "BLOCK", 4)
+    # n = 10 at BLOCK = 8 is blocks of 4, 4 and 2 dimensions
+    monkeypatch.setattr(surrogate, "BLOCK", 8)
     rng = np.random.default_rng(9)
     mu, g = rng.normal(size=10), rng.normal(size=10)
     state = init_state(10, 0.3)
@@ -337,14 +338,14 @@ def test_folded_check_catches_a_fault_in_every_block(monkeypatch):
 
     # and where nothing is wrong the blocked update is the unfused one, bitwise
     ref, _ = unfused_update(state, mu, g, 0.02, 1.3)
-    for block in (4, 8192):
+    for block in (8, 8192):
         monkeypatch.setattr(surrogate, "BLOCK", block)
         new = filter_update(copied(state), mu, g, 0.02, 1.3)
         for name in ("a", "b", "p11", "p12", "p22"):
             assert np.array_equal(getattr(new, name), getattr(ref, name)), (block, name)
 
 
-@pytest.mark.parametrize("block, n", [(4, 10), (None, 2 * surrogate.BLOCK + 5)],
+@pytest.mark.parametrize("block, n", [(8, 10), (None, 2 * surrogate.BLOCK + 5)],
                          ids=["partial-last-block", "default-block"])
 def test_update_writes_the_state_in_place(monkeypatch, block, n):
     # the update returns the state it was given, with the same five arrays
@@ -365,8 +366,8 @@ def test_update_writes_the_state_in_place(monkeypatch, block, n):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_input_in_every_block_is_caught(monkeypatch):
     # the inputs are checked by the block loop's finite sum, not up front:
-    # n = 10 at BLOCK = 4 is blocks of 4, 4 and 2 dimensions
-    monkeypatch.setattr(surrogate, "BLOCK", 4)
+    # n = 10 at BLOCK = 8 is blocks of 4, 4 and 2 dimensions
+    monkeypatch.setattr(surrogate, "BLOCK", 8)
     rng = np.random.default_rng(10)
     mu, g = rng.normal(size=10), rng.normal(size=10)
     fresh = init_state(10, 0.3)

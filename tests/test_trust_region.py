@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kltrust import surrogate
+from kltrust import baselines, surrogate
 from kltrust.errors import NonFiniteError
 from kltrust.optimizer import TrustRegionConfig
 from kltrust.trust_region import (
@@ -237,7 +237,7 @@ def test_blocked_setup_matches_one_block(monkeypatch):
         # would raise DualSolverError
         a[-1] = b[-1] = 0.0
         whole = solve_eta(a, b, prev, tr)
-        monkeypatch.setattr(surrogate, "BLOCK", 4)
+        monkeypatch.setattr(surrogate, "BLOCK", 8)
         blocked = solve_eta(a, b, prev, tr)
         monkeypatch.undo()
         assert (blocked.eta_star, blocked.c_mu, blocked.iterations) == (
@@ -275,10 +275,13 @@ def solve_peak(a, b, prev, tr):
     return res, peak / (8 * prev.n)
 
 
-def test_solve_allocates_one_vector_and_a_second_only_for_newton():
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_solve_allocates_one_vector_and_a_second_only_for_newton(monkeypatch, cpus):
     # z, p and the new mean share the solve's one n-vector, and w and
     # sqrt(sigma2) are rebuilt per block in scratch (half an n-vector at
-    # n = 4 BLOCK); Newton's p / (w + eta) is the only other n-vector
+    # n = 4 BLOCK); Newton's p / (w + eta) is the only other n-vector, and
+    # on two CPUs the worker's half allocates nothing
+    monkeypatch.setattr(baselines, "_cpus", lambda: cpus)
     rng = np.random.default_rng(6)
     n = 4 * surrogate.BLOCK
     a, b = rng.uniform(0.0, 1.0, size=n), rng.normal(size=n)
