@@ -17,29 +17,38 @@ import numpy as np
 from .baselines import check, halves
 from .errors import NonFiniteError, NumericalFault
 
-# the columns of the scratch that filter_update, primal_variance and solve_eta
-# allocate per row; each reads it at call time. Each part of halves() walks
-# its range in blocks of BLOCK // 2 in its own half of those columns, so a
-# block's temporaries stay in cache instead of each one streaming an n-vector
-# through memory. A split costs per numpy call, not per part, so the blocks
-# are wide: timed in process at n = 203,530 on a 2-vCPU VM (3 rounds of 200
-# calls), the p50 filter_update read 6.4-6.7 ms on one thread in blocks of 8K,
-# and split 7.5-8.3 ms in blocks of 8K per part, 4.9-5.3 ms at 16K, 3.7-4.8 ms
-# at 32K and 3.8-4.3 ms at 64K; one thread in blocks of 32K read 5.6-7.3 ms.
-# The filter's scratch is 6 rows of BLOCK, 3 MB
+# the columns of the scratch that sweep() allocates per row; each sweep reads
+# it at call time. Each part of halves() walks its range in blocks of
+# BLOCK // 2 in its own half of those columns, so a block's temporaries stay
+# in cache instead of each one streaming an n-vector through memory. A split
+# costs per numpy call, not per part, so the blocks are wide: timed in process
+# at n = 203,530 on a 2-vCPU VM (3 rounds of 200 calls), the p50 filter_update
+# read 6.4-6.7 ms on one thread in blocks of 8K, and split 7.5-8.3 ms in
+# blocks of 8K per part, 4.9-5.3 ms at 16K, 3.7-4.8 ms at 32K and 3.8-4.3 ms
+# at 64K; one thread in blocks of 32K read 5.6-7.3 ms.
+# The filter's scratch is 5 rows of BLOCK, 2.6 MB
 BLOCK = 1 << 16
 
 
-def blocks(s: slice, scratch: np.ndarray):
-    """(block, columns) for each block of BLOCK // 2 in the part `s` that
-    halves() hands out; `columns` are as many columns of `scratch` (rows x
-    min(BLOCK, n)). The part that starts at 0 owns the first columns and the
-    other part those from min(s.start, BLOCK // 2), so the two never share one."""
+def sweep(fn, n: int, rows: int) -> list:
+    """fn(block, columns) for each block of BLOCK // 2 in range(n), where
+    `columns` are as many columns of one (rows, min(BLOCK, n)) scratch array;
+    returns what fn returned, in block order. Each part that halves() makes
+    walks its own blocks on its own thread: the part at 0 in the first
+    columns, the other from column min(start, BLOCK // 2), so the two never
+    share one."""
     size = BLOCK // 2  # so BLOCK >= 2
-    col = min(s.start, size)
-    for lo in range(s.start, s.stop, size):
-        hi = min(lo + size, s.stop)
-        yield slice(lo, hi), scratch[:, col : col + hi - lo]
+    scratch = np.empty((rows, min(BLOCK, n)))
+    done = {}
+
+    def part(h: slice) -> None:
+        col = min(h.start, size)
+        for lo in range(h.start, h.stop, size):
+            hi = min(lo + size, h.stop)
+            done[lo] = fn(slice(lo, hi), scratch[:, col : col + hi - lo])
+
+    halves(part, n)
+    return [done[lo] for lo in sorted(done)]
 
 
 class FilterConsistencyError(NumericalFault, RuntimeError):
@@ -88,8 +97,8 @@ def filter_update(
         v  = H t + r
         m <- m + t * (g_j - H m) / v
         P <- P- - t t^T / v
-    The dimensions are updated a block at a time, on two threads (blocks and
-    halves), and each block is checked while it is still in cache: every new
+    The dimensions are updated a block at a time, on two threads (sweep),
+    and each block is checked while it is still in cache: every new
     covariance positive definite and the new state finite.
     Writes the new state over `state`, in place, and returns it; each block
     reads every old entry before it writes one. Raises NonFiniteError when
@@ -106,54 +115,46 @@ def filter_update(
     check("non_negative", q=q)
     check("positive", r=r)
 
-    n = state.n
-    scratch = np.empty((6, min(BLOCK, n)))  # one set of buffers per half
-    # each half's lowest p11 or det, and its check sum
-    low, total = np.full(2, np.inf), np.zeros(2)
+    def block(s: slice, scratch: np.ndarray) -> tuple[float, float]:
+        t1, t2, v, resid, k = scratch
+        m, a, b = mu[s], state.a[s], state.b[s]
+        p11, p12, p22 = state.p11[s], state.p12[s], state.p22[s]
+        p11 += q  # P-, staged in place
+        p22 += q
+        np.multiply(m, p11, out=t1)
+        t1 += p12
+        np.multiply(m, p12, out=t2)
+        t2 += p22
+        # innovation variance; >= r analytically, clamped against underflow
+        np.multiply(m, t1, out=v)
+        v += t2
+        v += r
+        np.maximum(v, r, out=v)
+        v_sum = v.sum()
+        np.multiply(m, a, out=resid)
+        resid += b
+        np.subtract(g[s], resid, out=resid)
+        np.divide(t1, v, out=k)  # the gain's first entry
+        k2 = np.divide(t2, v, out=v)  # its second, over v
+        # each state entry's update reads only values made before any update
+        p11 -= np.multiply(t1, k, out=t1)
+        p12 -= np.multiply(k, t2, out=t1)
+        a += np.multiply(k, resid, out=k)
+        b += np.multiply(resid, k2, out=resid)
+        p22 -= np.multiply(t2, k2, out=t2)
+        # the block's check while it is in cache: p11 > 0 and det > 0
+        # imply p22 > 0, and finite p11 and det imply finite p12 and p22.
+        # numpy's min() keeps a NaN, but the builtin min() that merges the
+        # lows drops it, so the sum catches it. An overflowed v zeroes the
+        # gain and would leave the state silently unchanged. A NaN or inf in
+        # mu or g always reaches a or b (0 * inf is NaN), so the sum checks
+        # them too
+        det = np.multiply(p11, p22, out=t1)
+        det -= np.multiply(p12, p12, out=t2)
+        return min(p11.min(), det.min()), a.sum() + b.sum() + p11.sum() + det.sum() + v_sum
 
-    def part(h: slice) -> None:
-        lo, tot = np.inf, 0.0
-        for s, (t1, t2, v, resid, k, x) in blocks(h, scratch):
-            m, a, b = mu[s], state.a[s], state.b[s]
-            p11, p12, p22 = state.p11[s], state.p12[s], state.p22[s]
-            p11 += q  # P-, staged in place
-            p22 += q
-            np.multiply(m, p11, out=t1)
-            t1 += p12
-            np.multiply(m, p12, out=t2)
-            t2 += p22
-            # innovation variance; >= r analytically, clamped against underflow
-            np.multiply(m, t1, out=v)
-            v += t2
-            v += r
-            np.maximum(v, r, out=v)
-            np.multiply(m, a, out=resid)
-            resid += b
-            np.subtract(g[s], resid, out=resid)
-            np.divide(t1, v, out=k)  # the gain's first entry
-            a += np.multiply(k, resid, out=x)
-            p12 -= np.multiply(k, t2, out=x)
-            p11 -= np.multiply(k, t1, out=x)
-            np.divide(t2, v, out=k)  # its second entry
-            b += np.multiply(k, resid, out=x)
-            p22 -= np.multiply(k, t2, out=x)
-            # the block's check while it is in cache: p11 > 0 and det > 0
-            # imply p22 > 0, and finite p11 and det imply finite p12 and p22.
-            # numpy's min() keeps a NaN, but the builtin min() that merges the
-            # blocks' lows drops it, so the sum catches it. An overflowed v
-            # zeroes the gain and would leave the state silently unchanged. A
-            # NaN or inf in mu or g always reaches a or b (0 * inf is NaN), so
-            # the sum checks them too
-            det = np.multiply(p11, p22, out=t1)
-            det -= np.multiply(p12, p12, out=x)
-            lo = min(lo, p11.min(), det.min())
-            tot += a.sum() + b.sum() + p11.sum() + det.sum() + v.sum()
-        k = int(h.start > 0)  # the half's slot
-        low[k], total[k] = lo, tot
-
-    halves(part, n)
-    low, total = low.min(), total.sum()
-    if not (low > 0.0 and np.isfinite(total)):
+    lows, sums = zip(*sweep(block, state.n, 5))
+    if not (min(lows) > 0.0 and np.isfinite(sum(sums))):
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(g))):
             raise NonFiniteError("mu and g must be finite")
         raise FilterConsistencyError("covariance not positive definite or state non-finite")

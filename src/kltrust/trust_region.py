@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import surrogate
-from .baselines import check_decay, check_milestones, check_reals, halves
+from .baselines import check_decay, check_milestones, check_reals
 from .errors import NonFiniteError, NumericalFault
 
 ETA_MIN = 1e-12
@@ -87,8 +87,8 @@ class ParameterDistribution:
     sigma2: np.ndarray
 
     def __post_init__(self):
-        if self.mu.shape != self.sigma2.shape or self.mu.ndim != 1:
-            raise ValueError("mu and sigma2 must be 1-d vectors of equal length")
+        if self.mu.shape != self.sigma2.shape or self.mu.ndim != 1 or not self.mu.size:
+            raise ValueError("mu and sigma2 must be 1-d vectors of equal length >= 1")
         if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.sigma2))):
             raise NonFiniteError("distribution contains non-finite entries")
         if np.any(self.sigma2 <= 0.0):
@@ -123,6 +123,7 @@ def primal_mean(
     mu_j(eta) = (eta * mu_prev_j / sigma2_prev_j - b_j)
                 / (a_j + eta / sigma2_prev_j + rho * lambda_prec)
     """
+    _check_lengths(prev, a=a, b=b)
     rl = tr.rho * tr.lambda_prec
     denom = a + eta / prev.sigma2 + rl
     if np.any(denom <= 0.0):
@@ -134,19 +135,11 @@ def primal_mean(
     return (eta * prev.mu / prev.sigma2 - b) / denom
 
 
-def _extremes(part, n: int) -> tuple[float, float]:
-    """Run part(h), a generator of blocks, over each part h that halves()
-    makes of range(n); return the lowest and the highest entry of all the
-    blocks, a NaN kept. Each part keeps its own pair, combined here."""
-    low, high = np.full(2, np.inf), np.full(2, -np.inf)
-
-    def extremes(h: slice) -> None:
-        k = int(h.start > 0)  # the part's slot
-        for x in part(h):
-            low[k], high[k] = np.minimum(low[k], x.min()), np.maximum(high[k], x.max())
-
-    halves(extremes, n)
-    return low.min(), high.max()
+def _check_lengths(prev: ParameterDistribution, **vectors) -> None:
+    """Raise ValueError unless each of `vectors` has prev's length."""
+    if any(np.shape(x) != (prev.n,) for x in vectors.values()):
+        raise ValueError(f"{' and '.join(vectors)} must have length {prev.n}, got "
+                         + " and ".join(str(np.shape(x)) for x in vectors.values()))
 
 
 def primal_variance(
@@ -158,20 +151,20 @@ def primal_variance(
 
     sigma2_j = (rho + nu) / (a_j + rho * lambda_prec + nu / sigma2_prev_j)
 
-    Computed a block at a time on two threads (surrogate.blocks and halves).
+    Computed a block at a time on two threads (surrogate.sweep).
     """
+    _check_lengths(prev, a=a)
     rl, nu = tr.rho * tr.lambda_prec, tr.nu
     out = np.empty(prev.n)
-    scratch = np.empty((1, min(surrogate.BLOCK, prev.n)))
 
-    def part(h: slice):
-        for s, (x,) in surrogate.blocks(h, scratch):
-            o = np.add(a[s], rl, out=out[s])
-            o += np.divide(nu, prev.sigma2[s], out=x)
-            yield np.divide(tr.rho + nu, o, out=o)
+    def block(s: slice, scratch: np.ndarray) -> tuple[float, float]:
+        o = np.add(a[s], rl, out=out[s])
+        o += np.divide(nu, prev.sigma2[s], out=scratch[0])
+        np.divide(tr.rho + nu, o, out=o)
+        return o.min(), o.max()
 
-    low, high = _extremes(part, prev.n)
-    if not 0.0 < low <= high < math.inf:  # also false for a NaN
+    lows, highs = zip(*surrogate.sweep(block, prev.n, 1))
+    if not 0.0 < np.min(lows) <= np.max(highs) < math.inf:  # also false for a NaN
         raise NonFiniteError("variance update produced a non-positive or NaN entry, or inf")
     return out
 
@@ -222,51 +215,55 @@ def solve_eta(
     One n-vector holds z, then each evaluation's p = z / (w + eta), then the
     returned mean; w, and z after a Newton step, are rebuilt per block from
     a, b and prev. Only Newton allocates a second n-vector, p / (w + eta).
-    Each sweep runs on two threads (surrogate.blocks and halves), and each
-    dot runs here on the whole vector, so no result depends on the split.
+    Each sweep runs on two threads (surrogate.sweep), and each dot runs
+    here on the whole vector, so no result depends on the split.
     """
+    _check_lengths(prev, a=a, b=b)
     eps = tr.epsilon
     rl = tr.rho * tr.lambda_prec
     n = prev.n
     out = np.empty(n)
-    scratch = np.empty((2, min(surrogate.BLOCK, n)))
 
-    def blocks(h: slice, z: bool):
-        # per block of the part h: w in scratch that stays in cache, and z,
-        # if asked, into out
-        for s, (w, root) in surrogate.blocks(h, scratch):
-            np.add(a[s], rl, out=w)
-            if z:
-                zs = np.multiply(w, prev.mu[s], out=out[s])
-                zs += b[s]
-                zs *= np.sqrt(prev.sigma2[s], out=root)
-            w *= prev.sigma2[s]
-            yield s, w
+    def w_of(s: slice, scratch: np.ndarray, z: bool) -> np.ndarray:
+        # w for the block s in scratch that stays in cache, and z, if asked,
+        # into out
+        w, root = scratch
+        np.add(a[s], rl, out=w)
+        if z:
+            zs = np.multiply(w, prev.mu[s], out=out[s])
+            zs += b[s]
+            zs *= np.sqrt(prev.sigma2[s], out=root)
+        w *= prev.sigma2[s]
+        return w
+
+    def setup(s: slice, scratch: np.ndarray) -> tuple[float, float]:
+        w = w_of(s, scratch, z=True)
+        return w.min(), w.max()
 
     def secular(eta: float, z: bool) -> float:
         # p = z / (w + eta) gives C = 1/2 p.p and -C'(eta) = p.(p / (w + eta))
-        def part(h: slice) -> None:
-            for s, w in blocks(h, z):
-                w += eta
-                out[s] /= w
+        def block(s: slice, scratch: np.ndarray) -> None:
+            w = w_of(s, scratch, z)
+            w += eta
+            out[s] /= w
 
-        halves(part, n)
+        surrogate.sweep(block, n, 2)
         return 0.5 * float(np.dot(out, out))
 
-    def slope(h: slice) -> None:
+    def slope(s: slice, scratch: np.ndarray) -> None:
         # p / (w + eta) into dp, at the current eta
-        for s, w in blocks(h, z=False):
-            w += eta
-            np.divide(out[s], w, out=dp[s])
+        w = w_of(s, scratch, z=False)
+        w += eta
+        np.divide(out[s], w, out=dp[s])
 
-    def mean(h: slice) -> None:
+    def mean(s: slice, scratch: np.ndarray) -> None:
         # mu(eta*) = mu_prev - sqrt(s) * p, written over p
-        for s, (root, _) in surrogate.blocks(h, scratch):
-            p = out[s]
-            p *= np.sqrt(prev.sigma2[s], out=root)
-            np.subtract(prev.mu[s], p, out=p)
+        p = out[s]
+        p *= np.sqrt(prev.sigma2[s], out=scratch[0])
+        np.subtract(prev.mu[s], p, out=p)
 
-    w_min, w_max = _extremes(lambda h: (w for _, w in blocks(h, z=True)), n)
+    w_lows, w_highs = zip(*surrogate.sweep(setup, n, 2))
+    w_min, w_max = np.min(w_lows), np.max(w_highs)  # a NaN kept
     # below ETA_MIN a w_j makes the eta = 0 step undefined (w_j = 0) or
     # overflow C and C', so the solve starts at the smallest multiplier; a
     # NaN w_j is not below it, and makes z.z NaN, which fails the solve
@@ -287,7 +284,7 @@ def solve_eta(
     done = c <= eps if eta == start else abs(c - eps) <= 0.1 * eps
     dp = None if done else np.empty(n)  # p / (w + eta), only when Newton runs
     while not done:
-        halves(slope, n)
+        surrogate.sweep(slope, n, 2)
         # numpy division: a zero C' gives an infinite step, which fails below
         step = float(2.0 * c * (math.sqrt(c / eps) - 1.0) / np.dot(out, dp))
         iterations += 1
@@ -299,5 +296,5 @@ def solve_eta(
         eta += step
         c = secular(eta, z=True)
         done = abs(c - eps) <= 0.1 * eps
-    halves(mean, n)
+    surrogate.sweep(mean, n, 1)
     return DualSolve(eta, out, c, iterations)

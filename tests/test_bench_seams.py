@@ -6,7 +6,12 @@ exists but is no longer called, which would silently zero a per-layer metric.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from kltrust import surrogate
 from kltrust.harness import RunConfig, run
+from kltrust.optimizer import TrustRegionConfig, TrustRegionOptimizer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,3 +56,34 @@ def test_every_seam_exists_and_the_quadratic_cells_call_them(tmp_path):
                  "trust_region.solve_eta"):
         assert names.count(name) == steps, name
     assert "harness.write_metrics_csv" in names
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 1e4], ids=["no-newton", "newton"])
+def test_a_traced_step_that_splits_opens_one_span_per_seam(monkeypatch, epsilon):
+    # the quadratic cells' n = 4 never starts the worker thread; at n = 4 BLOCK
+    # every sweep of the step splits, and a sweep that called a wrapped name
+    # would open a span from the worker, on the tracer's one span stack
+    from test_halves import on_cpus, worker_running  # test_halves imports this module
+
+    spans = _load_perfbench("spans")
+    tracer = spans.Tracer()
+    n, steps = 4 * surrogate.BLOCK, 2
+    rng = np.random.default_rng(16)
+    opt = TrustRegionOptimizer(n, TrustRegionConfig(epsilon=epsilon), rng.normal(size=n))
+    _, missing, restore = spans.install(tracer)
+    try:
+        assert missing == []
+        for _ in range(steps):
+            on_cpus(monkeypatch, 2, lambda: opt.step(rng.normal(size=n)))
+    finally:
+        restore()
+    assert worker_running()
+    newton = [s[4]["iterations"] for s in tracer.spans if s[0] == "trust_region.solve_eta"]
+    assert all(newton) == (epsilon == 1e4)
+    step_spans = [i for i, s in enumerate(tracer.spans) if s[0] == "optimizer.step"]
+    assert len(step_spans) == steps
+    names = ("surrogate.filter_update", "trust_region.primal_variance", "trust_region.solve_eta")
+    for name in names:
+        assert sorted(s[3] for s in tracer.spans if s[0] == name) == step_spans, name
+    # and no other seam opens a span, from either thread
+    assert {s[0] for s in tracer.spans} == {"optimizer.step", *names}

@@ -88,16 +88,27 @@ def test_adam_steps_are_bitwise_the_one_cpu_steps(monkeypatch, cls, config):
 @pytest.mark.parametrize("n", [MIN_SPLIT, N, 3 * surrogate.BLOCK + 77])
 def test_the_two_parts_walk_their_own_scratch_columns(monkeypatch, block, n):
     monkeypatch.setattr(surrogate, "BLOCK", block)
-    parts = []
-    on_cpus(monkeypatch, 2, lambda: halves(parts.append, n))
-    scratch = np.zeros((2, min(block, n)), dtype=np.int64)
-    first, second = (list(surrogate.blocks(h, scratch)) for h in sorted(parts, key=lambda h: h.start))
-    assert [i for s, _ in first + second for i in range(s.start, s.stop)] == list(range(n))
-    assert all(x.shape == (2, s.stop - s.start) for s, x in first + second)
-    for bit, part in ((1, first), (2, second)):
-        for _, x in part:
-            x |= bit
-    assert not np.any(scratch == 3)  # no column written by both parts
+
+    def record(s, columns):
+        return s, columns, threading.get_ident()
+
+    seen = on_cpus(monkeypatch, 2, lambda: surrogate.sweep(record, n, 2))
+    assert [i for s, _, _ in seen for i in range(s.start, s.stop)] == list(range(n))
+    assert all(x.shape == (2, s.stop - s.start) for s, x, _ in seen)
+    # a thread reuses its columns, so at most two distinct arrays per thread
+    by_thread = {}
+    for _, x, thread in seen:
+        by_thread.setdefault(thread, {})[x.__array_interface__["data"][0], x.shape] = x
+    first, second = by_thread.values()
+    assert not any(np.shares_memory(x, y) for x in first.values() for y in second.values())
+    # on one CPU the one part walks range(n) in blocks of BLOCK // 2 here; they
+    # are the two parts' blocks where the split falls on a block's edge
+    one = on_cpus(monkeypatch, 1, lambda: surrogate.sweep(record, n, 2))
+    size = block // 2
+    assert [s for s, _, _ in one] == [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    assert {thread for _, _, thread in one} == {threading.get_ident()}
+    if (n // 2 // baselines.ALIGN * baselines.ALIGN) % size == 0:
+        assert [s for s, _, _ in one] == [s for s, _, _ in seen]
 
 
 @pytest.mark.parametrize("block", [None, 3000], ids=["default-block", "blocks-of-1500"])

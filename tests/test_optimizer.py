@@ -184,7 +184,7 @@ def test_nan_mean_from_the_solve_fails_at_the_next_step(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_step_allocates_fewer_than_four_vectors(monkeypatch, cpus):
     # the new variance, the new mean and the clamped slopes, and block scratch
-    # (1.5 n-vectors for the filter at n = 4 BLOCK, freed before the solve's
+    # (1.25 n-vectors for the filter at n = 4 BLOCK, freed before the solve's
     # half): the filter state is updated in place, and on two CPUs the
     # worker's half allocates nothing
     n = 4 * surrogate.BLOCK

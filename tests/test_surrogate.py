@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_halves import on_cpus
 
 from kltrust import surrogate
 from kltrust.errors import NonFiniteError, NumericalFault
@@ -361,6 +364,22 @@ def test_update_writes_the_state_in_place(monkeypatch, block, n):
     for name, x in arrays.items():
         assert getattr(state, name) is x, name
         assert np.array_equal(x, getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_update_allocates_five_rows_of_scratch(monkeypatch, cpus):
+    # five rows of BLOCK columns at n = 4 BLOCK are 1.25 n-vectors; the state
+    # is written in place, and on two CPUs the worker's half allocates nothing
+    n = 4 * surrogate.BLOCK
+    rng = np.random.default_rng(15)
+    state, mu, g = init_state(n, 0.3), rng.normal(size=n), rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        on_cpus(monkeypatch, cpus, lambda: filter_update(state, mu, g, 0.02, 1.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.25 <= peak / (8 * n) < 1.5
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -68,6 +68,34 @@ def test_distribution_rejects_mismatched_shapes(mu, sigma2):
         dist(mu, sigma2)
 
 
+def test_an_empty_distribution_is_rejected():
+    # a sweep over no dimensions has no extremes to check
+    with pytest.raises(ValueError, match="mu and sigma2 must be 1-d vectors of equal length >= 1"):
+        dist([], [])
+
+
+SURROGATE_READERS = {
+    "solve_eta": lambda a, b, prev: solve_eta(a, b, prev, params()),
+    "primal_variance": lambda a, b, prev: primal_variance(a, prev, params()),
+    "primal_mean": lambda a, b, prev: primal_mean(a, b, prev, 1.0, params()),
+}
+
+
+@pytest.mark.parametrize("length", [8, 4, 1], ids=["n+3", "n-1", "1"])
+@pytest.mark.parametrize("name", SURROGATE_READERS)
+def test_a_or_b_of_another_length_is_rejected_by_name(name, length):
+    # n = 5: a longer vector was cut to its first n entries, a shorter one
+    # failed to broadcast without naming it, and a length-1 one broadcast
+    fn, prev = SURROGATE_READERS[name], dist(np.zeros(5), np.ones(5))
+    good, bad = np.ones(5), np.ones(length)
+    with pytest.raises(ValueError, match=rf"^a (and b )?must have length 5, got \({length},\)"):
+        fn(bad, good, prev)
+    if name != "primal_variance":  # the variance reads no b
+        with pytest.raises(ValueError,
+                           match=rf"^a and b must have length 5, got \(5,\) and \({length},\)$"):
+            fn(good, bad, prev)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         params(epsilon=0.0)
