@@ -18,9 +18,6 @@ from .trust_region import (
     DualSolve,
     DualSolverError,
     ParameterDistribution,
-    dual_derivative,
-    kl_mean_term,
-    primal_mean,
     primal_variance,
     solve_eta,
 )
@@ -45,16 +42,13 @@ __all__ = [
     "SyntheticQuadraticTask",
     "TrustRegionConfig",
     "TrustRegionOptimizer",
-    "dual_derivative",
     "fd_check",
     "filter_update",
     "init_state",
-    "kl_mean_term",
     "load_cifar_binary",
     "load_fashion_mnist",
     "load_idx",
     "minibatches",
-    "primal_mean",
     "primal_variance",
     "run",
     "solve_eta",

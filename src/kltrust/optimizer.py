@@ -3,9 +3,10 @@
 One step: feed the new stochastic gradient to the per-dimension filter,
 clamp the fitted slopes at zero, update the variance via its closed form,
 solve the dual for the constrained mean, then apply decoupled weight decay.
-Two ablation modes replace parts of that pipeline: `fixed-eta` skips the
-dual solve, `adam-surrogate` derives the quadratic surrogate from Adam's
-moment estimates, at Adam's default constants, instead of the filter.
+Two ablation modes replace parts of that pipeline: `fixed-eta` solves for
+the mean at the constant multiplier `fixed_eta` instead of the dual's root,
+`adam-surrogate` derives the quadratic surrogate from Adam's moment
+estimates, at Adam's default constants, instead of the filter.
 """
 
 from __future__ import annotations
@@ -18,11 +19,8 @@ from .baselines import AdamMoments, BaselineConfig, Optimizer
 from .surrogate import SurrogateState, filter_update, init_state
 from .trust_region import (  # MODES and the config are also imported from here
     MODES,
-    DualSolve,
     ParameterDistribution,
     TrustRegionConfig,
-    kl_mean_term,
-    primal_mean,
     primal_variance,
     solve_eta,
 )
@@ -68,18 +66,11 @@ class TrustRegionOptimizer(Optimizer):
             a = np.maximum(a, 0.0)
 
         sigma2_new = primal_variance(a, self.dist, cfg)
-
-        if cfg.mode == "fixed-eta":
-            mu_new = primal_mean(a, b, self.dist, cfg.fixed_eta, cfg)
-            res = DualSolve(cfg.fixed_eta, mu_new, kl_mean_term(mu_new, self.dist), 0)
-        else:
-            res = solve_eta(a, b, self.dist, cfg)
-
-        mu_new = res.mu
+        res = solve_eta(a, b, self.dist, cfg)  # in fixed-eta mode, at cfg.fixed_eta
         if cfg.weight_decay > 0.0:
-            mu_new *= 1.0 - cfg.weight_decay  # in place: the solve's own fresh array
+            np.multiply(res.mu, 1.0 - cfg.weight_decay, out=res.mu)  # the solve's own array
 
         # checked where made: sigma2 by primal_variance, the mean by the next _check
-        self.dist.mu = self.mean = mu_new
+        self.dist.mu = self.mean = res.mu
         self.dist.sigma2 = sigma2_new
         return StepDiagnostics(res.eta_star, res.c_mu, res.iterations, clamped)

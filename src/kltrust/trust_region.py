@@ -12,7 +12,7 @@ C_mu(eta) = epsilon, the secular equation of a trust-region subproblem,
 solved by Newton's method from the classic lower bound on the root (More &
 Sorensen 1983, "Computing a trust region step"), which on a network already
 lies in the solver's band. When C_mu(0) <= epsilon the optimum is interior
-and eta* = 0.
+and eta* = 0. The `fixed-eta` ablation passes its own eta instead.
 The functions read epsilon, rho, nu and lambda_prec from the optimizer's
 TrustRegionConfig, defined here and passed as `tr`, which checks their ranges.
 """
@@ -20,7 +20,7 @@ TrustRegionConfig, defined here and passed as `tr`, which checks their ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,32 +109,6 @@ class DualSolve:
     iterations: int
 
 
-def primal_mean(
-    a: np.ndarray,
-    b: np.ndarray,
-    prev: ParameterDistribution,
-    eta: float,
-    tr: TrustRegionConfig,
-) -> np.ndarray:
-    """Optimal mean for a fixed multiplier eta >= 0 (a_j >= 0 expected).
-
-    Raises NonFiniteError naming the first dimension whose denominator is <= 0.
-
-    mu_j(eta) = (eta * mu_prev_j / sigma2_prev_j - b_j)
-                / (a_j + eta / sigma2_prev_j + rho * lambda_prec)
-    """
-    _check_lengths(prev, a=a, b=b)
-    rl = tr.rho * tr.lambda_prec
-    denom = a + eta / prev.sigma2 + rl
-    if np.any(denom <= 0.0):
-        j = int(np.nonzero(denom <= 0.0)[0][0])
-        raise NonFiniteError(
-            f"non-positive denominator in dimension {j}: "
-            f"a={a[j]}, eta={eta}, rho*lambda={rl}"
-        )
-    return (eta * prev.mu / prev.sigma2 - b) / denom
-
-
 def _check_lengths(prev: ParameterDistribution, **vectors) -> None:
     """Raise ValueError unless each of `vectors` has prev's length."""
     if any(np.shape(x) != (prev.n,) for x in vectors.values()):
@@ -169,23 +143,6 @@ def primal_variance(
     return out
 
 
-def kl_mean_term(mu_new: np.ndarray, prev: ParameterDistribution) -> float:
-    """Mean part of KL(new || prev): 1/2 * sum (delta)^2 / sigma2_prev."""
-    d = mu_new - prev.mu
-    return 0.5 * float(np.sum(d * d / prev.sigma2))
-
-
-def dual_derivative(
-    eta: float,
-    a: np.ndarray,
-    b: np.ndarray,
-    prev: ParameterDistribution,
-    tr: TrustRegionConfig,
-) -> float:
-    """g'(eta) = C_mu(mu(eta)) - epsilon; positive means constraint violated."""
-    return kl_mean_term(primal_mean(a, b, prev, eta, tr), prev) - tr.epsilon
-
-
 def solve_eta(
     a: np.ndarray,
     b: np.ndarray,
@@ -211,7 +168,8 @@ def solve_eta(
     C(0) > epsilon; from eta = 0 the first evaluation is the interior test,
     and when C <= epsilon there the step is returned with eta* = 0 (or
     ETA_MIN). When every w_j is far below eta*, as on a network, L lies in
-    the band and no Newton step is taken. `iterations` counts Newton steps.
+    the band and no Newton step is taken. `iterations` counts Newton steps;
+    `fixed-eta` mode evaluates tr.fixed_eta alone: no Newton, band or ETA_MAX.
     One n-vector holds z, then each evaluation's p = z / (w + eta), then the
     returned mean; w, and z after a Newton step, are rebuilt per block from
     a, b and prev. Only Newton allocates a second n-vector, p / (w + eta).
@@ -264,6 +222,15 @@ def solve_eta(
 
     w_lows, w_highs = zip(*surrogate.sweep(setup, n, 2))
     w_min, w_max = np.min(w_lows), np.max(w_highs)  # a NaN kept
+    if tr.mode == "fixed-eta":
+        eta = tr.fixed_eta
+        if w_min + eta <= 0.0:  # w + eta rounds monotonically in w
+            j = int(np.flatnonzero((a + rl) * prev.sigma2 + eta <= 0.0)[0])
+            raise NonFiniteError(f"non-positive denominator in dimension {j}: "
+                                 f"a={a[j]}, eta={eta}, rho*lambda={rl}")
+        c = secular(eta, z=False)
+        surrogate.sweep(mean, n, 1)
+        return DualSolve(eta, out, c, 0)
     # below ETA_MIN a w_j makes the eta = 0 step undefined (w_j = 0) or
     # overflow C and C', so the solve starts at the smallest multiplier; a
     # NaN w_j is not below it, and makes z.z NaN, which fails the solve
@@ -298,3 +265,9 @@ def solve_eta(
         done = abs(c - eps) <= 0.1 * eps
     surrogate.sweep(mean, n, 1)
     return DualSolve(eta, out, c, iterations)
+
+
+def dual_derivative(eta: float, a: np.ndarray, b: np.ndarray, prev: ParameterDistribution,
+                    tr: TrustRegionConfig) -> float:
+    """g'(eta) = C_mu(mu(eta)) - epsilon; positive means constraint violated."""
+    return solve_eta(a, b, prev, replace(tr, mode="fixed-eta", fixed_eta=eta)).c_mu - tr.epsilon

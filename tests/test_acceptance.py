@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dual_oracle import checked_solve
 
 import kltrust.optimizer as optimizer_mod
 from kltrust.baselines import Adam, AdamW, BaselineConfig, SGDMomentum
@@ -27,13 +28,7 @@ from kltrust.harness import (
 from kltrust.models import MLP, Batch, SmallCNN, fd_check
 from kltrust.optimizer import TrustRegionConfig, TrustRegionOptimizer
 from kltrust.surrogate import filter_update, init_state
-from kltrust.trust_region import (
-    DualSolve,
-    ParameterDistribution,
-    kl_mean_term,
-    primal_mean,
-    solve_eta,
-)
+from kltrust.trust_region import ParameterDistribution, solve_eta
 
 
 def _report(num: int, text: str) -> None:
@@ -186,13 +181,14 @@ def test_criterion_03_structural_invariants():
     b = rng.uniform(-5.0, 5.0, size=n)
     prev = ParameterDistribution(rng.uniform(-1, 1, n), rng.uniform(0.01, 1.0, n))
     tr = TrustRegionConfig(epsilon=0.01, rho=0.1, nu=1.3, lambda_prec=0.0015)
-    mu_inf = primal_mean(a, b, prev, 1e12, tr)
+    mu_inf = solve_eta(a, b, prev, replace(tr, mode="fixed-eta", fixed_eta=1e12)).mu
     assert np.linalg.norm(mu_inf - prev.mu) / np.linalg.norm(prev.mu) < 1e-6
 
     # eta = 0 with no regularization recovers the surrogate optimum
     a_pos = rng.uniform(0.5, 5.0, size=n)
-    tr0 = TrustRegionConfig(epsilon=0.01, rho=0.0, nu=1.3, lambda_prec=0.0)
-    mu0_step = primal_mean(a_pos, b, prev, 0.0, tr0)
+    tr0 = TrustRegionConfig(epsilon=0.01, rho=0.0, nu=1.3, lambda_prec=0.0, mode="fixed-eta",
+                            fixed_eta=0.0)
+    mu0_step = solve_eta(a_pos, b, prev, tr0).mu
     assert np.max(np.abs(mu0_step - (-b / a_pos)) / np.abs(-b / a_pos)) < 1e-10
     _report(3, "variance positivity, eta-independence, and both limit laws hold")
 
@@ -404,26 +400,28 @@ def test_criterion_09_ablation_harness(tmp_path, monkeypatch):
     for variant in ("fixed-eta", "adam-surrogate"):
         _assert_variant_schema(run(replace(base, variant=variant)), variant)
 
-    # forced-constant-eta standard mode equals fixed-eta mode bitwise
+    # fixed-eta mode matches the reference mean at each step, and standard
+    # mode with its solve forced to the same eta equals it bitwise
     eta = 3.0
     grads = np.random.default_rng(40).normal(size=(40, 5))
-
-    def forced(a, b, prev, tr):
-        mu = primal_mean(a, b, prev, eta, tr)
-        return DualSolve(eta, mu, kl_mean_term(mu, prev), 0)
-
-    monkeypatch.setattr(optimizer_mod, "solve_eta", forced)
-    std = TrustRegionOptimizer(5, TrustRegionConfig(mode="standard"), mu0=np.zeros(5))
+    monkeypatch.setattr(optimizer_mod, "solve_eta", checked_solve)
     fix = TrustRegionOptimizer(
         5, TrustRegionConfig(mode="fixed-eta", fixed_eta=eta), mu0=np.zeros(5)
     )
-    for g in grads:
-        std.step(g)
-        fix.step(g)
-        assert np.array_equal(std.dist.mu, fix.dist.mu)
-        assert np.array_equal(std.dist.sigma2, fix.dist.sigma2)
+    fixed = [(fix.step(g), fix.dist.mu.copy(), fix.dist.sigma2.copy()) for g in grads]
+
+    def forced(a, b, prev, tr):
+        return checked_solve(a, b, prev, replace(tr, mode="fixed-eta", fixed_eta=eta))
+
+    monkeypatch.setattr(optimizer_mod, "solve_eta", forced)
+    std = TrustRegionOptimizer(5, TrustRegionConfig(mode="standard"), mu0=np.zeros(5))
+    for g, (diag, mu, sigma2) in zip(grads, fixed):
+        assert std.step(g) == diag
+        assert np.array_equal(std.dist.mu, mu)
+        assert np.array_equal(std.dist.sigma2, sigma2)
     monkeypatch.undo()
-    _report(9, "variants complete with tagged schema; forced-eta equals fixed-eta bitwise")
+    _report(9, "variants complete with tagged schema; fixed-eta matches the reference mean, "
+               "and forced-eta equals it bitwise")
 
 
 @needs_fashion_mnist

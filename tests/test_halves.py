@@ -174,13 +174,26 @@ def _zero_w(j):
     return res.eta_star, res.c_mu, res.iterations, res.mu.tobytes()
 
 
+def _fixed_eta(j):
+    # a fixed-eta solve, and its zero denominator: w_j = 0 at eta = 0
+    rng = np.random.default_rng(15)
+    a, b = rng.uniform(0.0, 1.0, size=N), rng.normal(size=N)
+    prev = ParameterDistribution(rng.normal(size=N), np.full(N, 0.5))
+    res = solve_eta(a, b, prev, TrustRegionConfig(mode="fixed-eta", fixed_eta=10.0))
+    a[j] = 0.0
+    with pytest.raises(NonFiniteError, match=f"^non-positive denominator in dimension {j}: "):
+        solve_eta(a, b, prev, TrustRegionConfig(mode="fixed-eta", fixed_eta=0.0, lambda_prec=0.0))
+    return res.eta_star, res.c_mu, res.iterations, res.mu.tobytes()
+
+
 @pytest.mark.parametrize("j", [5, N - 5], ids=["workers-half", "callers-half"])
 @pytest.mark.parametrize("fault,expected", [
     (_not_pd, (FilterConsistencyError, "covariance not positive definite or state non-finite")),
     (_nan_variance, (NonFiniteError,
                      "variance update produced a non-positive or NaN entry, or inf")),
     (_zero_w, None),
-], ids=["filter-not-pd", "variance-nan", "solve-zero-w"])
+    (_fixed_eta, None),
+], ids=["filter-not-pd", "variance-nan", "solve-zero-w", "fixed-eta-solve"])
 def test_what_either_half_finds_counts(monkeypatch, fault, expected, j):
     # each half keeps its own min, max or check sum, and the caller combines
     # them: a fault in either half is what one CPU finds

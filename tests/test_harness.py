@@ -341,11 +341,18 @@ def test_the_summary_records_the_machine(tmp_path, monkeypatch):
     result = run(synth_config(tmp_path))
     summary = json.loads(result.summary_path.read_text())
     assert summary == result.summary
+    blas = summary["machine"].pop("blas")
     assert summary["machine"] == {
         "python": "{}.{}.{}".format(*sys.version_info), "numpy": np.__version__,
         "platform": sys.platform, "cpus": 3,
         "blas_threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                          "MKL_NUM_THREADS": None}}
+    # the BLAS numpy was built with, which numpy < 1.26 cannot name
+    assert blas == harness.machine()["blas"]
+    if np.lib.NumpyVersion(np.__version__) >= "1.26.0":
+        assert isinstance(blas["name"], str) and isinstance(blas["version"], str)
+    monkeypatch.setattr(np, "__version__", "1.25.2")
+    assert harness.machine()["blas"] is None
 
 
 def test_baseline_run_emits_null_eta(tmp_path):
@@ -373,9 +380,9 @@ QUADRATIC_TRAJECTORY = {
          0.0, "standard"),
     ],
     "fixed-eta": [
-        (0, 0, 13.575844445328576, None, 50.0, 0.0003884492020141805, 0.0, 0.0,
+        (0, 0, 13.575844445328544, None, 50.0, 0.000388449202014186, 0.0, 0.0,
          "fixed-eta"),
-        (0, 1, 7.0382278157452784, None, 50.0, 0.00023946637882705515, 0.0, 0.0,
+        (0, 1, 7.038227815745214, None, 50.0, 0.00023946637882705943, 0.0, 0.0,
          "fixed-eta"),
     ],
     "adam-surrogate": [

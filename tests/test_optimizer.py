@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from dual_oracle import checked_solve
 from test_halves import on_cpus
 from test_surrogate import copied, unfused_update
 
@@ -15,7 +16,7 @@ from kltrust.errors import NonFiniteError
 from kltrust.models import MLP, Batch
 from kltrust.optimizer import MODES, StepDiagnostics, TrustRegionConfig, TrustRegionOptimizer
 from kltrust.surrogate import filter_update, init_state
-from kltrust.trust_region import ETA_MIN, DualSolve, kl_mean_term, primal_mean, solve_eta
+from kltrust.trust_region import ETA_MIN, solve_eta
 
 
 def quadratic_grad(D, theta_star):
@@ -387,23 +388,25 @@ def test_sigma_identical_across_forced_eta():
 
 
 def test_mode_equivalence_standard_vs_fixed(monkeypatch):
+    # each fixed-eta step matches the reference mean; standard mode with its
+    # solve forced to the same eta takes the same steps, bitwise
     eta = 2.5
     grads = np.random.default_rng(12).normal(size=(30, 4))
-
-    def forced_solve(a, b, prev, tr):
-        mu = primal_mean(a, b, prev, eta, tr)
-        return DualSolve(eta, mu, kl_mean_term(mu, prev), 0)
-
-    monkeypatch.setattr(optimizer_mod, "solve_eta", forced_solve)
-    std = TrustRegionOptimizer(4, TrustRegionConfig(mode="standard"), mu0=np.zeros(4))
+    monkeypatch.setattr(optimizer_mod, "solve_eta", checked_solve)
     fix = TrustRegionOptimizer(
         4, TrustRegionConfig(mode="fixed-eta", fixed_eta=eta), mu0=np.zeros(4)
     )
-    for g in grads:
-        std.step(g)
-        fix.step(g)
-        assert np.array_equal(std.dist.mu, fix.dist.mu)
-        assert np.array_equal(std.dist.sigma2, fix.dist.sigma2)
+    fixed = [(fix.step(g), fix.dist.mu.copy(), fix.dist.sigma2.copy()) for g in grads]
+
+    def forced_solve(a, b, prev, tr):
+        return checked_solve(a, b, prev, replace(tr, mode="fixed-eta", fixed_eta=eta))
+
+    monkeypatch.setattr(optimizer_mod, "solve_eta", forced_solve)
+    std = TrustRegionOptimizer(4, TrustRegionConfig(mode="standard"), mu0=np.zeros(4))
+    for g, (diag, mu, sigma2) in zip(grads, fixed):
+        assert std.step(g) == diag
+        assert np.array_equal(std.dist.mu, mu)
+        assert np.array_equal(std.dist.sigma2, sigma2)
 
 
 def test_deterministic_replay():

@@ -5,6 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from dual_oracle import (
+    assert_matches_oracle,
+    assert_mean_matches_oracle,
+    c_mu_and_rounding,
+    kl_mean_term,
+    primal_mean,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +23,6 @@ from kltrust.trust_region import (
     DualSolverError,
     ParameterDistribution,
     dual_derivative,
-    kl_mean_term,
-    primal_mean,
     primal_variance,
     solve_eta,
 )
@@ -107,7 +112,7 @@ def test_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# primal_mean
+# the reference mean, primal_mean
 # ---------------------------------------------------------------------------
 
 def test_mean_closed_form():
@@ -176,7 +181,7 @@ def test_variance_signature_has_no_eta():
 
 
 # ---------------------------------------------------------------------------
-# kl_mean_term
+# the reference C_mu, kl_mean_term
 # ---------------------------------------------------------------------------
 
 def test_kl_zero_step():
@@ -305,7 +310,8 @@ def solve_peak(a, b, prev, tr):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_solve_allocates_one_vector_and_a_second_only_for_newton(monkeypatch, cpus):
-    # z, p and the new mean share the solve's one n-vector, and w and
+    # z, p and the new mean share the solve's one n-vector (also at a fixed
+    # multiplier, where the reference formula peaks at 3), and w and
     # sqrt(sigma2) are rebuilt per block in scratch (half an n-vector at
     # n = 4 BLOCK); Newton's p / (w + eta) is the only other n-vector, and
     # on two CPUs the worker's half allocates nothing
@@ -321,6 +327,10 @@ def test_solve_allocates_one_vector_and_a_second_only_for_newton(monkeypatch, cp
     res, peak = solve_peak(a, b, prev, params(epsilon=1e3))
     assert res.iterations > 0
     assert 2 <= peak < 3
+    # a fixed multiplier takes the path without Newton
+    res, peak = solve_peak(a, b, prev, replace(params(), mode="fixed-eta", fixed_eta=1e3))
+    assert (res.eta_star, res.iterations) == (1e3, 0)
+    assert 1 <= peak < 2
 
 
 def test_solve_pathological_surrogate_raises():
@@ -393,9 +403,7 @@ def test_c_mu_nonincreasing_in_eta():
     rng = np.random.default_rng(17)
     a, b, prev, tr = random_instance(rng, 0.05)
     grid = np.logspace(-6, 6, 200)
-    vals = [
-        kl_mean_term(primal_mean(a, b, prev, eta, tr), prev) for eta in grid
-    ]
+    vals = [dual_derivative(eta, a, b, prev, tr) + tr.epsilon for eta in grid]
     assert all(v1 >= v2 - 1e-12 * max(v1, 1.0) for v1, v2 in zip(vals[:-1], vals[1:]))
 
 
@@ -405,10 +413,10 @@ def test_limit_laws():
     a = rng.uniform(0.5, 5.0, size=n)
     b = rng.uniform(-3.0, 3.0, size=n)
     prev = dist(rng.uniform(-2.0, 2.0, size=n), rng.uniform(0.1, 1.0, size=n))
-    tr = params(epsilon=0.01)
-    frozen = primal_mean(a, b, prev, 1e12, tr)
+    tr = replace(params(epsilon=0.01), mode="fixed-eta", fixed_eta=1e12)
+    frozen = solve_eta(a, b, prev, tr).mu
     assert np.linalg.norm(frozen - prev.mu) / np.linalg.norm(prev.mu) < 1e-6
-    newton = primal_mean(a, b, prev, 0.0, tr)
+    newton = solve_eta(a, b, prev, replace(tr, fixed_eta=0.0)).mu
     assert np.allclose(newton, -b / a, rtol=1e-10)
 
 
@@ -465,36 +473,24 @@ def test_solve_properties(instance):
         # neither the lower-bound start nor a Newton step passes the root
         c, err = c_mu_and_rounding(a, b, prev, res.eta_star, tr)
         assert c >= eps - err
-    ref = primal_mean(a, b, prev, res.eta_star, tr)
-    # both forms round relative to the magnitudes they combine
-    assert np.all(np.abs(res.mu - ref) <= 1e-10 * (np.abs(ref) + np.abs(prev.mu)))
+    assert_mean_matches_oracle(res.mu, a, b, prev, res.eta_star, tr)
     # kl_mean_term subtracts mu_prev again, losing up to an ulp of it
     assert res.c_mu == pytest.approx(kl_mean_term(res.mu, prev), rel=1e-10, abs=1e-10 * eps)
 
 
-def c_mu_and_rounding(a, b, prev, eta, tr):
-    """C_mu(eta) by the reference, and a bound on the rounding in it."""
-    mu = primal_mean(a, b, prev, eta, tr)
-    c = kl_mean_term(mu, prev)
-    ulp = np.finfo(float).eps
-    denom = a + eta / prev.sigma2 + tr.rho * tr.lambda_prec
-    d = np.abs(mu - prev.mu)
-    # primal_mean rounds relative to the terms of its quotient, the step
-    # relative to itself; the bound on d then carries through d^2/s and the sum
-    delta = 8 * ulp * ((eta * np.abs(prev.mu) / prev.sigma2 + np.abs(b)) / denom + d)
-    err = 0.5 * np.sum((2.0 * d + delta) * delta / prev.sigma2) + 4 * len(a) * ulp * c
-    return c, err
+def etas(curvature):
+    """Multipliers for an instance whose a + rho*lambda, or w, is `curvature`.
+    At eta = 0 the mean is undefined where a curvature_j is 0, so 0 is drawn
+    only where none is; any eta >= ETA_MIN keeps every denominator positive."""
+    eta = floats(ETA_MIN, 1e6)
+    return st.one_of(st.just(0.0), eta) if np.all(curvature > 0.0) else eta
 
 
 @st.composite
 def monotone_instances(draw):
-    """A dual instance and two multipliers lo <= hi. At eta = 0 the mean is
-    undefined where a_j + rho*lambda = 0, so 0 is drawn only where it is not;
-    any eta >= ETA_MIN keeps every denominator positive."""
+    """A dual instance and two multipliers lo <= hi."""
     a, b, prev, tr = draw(dual_instances())
-    eta = floats(ETA_MIN, 1e6)
-    if np.all(a + tr.rho * tr.lambda_prec > 0.0):
-        eta = st.one_of(st.just(0.0), eta)
+    eta = etas(a + tr.rho * tr.lambda_prec)
     return a, b, prev, tr, *sorted(draw(st.lists(eta, min_size=2, max_size=2)))
 
 
@@ -506,3 +502,38 @@ def test_c_mu_monotone_in_eta(instance):
     c_lo, err_lo = c_mu_and_rounding(a, b, prev, lo, tr)
     c_hi, err_hi = c_mu_and_rounding(a, b, prev, hi, tr)
     assert c_lo == math.inf or c_lo >= c_hi - (err_lo + err_hi)
+
+
+@st.composite
+def fixed_eta_instances(draw):
+    """A dual instance in the fixed-eta mode, at a multiplier from `etas`:
+    0 only where every w_j = (a_j + rho*lambda) s_j > 0, as solve_eta rounds
+    it, where its mean at eta = 0 is defined."""
+    a, b, prev, tr = draw(dual_instances())
+    eta = draw(etas((a + tr.rho * tr.lambda_prec) * prev.sigma2))
+    return a, b, prev, replace(tr, mode="fixed-eta", fixed_eta=eta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fixed_eta_instances())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # C overflows near a_j = 0
+def test_a_fixed_eta_solve_is_the_reference_mean_at_its_multiplier(instance):
+    a, b, prev, tr = instance
+    res = solve_eta(a, b, prev, tr)
+    assert res.iterations == 0 and res.eta_star == tr.fixed_eta
+    assert_matches_oracle(res, a, b, prev, tr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dual_instances(), st.data())
+def test_a_fixed_eta_zero_denominator_is_named_as_the_reference_names_it(instance, data):
+    # at eta = 0 with rho*lambda = 0, w_j = 0 where a_j = 0; the first such j is named
+    a, b, prev, tr = instance
+    a[data.draw(st.integers(0, len(a) - 1))] = 0.0
+    tr = replace(tr, lambda_prec=0.0, mode="fixed-eta", fixed_eta=0.0)
+    j = int(np.flatnonzero(a == 0.0)[0])
+    message = rf"^non-positive denominator in dimension {j}: a=0\.0, eta=0\.0, rho\*lambda=0\.0$"
+    with pytest.raises(NonFiniteError, match=message):
+        solve_eta(a, b, prev, tr)
+    with pytest.raises(NonFiniteError, match=message):
+        primal_mean(a, b, prev, 0.0, tr)
