@@ -79,17 +79,19 @@ def check_decay(config) -> None:
 
 # halves(): whole-vector work split across two threads
 
-# Below this many elements (n rows of `width`) a split runs inline. Handing a
-# half to the worker and taking its reply costs about 25 us. Measured on a
-# 2-vCPU VM with one-thread BLAS: an Adam step breaks even near n = 32K
-# (0.60 ms inline, 0.55 ms split) and is 1.5x faster at n = 203,530; the
-# 784-256-10 MLP's gradient at batch 128 (32K first-layer outputs) is 1.5x
-# faster, and a 128-128-10 MLP's (16K) is 20% slower. A split also costs per
-# numpy call in each half, as each call's return waits for the GIL, so the
-# trust-region step's parts walk blocks of surrogate.BLOCK // 2. Split, at
-# n = 32K the filter and the dual solve are 10% and 60% slower; at 64K the
-# filter is 1.5x faster and the solve 1.3x slower; at n = 203,530 the filter
-# is 1.6x faster, the solve 1.1x faster and the variance no faster.
+# Below this many elements (n rows of `width`) a split runs inline. A split of
+# no work costs about 19 us: the worker's wake-up on the other CPU, its reply,
+# and the check of the caller's CPU (about 4 us). Measured in process on a
+# 2-vCPU VM with one-thread BLAS, p50s of 200 calls, one CPU against two: an
+# Adam step breaks even near n = 32K (0.19-0.21 ms inline, 0.18 split), is
+# 1.4x faster at 64K and 1.6x at n = 203,530; the 784-256-10 MLP's gradient at
+# batch 128 (32K first-layer outputs) is 1.4x faster, and a 128-128-10 MLP's
+# (16K), if split, is 20% slower. A split also costs per numpy call in each
+# half, as each call's return waits for the GIL, so the trust-region step's
+# parts walk blocks of surrogate.BLOCK // 2. Split, at n = 32K the filter is
+# 8% and the dual solve 45% slower; at 64K the filter is 1.05-1.13x faster and
+# the solve 1.1x faster to 1.3x slower; at n = 203,530 the filter is
+# 1.14-1.26x, the solve 1.11-1.16x and the variance 1.23-1.28x faster.
 MIN_SPLIT = 1 << 15
 # The first half's length is a multiple of this: whole cache lines of float64,
 # and whole micro-tiles of the BLAS kernels (models._matmul_by_rows).
@@ -118,6 +120,9 @@ def _serve(todo: SimpleQueue, done: SimpleQueue) -> None:
 _queues: tuple[SimpleQueue, SimpleQueue] | None = None  # (todo, done), made by the first split
 _busy = threading.Lock()  # held by the call whose half the worker has
 _PID = os.getpid()  # a child forked after import has no worker thread and splits nothing
+# the worker's native id, the CPUs it was started on and the CPU it was last
+# kept off, made by the first split where the OS lets a thread's CPUs be set
+_worker: tuple[int, set, int | None] | None = None
 
 
 def _cpus() -> int:
@@ -126,6 +131,37 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without the call
         return os.cpu_count() or 1
+
+
+def _caller_cpu() -> int | None:
+    """The CPU the calling thread is on: field 39 of its /proc stat, as
+    Python has no sched_getcpu; None where that file cannot be read."""
+    try:
+        fd = os.open("/proc/thread-self/stat", os.O_RDONLY)
+    except OSError:
+        return None
+    try:
+        stat = os.read(fd, 1024)
+    finally:
+        os.close(fd)
+    return int(stat.rpartition(b")")[2].split()[36])
+
+
+def _keep_off_caller() -> None:
+    """Let the worker run on every CPU it was started on but the caller's.
+    The scheduler wakes the worker onto its waker's CPU, and there the two
+    halves take turns instead of overlapping; the caller's own affinity,
+    which BLAS threads inherit, is never touched."""
+    global _worker
+    tid, cpus, off = _worker
+    cpu = _caller_cpu()
+    if cpu is None or cpu == off or not cpus - {cpu}:
+        return
+    try:
+        os.sched_setaffinity(tid, cpus - {cpu})
+    except OSError:  # the worker stays where the scheduler puts it
+        return
+    _worker = tid, cpus, cpu
 
 
 def halves(fn, n: int, width: int = 1) -> None:
@@ -139,9 +175,10 @@ def halves(fn, n: int, width: int = 1) -> None:
     (its tracer keeps one span stack). fn(slice(0, n)) runs here alone when
     the process may use one CPU, when n rows of `width` elements are fewer
     than MIN_SPLIT or than two ALIGNs of rows, in a child after fork, and
-    while another call has the worker.
+    while another call has the worker. Where the OS lets a thread's CPUs be
+    set, the worker is kept off the CPU the caller is on (_keep_off_caller).
     """
-    global _queues
+    global _queues, _worker
     half = n // 2 // ALIGN * ALIGN
     if (not half or n * width < MIN_SPLIT or os.getpid() != _PID or _cpus() < 2
             or not _busy.acquire(blocking=False)):
@@ -150,8 +187,13 @@ def halves(fn, n: int, width: int = 1) -> None:
     try:
         if _queues is None:
             _queues = SimpleQueue(), SimpleQueue()
-            threading.Thread(target=_serve, args=_queues, name="kltrust-halves",
-                             daemon=True).start()
+            worker = threading.Thread(target=_serve, args=_queues, name="kltrust-halves",
+                                      daemon=True)
+            worker.start()
+            if hasattr(os, "sched_setaffinity"):
+                _worker = worker.native_id, os.sched_getaffinity(worker.native_id), None
+        if _worker is not None:
+            _keep_off_caller()
         todo, done = _queues
         todo.put((contextvars.copy_context(), fn, slice(0, half)))
         try:

@@ -14,6 +14,7 @@ One loop trains every cell: models expose `n_params`, `init_params(seed)` and
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -21,7 +22,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, make_dataclass
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,16 @@ class RunConfig:
             out.update(presets.get_preset(self.optimizer, self.preset))
         out.update(self.hyperparams)
         return out
+
+    def sha256(self) -> str:
+        """The SHA-256 of what the run computes, as canonical JSON: every field
+        but out_dir, with the preset merged into hyperparams and the
+        milestones the run uses."""
+        resolved = {**asdict(self), "hyperparams": self.resolved_hyperparams(),
+                    "milestones": self.effective_milestones}
+        del resolved["out_dir"], resolved["preset"]
+        text = json.dumps(resolved, sort_keys=True, separators=(",", ":"), default=str)
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def resolved_data_dir(self) -> Path:
         return Path(self.data_dir or os.environ.get(DATA_DIR_ENV, "data"))
@@ -423,13 +434,16 @@ def run(config: RunConfig) -> RunResult:
         "per_epoch": per_epoch,
         "final": per_epoch[-1] if per_epoch else None,
         "machine": machine(),
+        "config_sha256": config.sha256(),
     }
     _replace(summary_path, lambda tmp: tmp.write_text(json.dumps(summary, indent=2)))
     return RunResult(csv_path, summary_path, summary)
 
 
 def summarize(in_dir) -> dict:
-    """Recompute per-epoch statistics from every metrics CSV in a directory."""
+    """Recompute per-epoch statistics from every metrics CSV in a directory,
+    with the machine and config hash of the run's summary JSON beside it,
+    where there is one."""
     in_dir = Path(in_dir)
     out = {}
     for csv_path in sorted(in_dir.glob("*.csv")):
@@ -438,6 +452,14 @@ def summarize(in_dir) -> dict:
             "per_epoch": per_epoch,
             "final": per_epoch[-1] if per_epoch else None,
         }
+        summary_path = csv_path.with_name(f"{csv_path.stem}_summary.json")
+        if summary_path.exists():
+            try:
+                summary = json.loads(summary_path.read_text())
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{summary_path}: {exc}") from None
+            out[csv_path.name].update(
+                {key: summary.get(key) for key in ("machine", "config_sha256")})
     if not out:
         raise FileNotFoundError(f"no metrics CSV files under {in_dir}")
     return out

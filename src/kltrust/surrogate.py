@@ -22,10 +22,12 @@ from .errors import NonFiniteError, NumericalFault
 # BLOCK // 2 in its own half of those columns, so a block's temporaries stay
 # in cache instead of each one streaming an n-vector through memory. A split
 # costs per numpy call, not per part, so the blocks are wide: timed in process
-# at n = 203,530 on a 2-vCPU VM (3 rounds of 200 calls), the p50 filter_update
-# read 6.4-6.7 ms on one thread in blocks of 8K, and split 7.5-8.3 ms in
-# blocks of 8K per part, 4.9-5.3 ms at 16K, 3.7-4.8 ms at 32K and 3.8-4.3 ms
-# at 64K; one thread in blocks of 32K read 5.6-7.3 ms.
+# at n = 203,530 on a 2-vCPU VM (4 rounds of 200 calls), the p50 filter_update
+# read 5.2-5.5 ms split in blocks of 8K per part against 3.8-4.2 ms on one
+# thread, 2.6 against 2.6-2.7 ms at 16K, 2.1 against 2.6 ms at 32K and
+# 2.2-2.3 against 3.2-3.4 ms at 64K. At 64K per part the solve (1.0 ms against
+# 1.1 at 32K) and the variance (0.28 against 0.33 ms) gain, the filter does
+# not, and the scratch doubles.
 # The filter's scratch is 5 rows of BLOCK, 2.6 MB
 BLOCK = 1 << 16
 

@@ -361,6 +361,97 @@ def test_a_warm_adam_step_allocates_only_its_new_point(monkeypatch, cpus):
     assert 8 * N <= peak < 8 * N + 64 * 1024, peak / (8 * N)
 
 
+# the worker's placement needs a thread's CPUs to be settable, the caller's
+# CPU to be readable, and a second CPU to put the worker on
+placement = pytest.mark.skipif(
+    not (hasattr(os, "sched_setaffinity") and os.path.exists("/proc/thread-self"))
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity, /proc/thread-self and two CPUs")
+
+
+def the_worker() -> threading.Thread:
+    (worker,) = [t for t in threading.enumerate() if t.name == "kltrust-halves"]
+    return worker
+
+
+@placement
+def test_after_a_split_the_worker_may_not_run_on_the_callers_cpu(monkeypatch):
+    real, seen = baselines._caller_cpu, []
+
+    def caller_cpu():
+        seen.append(real())
+        return seen[-1]
+
+    monkeypatch.setattr(baselines, "_caller_cpu", caller_cpu)
+    on_cpus(monkeypatch, 2, lambda: halves(lambda s: None, N))
+    (cpu,) = seen  # read once, before the handoff
+    assert os.sched_getaffinity(the_worker().native_id) == os.sched_getaffinity(0) - {cpu}
+
+
+def _in_child(code):
+    """Run `code` in a fresh interpreter whose halves() splits at N."""
+    prelude = ("import os, threading\n"
+               "from kltrust import baselines\n"
+               f"n = {N}\n"
+               "def worker():\n"
+               "    (t,) = [t for t in threading.enumerate() if t.name == 'kltrust-halves']\n"
+               "    return t.native_id\n"
+               "def parts():\n"
+               "    seen = []\n"
+               "    baselines.halves(seen.append, n)\n"
+               "    return sorted((s.start, s.stop) for s in seen)\n")
+    subprocess.run([sys.executable, "-c", prelude + code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+@placement
+def test_a_caller_moved_onto_the_workers_cpu_moves_the_worker_off_it():
+    # the caller is confined to one CPU, so _cpus() reads 1 and is patched
+    # to 2 for the split; the worker keeps the CPUs it was started on
+    _in_child("allowed = os.sched_getaffinity(0)\n"
+              "assert parts() == [(0, n // 2), (n // 2, n)]\n"
+              "cpu = min(os.sched_getaffinity(worker()))\n"
+              "os.sched_setaffinity(0, {cpu})\n"
+              "baselines._cpus = lambda: 2\n"
+              "assert parts() == [(0, n // 2), (n // 2, n)]\n"
+              "assert os.sched_getaffinity(worker()) == allowed - {cpu}\n")
+
+
+@placement
+def test_on_one_allowed_cpu_the_worker_is_not_moved():
+    # the whole process is confined before the worker starts: the split runs
+    # as it always did, and no affinity call is made
+    _in_child("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+              "calls = []\n"
+              "os.sched_setaffinity = lambda *args: calls.append(args)\n"
+              "baselines._cpus = lambda: 2\n"
+              "assert parts() == [(0, n // 2), (n // 2, n)]\n"
+              "assert parts() == [(0, n // 2), (n // 2, n)]\n"
+              "assert calls == [], calls\n")
+
+
+@pytest.mark.parametrize("missing", ["proc", "setaffinity"])
+def test_without_proc_or_a_settable_affinity_the_split_runs_as_before(monkeypatch, missing):
+    def refuse(*args, **kwargs):
+        raise PermissionError("refused")
+
+    out = np.zeros(N)
+
+    def fill(s):
+        out[s] = s.start + 1
+
+    on_cpus(monkeypatch, 2, lambda: halves(fill, N))  # the worker is started
+    placed = baselines._worker
+    with monkeypatch.context() as m:
+        m.setattr(os, "open" if missing == "proc" else "sched_setaffinity", refuse, raising=False)
+        if placed is not None:  # as if the worker had been kept off no CPU yet
+            m.setattr(baselines, "_worker", (*placed[:2], None))
+        out[:] = 0.0
+        on_cpus(monkeypatch, 2, lambda: halves(fill, N))
+        assert baselines._worker is None or baselines._worker[2] is None
+    assert np.all(out[:N // 2] == 1) and np.all(out[N // 2:] == N // 2 + 1)
+
+
 def _cli_run(tmp_path, name, data, one_cpu, optimizer):
     out = tmp_path / name
     config = tmp_path / f"{name}.json"

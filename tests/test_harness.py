@@ -1,6 +1,7 @@
 import inspect
 import json
 import pickle
+import re
 import struct
 import sys
 from dataclasses import fields, replace
@@ -417,7 +418,35 @@ def test_summarize_matches_shipped_summary(tmp_path, variant):
     config = RunConfig.from_json(CONFIGS / "synthetic_quadratic_trust_region.json")
     result = run(replace(config, variant=variant, out_dir=str(tmp_path)))
     recomputed = summarize(tmp_path)[result.csv_path.name]
-    assert recomputed == {key: result.summary[key] for key in ("per_epoch", "final")}
+    # the statistics from the CSV; the machine and config hash from the summary
+    assert recomputed == {key: result.summary[key]
+                          for key in ("per_epoch", "final", "machine", "config_sha256")}
+
+
+def test_the_config_hash_follows_what_the_run_computes(tmp_path):
+    config = synth_config(tmp_path)
+    assert config.sha256() == replace(config, out_dir=str(tmp_path / "elsewhere")).sha256()
+    assert config.sha256() != replace(config, hyperparams={"epsilon": 0.02}).sha256()
+    assert config.sha256() != replace(config, seeds=(1, 0)).sha256()
+    # a preset is its hyperparameters, and milestones are the ones the run uses
+    preset = replace(config, optimizer="adam", preset="fashion_mnist_cnn", milestones=None,
+                     epochs=4)
+    spelled = replace(preset, preset=None, hyperparams=preset.resolved_hyperparams(),
+                      milestones=preset.effective_milestones)
+    assert preset.sha256() == spelled.sha256()
+    assert len(config.sha256()) == 64
+    assert run(config).summary["config_sha256"] == config.sha256()
+
+
+def test_summarize_reads_a_summary_only_when_one_is_beside_the_csv(tmp_path):
+    result = run(synth_config(tmp_path))
+    (tmp_path / "runs" / "copy.csv").write_bytes(result.csv_path.read_bytes())
+    out = summarize(tmp_path / "runs")
+    assert out["copy.csv"].keys() == {"per_epoch", "final"}
+    assert out[result.csv_path.name]["machine"] == result.summary["machine"]
+    result.summary_path.write_text("{")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(result.summary_path))}: Expecting"):
+        summarize(tmp_path / "runs")
 
 
 def _broken_filter(*args, **kwargs):
