@@ -1,10 +1,13 @@
-"""The optimizer frame, and the reference first-order optimizers.
+"""The optimizer frame, the reference first-order optimizers, and the
+two-thread split that the rest of kltrust runs its whole-vector work on.
 
 `Optimizer` is the base of every optimizer here and of the trust region:
 it holds the point, checks each gradient and runs the step-decay schedule
 of on_epoch_end. SGD with momentum, Adam and AdamW follow the standard
 published update rules; weight decay is coupled (added to the gradient)
-for SGD and Adam, decoupled for AdamW.
+for SGD and Adam, decoupled for AdamW. halves() runs work in two parts on
+two threads; sweep() walks each part in blocks of BLOCK // 2 with its own
+scratch, for the filter, the variance and the dual solve.
 """
 
 from __future__ import annotations
@@ -77,23 +80,30 @@ def check_decay(config) -> None:
                          f"{config.schedule_milestones} leaves the normal float range: {value!r}")
 
 
-# halves(): whole-vector work split across two threads
-
-# Below this many elements (n rows of `width`) a split runs inline. A split of
-# no work costs about 19 us: the worker's wake-up on the other CPU, its reply,
-# and the check of the caller's CPU (about 4 us). Measured in process on a
-# 2-vCPU VM with one-thread BLAS, p50s of 200 calls, one CPU against two: an
-# Adam step breaks even near n = 32K (0.19-0.21 ms inline, 0.18 split), is
-# 1.4x faster at 64K and 1.6x at n = 203,530; the 784-256-10 MLP's gradient at
-# batch 128 (32K first-layer outputs) is 1.4x faster, and a 128-128-10 MLP's
-# (16K), if split, is 20% slower. A split also costs per numpy call in each
-# half, as each call's return waits for the GIL, so the trust-region step's
-# parts walk blocks of surrogate.BLOCK // 2. Split, at n = 32K the filter is
-# 8% and the dual solve 45% slower; at 64K the filter is 1.05-1.13x faster and
-# the solve 1.1x faster to 1.3x slower; at n = 203,530 the filter is
-# 1.14-1.26x, the solve 1.11-1.16x and the variance 1.23-1.28x faster.
+# halves() and sweep(): whole-vector work split across two threads.
+# Measured in process on a 2-vCPU VM with one-thread BLAS, p50s of 200 calls,
+# one CPU against two, a split of no work costs about 19 us: the worker's
+# wake-up on the other CPU, its reply, and the check of the caller's CPU (about
+# 4 us). It also costs per numpy call in each part, not per part, as each
+# call's return waits for the GIL. So:
+# - work of fewer than MIN_SPLIT elements (n rows of `width`) runs inline. An
+#   Adam step breaks even near n = 32K (0.19-0.21 ms inline, 0.18 split) and is
+#   1.4x faster at 64K and 1.6x at 203,530; the 784-256-10 MLP's gradient at
+#   batch 128 (32K first-layer outputs) is 1.4x faster, and a 128-128-10 MLP's
+#   (16K) 20% slower. Split at n = 32K, the filter is 8% and the dual solve 45%
+#   slower; at 64K the filter is 1.05-1.13x faster, the solve 1.3x slower to
+#   1.1x faster.
+# - sweep() walks each part in blocks of BLOCK // 2: wide, as calls cost, and
+#   small enough that a block's temporaries stay in cache. At n = 203,530 the
+#   filter read 5.2-5.5 ms split in blocks of 8K per part against 3.8-4.2 ms on
+#   one thread, 2.6 against 2.6-2.7 ms at 16K, 2.1 against 2.6 ms at 32K and
+#   2.2-2.3 against 3.2-3.4 ms at 64K. At 32K the solve is 1.11-1.16x and the
+#   variance 1.23-1.28x faster; at 64K these two gain (1.0 against 1.1 ms, 0.28
+#   against 0.33 ms), the filter does not, and its scratch of 5 rows of BLOCK
+#   (2.6 MB) doubles.
 MIN_SPLIT = 1 << 15
-# The first half's length is a multiple of this: whole cache lines of float64,
+BLOCK = 1 << 16
+# The first part's length is a multiple of this: whole cache lines of float64,
 # and whole micro-tiles of the BLAS kernels (models._matmul_by_rows).
 ALIGN = 64
 
@@ -117,12 +127,11 @@ def _serve(todo: SimpleQueue, done: SimpleQueue) -> None:
         done.put(reply)
 
 
-_queues: tuple[SimpleQueue, SimpleQueue] | None = None  # (todo, done), made by the first split
-_busy = threading.Lock()  # held by the call whose half the worker has
+_busy = threading.Lock()  # held by the call whose part the worker has
 _PID = os.getpid()  # a child forked after import has no worker thread and splits nothing
-# the worker's native id, the CPUs it was started on and the CPU it was last
-# kept off, made by the first split where the OS lets a thread's CPUs be set
-_worker: tuple[int, set, int | None] | None = None
+# the worker, made by the first split: (todo, done, its native id, the CPUs it
+# was started on or None where they cannot be set, the CPU it was kept off)
+_worker: tuple[SimpleQueue, SimpleQueue, int, set | None, int | None] | None = None
 
 
 def _cpus() -> int:
@@ -147,54 +156,45 @@ def _caller_cpu() -> int | None:
     return int(stat.rpartition(b")")[2].split()[36])
 
 
-def _keep_off_caller() -> None:
-    """Let the worker run on every CPU it was started on but the caller's.
-    The scheduler wakes the worker onto its waker's CPU, and there the two
-    halves take turns instead of overlapping; the caller's own affinity,
-    which BLAS threads inherit, is never touched."""
-    global _worker
-    tid, cpus, off = _worker
-    cpu = _caller_cpu()
-    if cpu is None or cpu == off or not cpus - {cpu}:
-        return
-    try:
-        os.sched_setaffinity(tid, cpus - {cpu})
-    except OSError:  # the worker stays where the scheduler puts it
-        return
-    _worker = tid, cpus, cpu
-
-
 def halves(fn, n: int, width: int = 1) -> None:
     """Run fn(part) over two slices that cover range(n): the first, a multiple
     of ALIGN long, on a worker thread in the caller's context (numpy's
     errstate included), the second here; an exception from the worker's
-    half is raised here.
+    part is raised here.
 
     For numpy and BLAS work that releases the GIL: fn writes only its own
     part of arrays the caller allocated, and calls nothing the bench wraps
     (its tracer keeps one span stack). fn(slice(0, n)) runs here alone when
     the process may use one CPU, when n rows of `width` elements are fewer
     than MIN_SPLIT or than two ALIGNs of rows, in a child after fork, and
-    while another call has the worker. Where the OS lets a thread's CPUs be
-    set, the worker is kept off the CPU the caller is on (_keep_off_caller).
+    while another call has the worker, as in a split inside a split.
     """
-    global _queues, _worker
+    global _worker
     half = n // 2 // ALIGN * ALIGN
     if (not half or n * width < MIN_SPLIT or os.getpid() != _PID or _cpus() < 2
             or not _busy.acquire(blocking=False)):
         fn(slice(0, n))
         return
     try:
-        if _queues is None:
-            _queues = SimpleQueue(), SimpleQueue()
-            worker = threading.Thread(target=_serve, args=_queues, name="kltrust-halves",
+        if _worker is None:
+            queues = SimpleQueue(), SimpleQueue()
+            thread = threading.Thread(target=_serve, args=queues, name="kltrust-halves",
                                       daemon=True)
-            worker.start()
-            if hasattr(os, "sched_setaffinity"):
-                _worker = worker.native_id, os.sched_getaffinity(worker.native_id), None
-        if _worker is not None:
-            _keep_off_caller()
-        todo, done = _queues
+            thread.start()
+            tid = thread.native_id
+            cpus = os.sched_getaffinity(tid) if hasattr(os, "sched_setaffinity") else None
+            _worker = *queues, tid, cpus, None
+        todo, done, tid, cpus, off = _worker
+        # the scheduler wakes the worker onto its waker's CPU, where the parts
+        # take turns: keep it off the caller's CPU, and never touch the caller's
+        # own CPUs, which BLAS threads inherit
+        cpu = _caller_cpu() if cpus else None
+        if cpu not in (None, off) and cpus - {cpu}:
+            try:
+                os.sched_setaffinity(tid, cpus - {cpu})
+                _worker = todo, done, tid, cpus, cpu
+            except OSError:  # the worker stays where the scheduler puts it
+                pass
         todo.put((contextvars.copy_context(), fn, slice(0, half)))
         try:
             fn(slice(half, n))
@@ -204,6 +204,27 @@ def halves(fn, n: int, width: int = 1) -> None:
         _busy.release()
     if raised is not None:
         raise raised
+
+
+def sweep(fn, n: int, rows: int) -> list:
+    """fn(block, columns) for each block of BLOCK // 2 in range(n), where
+    `columns` are as many columns of one (rows, min(BLOCK, n)) scratch array,
+    BLOCK read at call time; returns what fn returned, in block order. Each
+    part that halves() makes walks its own blocks on its own thread: the part
+    at 0 in the first columns, the other from column min(start, BLOCK // 2),
+    so the two never share one."""
+    size = BLOCK // 2  # so BLOCK >= 2
+    scratch = np.empty((rows, min(BLOCK, n)))
+    done = {}
+
+    def part(h: slice) -> None:
+        col = min(h.start, size)
+        for lo in range(h.start, h.stop, size):
+            hi = min(lo + size, h.stop)
+            done[lo] = fn(slice(lo, hi), scratch[:, col : col + hi - lo])
+
+    halves(part, n)
+    return [done[lo] for lo in sorted(done)]
 
 
 @dataclass

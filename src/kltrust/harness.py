@@ -160,7 +160,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        raw = json.loads(Path(path).read_text())
+        raw = _read_json(path)
         try:
             return cls(**raw)
         except TypeError as exc:  # a key that is not a field, a missing one, a bad type
@@ -348,6 +348,18 @@ def _replace(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _read_json(path) -> dict:
+    """The JSON object in the file at `path`; a ValueError that names the path
+    when the file is not UTF-8 text, not JSON or not an object."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def read_metrics_csv(path) -> list[MetricsRecord]:
     data = Path(path).read_bytes()
     try:
@@ -454,10 +466,7 @@ def summarize(in_dir) -> dict:
         }
         summary_path = csv_path.with_name(f"{csv_path.stem}_summary.json")
         if summary_path.exists():
-            try:
-                summary = json.loads(summary_path.read_text())
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{summary_path}: {exc}") from None
+            summary = _read_json(summary_path)
             out[csv_path.name].update(
                 {key: summary.get(key) for key in ("machine", "config_sha256")})
     if not out:

@@ -6,6 +6,8 @@ The state drifts as a Gaussian random walk with variance q and is observed
 through the noisy measurement g_j with variance r, so the posterior is
 maintained by a scalar-vectorized Kalman update. (a, b) are the MAP
 coefficients of the quadratic surrogate used by the trust-region step.
+filter_update walks the dimensions in blocks on two threads, through
+baselines.sweep and its baselines.BLOCK.
 """
 
 from __future__ import annotations
@@ -14,43 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import check, halves
+from .baselines import check, sweep
 from .errors import NonFiniteError, NumericalFault
-
-# the columns of the scratch that sweep() allocates per row; each sweep reads
-# it at call time. Each part of halves() walks its range in blocks of
-# BLOCK // 2 in its own half of those columns, so a block's temporaries stay
-# in cache instead of each one streaming an n-vector through memory. A split
-# costs per numpy call, not per part, so the blocks are wide: timed in process
-# at n = 203,530 on a 2-vCPU VM (4 rounds of 200 calls), the p50 filter_update
-# read 5.2-5.5 ms split in blocks of 8K per part against 3.8-4.2 ms on one
-# thread, 2.6 against 2.6-2.7 ms at 16K, 2.1 against 2.6 ms at 32K and
-# 2.2-2.3 against 3.2-3.4 ms at 64K. At 64K per part the solve (1.0 ms against
-# 1.1 at 32K) and the variance (0.28 against 0.33 ms) gain, the filter does
-# not, and the scratch doubles.
-# The filter's scratch is 5 rows of BLOCK, 2.6 MB
-BLOCK = 1 << 16
-
-
-def sweep(fn, n: int, rows: int) -> list:
-    """fn(block, columns) for each block of BLOCK // 2 in range(n), where
-    `columns` are as many columns of one (rows, min(BLOCK, n)) scratch array;
-    returns what fn returned, in block order. Each part that halves() makes
-    walks its own blocks on its own thread: the part at 0 in the first
-    columns, the other from column min(start, BLOCK // 2), so the two never
-    share one."""
-    size = BLOCK // 2  # so BLOCK >= 2
-    scratch = np.empty((rows, min(BLOCK, n)))
-    done = {}
-
-    def part(h: slice) -> None:
-        col = min(h.start, size)
-        for lo in range(h.start, h.stop, size):
-            hi = min(lo + size, h.stop)
-            done[lo] = fn(slice(lo, hi), scratch[:, col : col + hi - lo])
-
-    halves(part, n)
-    return [done[lo] for lo in sorted(done)]
 
 
 class FilterConsistencyError(NumericalFault, RuntimeError):
@@ -99,9 +66,9 @@ def filter_update(
         v  = H t + r
         m <- m + t * (g_j - H m) / v
         P <- P- - t t^T / v
-    The dimensions are updated a block at a time, on two threads (sweep),
-    and each block is checked while it is still in cache: every new
-    covariance positive definite and the new state finite.
+    The dimensions are updated a block at a time, on two threads
+    (baselines.sweep), and each block is checked while it is still in cache:
+    every new covariance positive definite and the new state finite.
     Writes the new state over `state`, in place, and returns it; each block
     reads every old entry before it writes one. Raises NonFiniteError when
     mu or g is not finite, and otherwise FilterConsistencyError when the new

@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import surrogate
-from .baselines import check_decay, check_milestones, check_reals
+from .baselines import check_decay, check_milestones, check_reals, sweep
 from .errors import NonFiniteError, NumericalFault
 
 ETA_MIN = 1e-12
@@ -125,7 +124,7 @@ def primal_variance(
 
     sigma2_j = (rho + nu) / (a_j + rho * lambda_prec + nu / sigma2_prev_j)
 
-    Computed a block at a time on two threads (surrogate.sweep).
+    Computed a block at a time on two threads (baselines.sweep).
     """
     _check_lengths(prev, a=a)
     rl, nu = tr.rho * tr.lambda_prec, tr.nu
@@ -137,7 +136,7 @@ def primal_variance(
         np.divide(tr.rho + nu, o, out=o)
         return o.min(), o.max()
 
-    lows, highs = zip(*surrogate.sweep(block, prev.n, 1))
+    lows, highs = zip(*sweep(block, prev.n, 1))
     if not 0.0 < np.min(lows) <= np.max(highs) < math.inf:  # also false for a NaN
         raise NonFiniteError("variance update produced a non-positive or NaN entry, or inf")
     return out
@@ -173,7 +172,7 @@ def solve_eta(
     One n-vector holds z, then each evaluation's p = z / (w + eta), then the
     returned mean; w, and z after a Newton step, are rebuilt per block from
     a, b and prev. Only Newton allocates a second n-vector, p / (w + eta).
-    Each sweep runs on two threads (surrogate.sweep), and each dot runs
+    Each sweep runs on two threads (baselines.sweep), and each dot runs
     here on the whole vector, so no result depends on the split.
     """
     _check_lengths(prev, a=a, b=b)
@@ -205,7 +204,7 @@ def solve_eta(
             w += eta
             out[s] /= w
 
-        surrogate.sweep(block, n, 2)
+        sweep(block, n, 2)
         return 0.5 * float(np.dot(out, out))
 
     def slope(s: slice, scratch: np.ndarray) -> None:
@@ -220,7 +219,7 @@ def solve_eta(
         p *= np.sqrt(prev.sigma2[s], out=scratch[0])
         np.subtract(prev.mu[s], p, out=p)
 
-    w_lows, w_highs = zip(*surrogate.sweep(setup, n, 2))
+    w_lows, w_highs = zip(*sweep(setup, n, 2))
     w_min, w_max = np.min(w_lows), np.max(w_highs)  # a NaN kept
     if tr.mode == "fixed-eta":
         eta = tr.fixed_eta
@@ -229,7 +228,7 @@ def solve_eta(
             raise NonFiniteError(f"non-positive denominator in dimension {j}: "
                                  f"a={a[j]}, eta={eta}, rho*lambda={rl}")
         c = secular(eta, z=False)
-        surrogate.sweep(mean, n, 1)
+        sweep(mean, n, 1)
         return DualSolve(eta, out, c, 0)
     # below ETA_MIN a w_j makes the eta = 0 step undefined (w_j = 0) or
     # overflow C and C', so the solve starts at the smallest multiplier; a
@@ -251,7 +250,7 @@ def solve_eta(
     done = c <= eps if eta == start else abs(c - eps) <= 0.1 * eps
     dp = None if done else np.empty(n)  # p / (w + eta), only when Newton runs
     while not done:
-        surrogate.sweep(slope, n, 2)
+        sweep(slope, n, 2)
         # numpy division: a zero C' gives an infinite step, which fails below
         step = float(2.0 * c * (math.sqrt(c / eps) - 1.0) / np.dot(out, dp))
         iterations += 1
@@ -263,7 +262,7 @@ def solve_eta(
         eta += step
         c = secular(eta, z=True)
         done = abs(c - eps) <= 0.1 * eps
-    surrogate.sweep(mean, n, 1)
+    sweep(mean, n, 1)
     return DualSolve(eta, out, c, iterations)
 
 

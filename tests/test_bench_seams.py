@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kltrust import surrogate
+from kltrust import baselines
 from kltrust.harness import RunConfig, run
 from kltrust.optimizer import TrustRegionConfig, TrustRegionOptimizer
 
@@ -67,7 +67,7 @@ def test_a_traced_step_that_splits_opens_one_span_per_seam(monkeypatch, epsilon)
 
     spans = _load_perfbench("spans")
     tracer = spans.Tracer()
-    n, steps = 4 * surrogate.BLOCK, 2
+    n, steps = 4 * baselines.BLOCK, 2
     rng = np.random.default_rng(16)
     opt = TrustRegionOptimizer(n, TrustRegionConfig(epsilon=epsilon), rng.normal(size=n))
     _, missing, restore = spans.install(tracer)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from test_bench_seams import _load_perfbench
 
-from kltrust import baselines, surrogate
+from kltrust import baselines
 from kltrust.baselines import MIN_SPLIT, Adam, AdamW, BaselineConfig, halves
 from kltrust.errors import NonFiniteError
 from kltrust.models import MLP, Batch, _matmul_by_rows
@@ -84,15 +84,15 @@ def test_adam_steps_are_bitwise_the_one_cpu_steps(monkeypatch, cls, config):
     assert inline == threaded
 
 
-@pytest.mark.parametrize("block", [3, 8, 3000, surrogate.BLOCK])
-@pytest.mark.parametrize("n", [MIN_SPLIT, N, 3 * surrogate.BLOCK + 77])
+@pytest.mark.parametrize("block", [3, 8, 3000, baselines.BLOCK])
+@pytest.mark.parametrize("n", [MIN_SPLIT, N, 3 * baselines.BLOCK + 77])
 def test_the_two_parts_walk_their_own_scratch_columns(monkeypatch, block, n):
-    monkeypatch.setattr(surrogate, "BLOCK", block)
+    monkeypatch.setattr(baselines, "BLOCK", block)
 
     def record(s, columns):
         return s, columns, threading.get_ident()
 
-    seen = on_cpus(monkeypatch, 2, lambda: surrogate.sweep(record, n, 2))
+    seen = on_cpus(monkeypatch, 2, lambda: baselines.sweep(record, n, 2))
     assert [i for s, _, _ in seen for i in range(s.start, s.stop)] == list(range(n))
     assert all(x.shape == (2, s.stop - s.start) for s, x, _ in seen)
     # a thread reuses its columns, so at most two distinct arrays per thread
@@ -103,7 +103,7 @@ def test_the_two_parts_walk_their_own_scratch_columns(monkeypatch, block, n):
     assert not any(np.shares_memory(x, y) for x in first.values() for y in second.values())
     # on one CPU the one part walks range(n) in blocks of BLOCK // 2 here; they
     # are the two parts' blocks where the split falls on a block's edge
-    one = on_cpus(monkeypatch, 1, lambda: surrogate.sweep(record, n, 2))
+    one = on_cpus(monkeypatch, 1, lambda: baselines.sweep(record, n, 2))
     size = block // 2
     assert [s for s, _, _ in one] == [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
     assert {thread for _, _, thread in one} == {threading.get_ident()}
@@ -122,7 +122,7 @@ def test_a_trust_region_step_is_bitwise_the_one_cpu_step(monkeypatch, config, bl
     # the filter or Adam's moments, the variance and every sweep of the solve
     # split; at BLOCK = 3000 each half walks many blocks, the last one partial
     if block is not None:
-        monkeypatch.setattr(surrogate, "BLOCK", block)
+        monkeypatch.setattr(baselines, "BLOCK", block)
 
     def steps():
         rng = np.random.default_rng(11)
@@ -285,6 +285,37 @@ def test_concurrent_callers_each_get_their_own_halves(monkeypatch):
     assert wrong == []
 
 
+def test_a_split_inside_a_split_runs_inline(monkeypatch):
+    # each block of a sweep splits its own range again, enough work to split
+    # alone; the worker has the outer split's part, so each inner split runs
+    # whole on the thread that made it: the worker's blocks on the worker
+    n, width = 4 * baselines.BLOCK, 2
+    out = np.empty(n)
+
+    def block(s, columns):
+        seen = []
+
+        def fill(t):
+            seen.append((t, threading.get_ident()))
+            np.sqrt(np.arange(s.start + t.start, s.start + t.stop, dtype=float), out=out[s][t])
+
+        halves(fill, s.stop - s.start, width)
+        return seen, threading.get_ident()
+
+    def nested():
+        return baselines.sweep(block, n, 1), out.tobytes()
+
+    alone = []
+    on_cpus(monkeypatch, 2, lambda: halves(alone.append, baselines.BLOCK // 2, width))
+    assert len(alone) == 2
+    one = on_cpus(monkeypatch, 1, nested)
+    two = on_cpus(monkeypatch, 2, nested)
+    assert two[1] == one[1]
+    size = baselines.BLOCK // 2
+    assert [seen for seen, _ in two[0]] == [[(slice(0, size), thread)] for _, thread in two[0]]
+    assert len({thread for _, thread in two[0]}) == 2
+
+
 def test_importing_kltrust_starts_no_thread():
     code = ("import threading\n"
             "before = threading.active_count()\n"
@@ -441,14 +472,13 @@ def test_without_proc_or_a_settable_affinity_the_split_runs_as_before(monkeypatc
         out[s] = s.start + 1
 
     on_cpus(monkeypatch, 2, lambda: halves(fill, N))  # the worker is started
-    placed = baselines._worker
     with monkeypatch.context() as m:
         m.setattr(os, "open" if missing == "proc" else "sched_setaffinity", refuse, raising=False)
-        if placed is not None:  # as if the worker had been kept off no CPU yet
-            m.setattr(baselines, "_worker", (*placed[:2], None))
+        # as if the worker had been kept off no CPU yet
+        m.setattr(baselines, "_worker", (*baselines._worker[:4], None))
         out[:] = 0.0
         on_cpus(monkeypatch, 2, lambda: halves(fill, N))
-        assert baselines._worker is None or baselines._worker[2] is None
+        assert baselines._worker[4] is None
     assert np.all(out[:N // 2] == 1) and np.all(out[N // 2:] == N // 2 + 1)
 
 

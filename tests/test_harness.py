@@ -974,6 +974,38 @@ def test_cli_summarize_reports_a_malformed_csv_as_one_error_line(case, tmp_path,
     assert err == f"error: {path}, {where}\n"
 
 
+# a JSON file kltrust cannot read, and what its error line must say after the path
+UNREADABLE_JSON = {
+    "not-json": (b"{", "Expecting property name enclosed in double quotes: "
+                       "line 1 column 2 (char 1)"),
+    "latin1": ('{"task": "d\u00e9faut"}'.encode("latin-1"),
+               "'utf-8' codec can't decode byte 0xe9 in position 11: invalid continuation byte"),
+    "utf16": (b"\xff\xfe" + "{}".encode("utf-16-le"),
+              "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "list": (b"[]", "expected a JSON object, got list"),
+    "string": (b'"cell"', "expected a JSON object, got str"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_JSON))
+def test_cli_summarize_names_a_summary_it_cannot_read(case, tmp_path, capsys):
+    data, what = UNREADABLE_JSON[case]
+    (tmp_path / "cell.csv").write_text(f"{HEADER}\n{BASELINE_ROW}")
+    path = tmp_path / "cell_summary.json"
+    path.write_bytes(data)
+    assert cli_main(["summarize", "--in", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {what}\n"
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_JSON))
+def test_cli_run_names_a_config_it_cannot_read(case, tmp_path, capsys):
+    data, what = UNREADABLE_JSON[case]
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {what}\n"
+
+
 def test_cli_rejected_config_is_an_error_line(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     base = {"task": "synthetic_quadratic", "optimizer": "trust_region",

@@ -9,7 +9,7 @@ from test_halves import on_cpus
 from test_surrogate import copied, unfused_update
 
 import kltrust.optimizer as optimizer_mod
-from kltrust import surrogate
+from kltrust import baselines
 from kltrust.baselines import BaselineConfig, Optimizer
 from kltrust.data import SyntheticQuadraticTask, synthetic_grad
 from kltrust.errors import NonFiniteError
@@ -188,7 +188,7 @@ def test_step_allocates_fewer_than_four_vectors(monkeypatch, cpus):
     # (1.25 n-vectors for the filter at n = 4 BLOCK, freed before the solve's
     # half): the filter state is updated in place, and on two CPUs the
     # worker's half allocates nothing
-    n = 4 * surrogate.BLOCK
+    n = 4 * baselines.BLOCK
     rng = np.random.default_rng(3)
     opt = TrustRegionOptimizer(n, TrustRegionConfig(), mu0=rng.normal(size=n))
     grad = rng.normal(size=n)
@@ -204,7 +204,7 @@ def test_step_allocates_fewer_than_four_vectors(monkeypatch, cpus):
 
 @pytest.mark.parametrize("epsilon", [0.01, 1e3], ids=["no-newton", "newton"])
 def test_one_block_size_splits_the_whole_step(monkeypatch, epsilon):
-    # surrogate.BLOCK is read at call time by the filter and by the dual solve,
+    # baselines.BLOCK is read at call time by the filter and by the dual solve,
     # so one patch splits both: n = 10 at BLOCK = 8 is blocks of 4, 4 and 2
     assert "BLOCK" not in optimizer_mod.solve_eta.__globals__
     rng = np.random.default_rng(21)
@@ -217,7 +217,7 @@ def test_one_block_size_splits_the_whole_step(monkeypatch, epsilon):
                 for g in grads]
 
     whole = steps()
-    monkeypatch.setattr(surrogate, "BLOCK", 8)
+    monkeypatch.setattr(baselines, "BLOCK", 8)
     blocked = steps()
     assert (sum(d.newton_iters for d, *_ in whole) > 0) == (epsilon > 1.0)
     for (d_whole, *x_whole), (d_blocked, *x_blocked) in zip(whole, blocked):
@@ -472,7 +472,7 @@ def whole_vector_solve(a, b, mu, s, tr):
 def test_multi_block_step_is_bitwise_the_whole_vector_step():
     # n = 3 BLOCK + 77 ends in a partial block; epsilon = 1000 makes the
     # solves take Newton steps until the milestone at step 10 cuts it to 1
-    n = 3 * surrogate.BLOCK + 77
+    n = 3 * baselines.BLOCK + 77
     rng = np.random.default_rng(0)
     curvature, target = rng.uniform(0.5, 2.0, n), rng.normal(size=n)
     cfg = TrustRegionConfig(epsilon=1e3, sigma2_init=1.0, p0=1.0, q=0.01, r=0.1,

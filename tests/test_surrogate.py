@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_halves import on_cpus
 
-from kltrust import surrogate
+from kltrust import baselines
 from kltrust.errors import NonFiniteError, NumericalFault
 from kltrust.surrogate import (
     FilterConsistencyError,
@@ -280,8 +280,8 @@ def test_dimensions_update_independently(monkeypatch):
     state = init_state(6, 0.3)
     # one block, then two blocks with the second one partial (a part of
     # halves walks blocks of BLOCK // 2)
-    for block in (surrogate.BLOCK, 8):
-        monkeypatch.setattr(surrogate, "BLOCK", block)
+    for block in (baselines.BLOCK, 8):
+        monkeypatch.setattr(baselines, "BLOCK", block)
         joint = filter_update(copied(state), mu, g, 0.02, 1.3)
         for j in range(6):
             single = filter_update(init_state(1, 0.3), mu[j : j + 1], g[j : j + 1], 0.02, 1.3)
@@ -313,7 +313,7 @@ def oracle_fault(state, v):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_folded_check_catches_a_fault_in_every_block(monkeypatch):
     # n = 10 at BLOCK = 8 is blocks of 4, 4 and 2 dimensions
-    monkeypatch.setattr(surrogate, "BLOCK", 8)
+    monkeypatch.setattr(baselines, "BLOCK", 8)
     rng = np.random.default_rng(9)
     mu, g = rng.normal(size=10), rng.normal(size=10)
     state = init_state(10, 0.3)
@@ -342,19 +342,19 @@ def test_folded_check_catches_a_fault_in_every_block(monkeypatch):
     # and where nothing is wrong the blocked update is the unfused one, bitwise
     ref, _ = unfused_update(state, mu, g, 0.02, 1.3)
     for block in (8, 8192):
-        monkeypatch.setattr(surrogate, "BLOCK", block)
+        monkeypatch.setattr(baselines, "BLOCK", block)
         new = filter_update(copied(state), mu, g, 0.02, 1.3)
         for name in ("a", "b", "p11", "p12", "p22"):
             assert np.array_equal(getattr(new, name), getattr(ref, name)), (block, name)
 
 
-@pytest.mark.parametrize("block, n", [(8, 10), (None, 2 * surrogate.BLOCK + 5)],
+@pytest.mark.parametrize("block, n", [(8, 10), (None, 2 * baselines.BLOCK + 5)],
                          ids=["partial-last-block", "default-block"])
 def test_update_writes_the_state_in_place(monkeypatch, block, n):
     # the update returns the state it was given, with the same five arrays
     # holding the unfused update of the old state, bitwise
     if block is not None:
-        monkeypatch.setattr(surrogate, "BLOCK", block)
+        monkeypatch.setattr(baselines, "BLOCK", block)
     rng = np.random.default_rng(12)
     state = filter_update(init_state(n, 0.3), rng.normal(size=n), rng.normal(size=n), 0.02, 1.3)
     mu, g = rng.normal(size=n), rng.normal(size=n)
@@ -370,7 +370,7 @@ def test_update_writes_the_state_in_place(monkeypatch, block, n):
 def test_the_update_allocates_five_rows_of_scratch(monkeypatch, cpus):
     # five rows of BLOCK columns at n = 4 BLOCK are 1.25 n-vectors; the state
     # is written in place, and on two CPUs the worker's half allocates nothing
-    n = 4 * surrogate.BLOCK
+    n = 4 * baselines.BLOCK
     rng = np.random.default_rng(15)
     state, mu, g = init_state(n, 0.3), rng.normal(size=n), rng.normal(size=n)
     tracemalloc.start()
@@ -386,7 +386,7 @@ def test_the_update_allocates_five_rows_of_scratch(monkeypatch, cpus):
 def test_non_finite_input_in_every_block_is_caught(monkeypatch):
     # the inputs are checked by the block loop's finite sum, not up front:
     # n = 10 at BLOCK = 8 is blocks of 4, 4 and 2 dimensions
-    monkeypatch.setattr(surrogate, "BLOCK", 8)
+    monkeypatch.setattr(baselines, "BLOCK", 8)
     rng = np.random.default_rng(10)
     mu, g = rng.normal(size=10), rng.normal(size=10)
     fresh = init_state(10, 0.3)

@@ -15,7 +15,7 @@ from dual_oracle import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kltrust import baselines, surrogate
+from kltrust import baselines
 from kltrust.errors import NonFiniteError
 from kltrust.optimizer import TrustRegionConfig
 from kltrust.trust_region import (
@@ -270,7 +270,7 @@ def test_blocked_setup_matches_one_block(monkeypatch):
         # would raise DualSolverError
         a[-1] = b[-1] = 0.0
         whole = solve_eta(a, b, prev, tr)
-        monkeypatch.setattr(surrogate, "BLOCK", 8)
+        monkeypatch.setattr(baselines, "BLOCK", 8)
         blocked = solve_eta(a, b, prev, tr)
         monkeypatch.undo()
         assert (blocked.eta_star, blocked.c_mu, blocked.iterations) == (
@@ -283,7 +283,7 @@ def test_network_shaped_solve_lands_in_the_band_at_its_lower_bound():
     # several blocks, slopes that leave every w_j = s_j * (a_j + rho*lambda)
     # far below eta*: the start sqrt(z.z / (2 epsilon)) - max w is in the band
     rng = np.random.default_rng(5)
-    n = 3 * surrogate.BLOCK + 77
+    n = 3 * baselines.BLOCK + 77
     a, b = rng.uniform(0.0, 1e-2, size=n), rng.normal(0.0, 0.05, size=n)
     prev = dist(rng.normal(0.0, 0.05, size=n), np.full(n, 0.01))
     tr = TrustRegionConfig(epsilon=0.01, rho=0.05, lambda_prec=0.0015)
@@ -317,7 +317,7 @@ def test_solve_allocates_one_vector_and_a_second_only_for_newton(monkeypatch, cp
     # on two CPUs the worker's half allocates nothing
     monkeypatch.setattr(baselines, "_cpus", lambda: cpus)
     rng = np.random.default_rng(6)
-    n = 4 * surrogate.BLOCK
+    n = 4 * baselines.BLOCK
     a, b = rng.uniform(0.0, 1.0, size=n), rng.normal(size=n)
     prev = dist(rng.normal(size=n), rng.uniform(0.5, 1.0, size=n))
     res, peak = solve_peak(a, b, prev, params(epsilon=0.01))
