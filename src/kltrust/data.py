@@ -38,7 +38,7 @@ class Dataset:
 
     def __post_init__(self):
         if self.pixels.shape[0] != self.labels.shape[0]:
-            raise ValueError("inputs and labels must have equal length")
+            raise ValueError("pixels and labels must have equal length")
 
     def __len__(self) -> int:
         return self.pixels.shape[0]

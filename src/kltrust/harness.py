@@ -98,15 +98,12 @@ class RunConfig:
         check("count", epochs=self.epochs, batch_size=self.batch_size, eval_every=self.eval_every)
         self.epochs, self.batch_size, self.eval_every = map(
             int, (self.epochs, self.batch_size, self.eval_every))
-        if TASKS[self.task] is None:  # the quadratic judges its own settings
-            try:
-                _QuadraticModel(self.batch_size, 0, **self.task_params)
-            except TypeError as exc:  # a key it does not take
-                raise ValueError(f"task_params: {exc}") from None
-            except ValueError as exc:  # its message starts with the key
-                raise ValueError(f"task_params.{exc}") from None
-        elif self.task_params:
-            raise ValueError(f"{self.task} takes no task_params, got {self.task_params!r}")
+        try:  # the task's model judges its settings; building one reads no file
+            TASKS[self.task][0](self.batch_size, 0, **self.task_params)
+        except TypeError as exc:  # a key it does not take; name the task, not the callable
+            raise ValueError(f"task_params: {self.task} {str(exc).split('() ')[-1]}") from None
+        except ValueError as exc:  # its message starts with the key
+            raise ValueError(f"task_params.{exc}") from None
         if not (isinstance(self.seeds, (list, tuple)) and self.seeds and all(
                 isinstance(s, numbers.Integral) and finite(s) and s >= 0 for s in self.seeds)
                 and len(set(self.seeds)) == len(self.seeds)):
@@ -191,18 +188,6 @@ def _cifar(config: RunConfig, classes: int) -> tuple[Dataset, Dataset]:
     return load_cifar_binary(config.resolved_data_dir() / f"cifar{classes}", classes)
 
 
-# task -> its (model, train, test) from the RunConfig; None for the quadratic, built per
-# seed. A builder looks its loader up in this module when it runs, so a patched one is seen.
-TASKS = {
-    "synthetic_quadratic": None,
-    "fashion_mnist_mlp": lambda config: (MLP((784, 256, 10)), *_fashion_mnist(config)),
-    "fashion_mnist_cnn": lambda config: (SmallCNN((1, 28, 28), 10),
-                                         *map(_with_channel, _fashion_mnist(config))),
-    "cifar10_cnn": lambda config: (SmallCNN((3, 32, 32), 10), *_cifar(config, 10)),
-    "cifar100_cnn": lambda config: (SmallCNN((3, 32, 32), 100), *_cifar(config, 100)),
-}
-
-
 class _QuadraticModel:
     """The synthetic quadratic in the models' shape: its batches are global step
     indices, and step k's gradient is the mean of `batch_size` samples that one
@@ -230,13 +215,19 @@ class _QuadraticModel:
         return self.task.loss(params), synthetic_grad(self.task, params, step, self.batch_size)
 
 
-def _seed_task(config: RunConfig, seed: int, dataset_task):
-    """(model, batches(epoch), test set or None) for one seed."""
-    if dataset_task is None:
-        model = _QuadraticModel(config.batch_size, seed, **config.task_params)
-        return model, model.epoch_steps, None
-    model, train, test = dataset_task
-    return model, lambda epoch: minibatches(train, config.batch_size, seed, epoch), test
+# task -> (model(batch_size, seed, **task_params), load(config) -> (train, test), or None
+# when the model draws its own batches). A loader looks its reader up in this module
+# when it runs, so a patched one is seen.
+TASKS = {
+    "synthetic_quadratic": (_QuadraticModel, None),
+    "fashion_mnist_mlp": (lambda batch_size, seed: MLP((784, 256, 10)), _fashion_mnist),
+    "fashion_mnist_cnn": (lambda batch_size, seed: SmallCNN((1, 28, 28), 10),
+                          lambda config: tuple(map(_with_channel, _fashion_mnist(config)))),
+    "cifar10_cnn": (lambda batch_size, seed: SmallCNN((3, 32, 32), 10),
+                    lambda config: _cifar(config, 10)),
+    "cifar100_cnn": (lambda batch_size, seed: SmallCNN((3, 32, 32), 100),
+                     lambda config: _cifar(config, 100)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +250,17 @@ def _evaluate_accuracy(model, params, test: Dataset, where: str = "", chunk: int
 
 
 def _run_seed(
-    config: RunConfig, opt_config, model, batches, test, seed: int,
-    rows: list[MetricsRecord],
+    config: RunConfig, opt_config, model, split, seed: int, rows: list[MetricsRecord],
 ) -> None:
-    """Train one seed, appending one row per epoch."""
+    """Train one seed, appending one row per epoch. `split` is (train, test), or
+    None when the model draws its own batches (`model.epoch_steps`)."""
     opt = OPTIMIZERS[config.optimizer](model.n_params, opt_config, model.init_params(seed))
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         losses, diags, where = [], [], f"(seed {seed}, epoch {epoch})"
-        for batch in batches(epoch):
+        batches = (model.epoch_steps(epoch) if split is None
+                   else minibatches(split[0], config.batch_size, seed, epoch))
+        for batch in batches:
             # holding the pre-step point until the next step keeps the allocator's
             # reuse pattern; freeing it inside step() raised MLP/Adam peak RSS 0.9%
             point = opt.mean
@@ -284,8 +277,8 @@ def _run_seed(
         }
         accuracy = None
         due = (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1
-        if test is not None and due:
-            accuracy = _evaluate_accuracy(model, opt.mean, test, where)
+        if split is not None and due:
+            accuracy = _evaluate_accuracy(model, opt.mean, split[1], where)
         rows.append(
             MetricsRecord(
                 seed=seed,
@@ -410,8 +403,8 @@ def run(config: RunConfig) -> RunResult:
     # built once, before any data loads, so a config edited after construction
     # is checked again up front; optimizers only read it
     opt_config = config.optimizer_config()
-    build = TASKS[config.task]
-    dataset_task = None if build is None else build(config)
+    build, load = TASKS[config.task]
+    split = None if load is None else load(config)
 
     out_dir = Path(config.out_dir)
     # here: a bad dataset leaves no directory, and a bad out_dir wastes no training
@@ -422,9 +415,9 @@ def run(config: RunConfig) -> RunResult:
     rows: list[MetricsRecord] = []
     failed: dict[str, str] = {}
     for seed in config.seeds:
-        model, batches, test = _seed_task(config, seed, dataset_task)
+        model = build(config.batch_size, seed, **config.task_params)
         try:
-            _run_seed(config, opt_config, model, batches, test, seed, rows)
+            _run_seed(config, opt_config, model, split, seed, rows)
         except NumericalFault as exc:
             failed[str(seed)] = str(exc)
         # after every seed, so a run cut short keeps the seeds it finished
@@ -441,7 +434,7 @@ def run(config: RunConfig) -> RunResult:
         "milestones": list(config.effective_milestones),
         "eval_every": config.eval_every,
         "hyperparams": config.resolved_hyperparams(),
-        "normalization": None if build is None else "pixel/255",
+        "normalization": None if split is None else "pixel/255",
         "failed_seeds": failed,
         "per_epoch": per_epoch,
         "final": per_epoch[-1] if per_epoch else None,

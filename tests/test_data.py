@@ -376,5 +376,5 @@ def test_task_validation():
 
 
 def test_dataset_length_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pixels and labels must have equal length$"):
         Dataset(np.zeros((3, 2)), np.zeros(2))

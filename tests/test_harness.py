@@ -185,6 +185,18 @@ def test_config_validation():
               hyperparams={"learning_rate": 0.1})
 
 
+@pytest.mark.parametrize("task", list(harness.TASKS))
+def test_every_task_judges_its_task_params_without_reading_a_file(task, tmp_path):
+    # each task's model is built for seed 0 when the config is; a dataset read
+    # from this data_dir would raise FileNotFoundError, not the ValueError
+    settings = dict(task=task, optimizer="adam", hyperparams={"learning_rate": 0.1},
+                    data_dir=str(tmp_path / "missing"))
+    RunConfig(**settings, task_params={})
+    with pytest.raises(ValueError) as raised:
+        RunConfig(**settings, task_params={"widths": 5})
+    assert str(raised.value) == f"task_params: {task} got an unexpected keyword argument 'widths'"
+
+
 def test_every_shipped_preset_and_config_loads():
     for optimizer in OPTIMIZERS:
         for task in presets.TASKS:

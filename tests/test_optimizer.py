@@ -9,7 +9,7 @@ from test_halves import on_cpus
 from test_surrogate import copied, unfused_update
 
 import kltrust.optimizer as optimizer_mod
-from kltrust import baselines
+from kltrust import baselines, harness
 from kltrust.baselines import BaselineConfig, Optimizer
 from kltrust.data import SyntheticQuadraticTask, synthetic_grad
 from kltrust.errors import NonFiniteError
@@ -113,6 +113,29 @@ def test_slope_tracks_the_true_curvature_on_the_noiseless_quadratic():
             assert np.all(0.05 * task.diag <= opt.filter.a), step
             assert np.all(opt.filter.a <= 1.1 * task.diag), step
     assert task.loss(opt.mean) < 1e-6 * task.loss(mu0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_slope_reads_the_noisy_curvature_3x_high_from_feedback(seed):
+    # on the shipped noisy quadratic (n = 10, batch 32, noise 1) at the
+    # defaults, the median a / diag after 2000 steps read 3.14 and 2.95 on
+    # seeds 0 and 1 (2.93-3.20 on seeds 0-5). The bias is feedback: the step
+    # that moves mu_k is driven by the noise in g_(k-1), so that noise enters
+    # both sides of the fit. A fresh filter fed the same path with fresh noise
+    # read 1.00 and 1.06 (0.84-1.13 on seeds 0-5)
+    model = harness._QuadraticModel(32, seed, n=10, noise_scale=1.0)
+    cfg = TrustRegionConfig()
+    opt = TrustRegionOptimizer(model.n_params, cfg, model.init_params(seed))
+    path = []
+    for step in range(2000):
+        path.append(opt.mean)
+        opt.step(model.loss_and_grad(opt.mean, step)[1])
+    diag = model.task.diag
+    assert 2.6 < np.median(opt.filter.a / diag) < 3.6
+    replay = init_state(model.n_params, cfg.p0)
+    for step, mu in enumerate(path):  # keys [seed, 2000 + step, 1]: no draw of the run's
+        filter_update(replay, mu, synthetic_grad(model.task, mu, 2000 + step, 32), cfg.q, cfg.r)
+    assert 0.7 < np.median(replay.a / diag) < 1.4
 
 
 def test_fixed_eta_freezes_mean():
