@@ -13,6 +13,7 @@ scratch, for the filter, the variance and the dual solve.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import math
 import numbers
 import os
@@ -82,9 +83,9 @@ def check_decay(config) -> None:
 
 # halves() and sweep(): whole-vector work split across two threads.
 # Measured in process on a 2-vCPU VM with one-thread BLAS, p50s of 200 calls,
-# one CPU against two, a split of no work costs about 19 us: the worker's
-# wake-up on the other CPU, its reply, and the check of the caller's CPU (about
-# 4 us). It also costs per numpy call in each part, not per part, as each
+# one CPU against two, a split of no work costs about 16-23 us: the worker's
+# wake-up on the other CPU, its reply, and the check of the caller's CPU (0.13
+# us). It also costs per numpy call in each part, not per part, as each
 # call's return waits for the GIL. So:
 # - work of fewer than MIN_SPLIT elements (n rows of `width`) runs inline. An
 #   Adam step breaks even near n = 32K (0.19-0.21 ms inline, 0.18 split) and is
@@ -142,18 +143,16 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+try:  # libc's sched_getcpu, which Python does not wrap; bound once
+    _sched_getcpu = ctypes.CDLL(None).sched_getcpu
+except (AttributeError, OSError, TypeError):  # no such call, or no C library to bind
+    _sched_getcpu = None
+
+
 def _caller_cpu() -> int | None:
-    """The CPU the calling thread is on: field 39 of its /proc stat, as
-    Python has no sched_getcpu; None where that file cannot be read."""
-    try:
-        fd = os.open("/proc/thread-self/stat", os.O_RDONLY)
-    except OSError:
-        return None
-    try:
-        stat = os.read(fd, 1024)
-    finally:
-        os.close(fd)
-    return int(stat.rpartition(b")")[2].split()[36])
+    """The CPU the calling thread is on; None where sched_getcpu is missing or fails."""
+    cpu = _sched_getcpu() if _sched_getcpu else -1
+    return cpu if cpu >= 0 else None
 
 
 def halves(fn, n: int, width: int = 1) -> None:

@@ -1,8 +1,8 @@
 """KL trust-region optimizer with Kalman-filtered curvature estimates.
 
 One step: feed the new stochastic gradient to the per-dimension filter,
-clamp the fitted slopes at zero, update the variance via its closed form,
-solve the dual for the constrained mean, then apply decoupled weight decay.
+update the variance via its closed form, solve the dual for the constrained
+mean (both floor the fitted slopes at zero), then apply decoupled weight decay.
 Two ablation modes replace parts of that pipeline: `fixed-eta` solves for
 the mean at the constant multiplier `fixed_eta` instead of the dual's root,
 `adam-surrogate` derives the quadratic surrogate from Adam's moment
@@ -54,16 +54,14 @@ class TrustRegionOptimizer(Optimizer):
             m_hat, a = self.moments.update(grad)  # a = sqrt(v_hat) + eps
             return a, m_hat - a * self.dist.mu
         filter_update(self.filter, self.dist.mu, grad, cfg.q, cfg.r)  # in place
-        # the solver only reads (a, b) and clamping copies a, so no copies here
+        # the solver only reads (a, b), so no copies here
         return self.filter.a, self.filter.b
 
     def step(self, grad: np.ndarray) -> StepDiagnostics:
         grad = self._check(grad)
         cfg = self.config
         a, b = self._surrogate(grad)
-        clamped = int(np.count_nonzero(a < 0.0))
-        if clamped:
-            a = np.maximum(a, 0.0)
+        clamped = int(np.count_nonzero(a < 0.0))  # floored at 0 by the trust region
 
         sigma2_new = primal_variance(a, self.dist, cfg)
         res = solve_eta(a, b, self.dist, cfg)  # in fixed-eta mode, at cfg.fixed_eta

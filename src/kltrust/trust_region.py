@@ -13,7 +13,8 @@ solved by Newton's method from the classic lower bound on the root (More &
 Sorensen 1983, "Computing a trust region step"), which on a network already
 lies in the solver's band. When C_mu(0) <= epsilon the optimum is interior
 and eta* = 0. The `fixed-eta` ablation passes its own eta instead.
-The functions read epsilon, rho, nu and lambda_prec from the optimizer's
+Both closed forms read each slope a_j as max(a_j, 0), where the surrogate is
+convex. They read epsilon, rho, nu and lambda_prec from the optimizer's
 TrustRegionConfig, defined here and passed as `tr`, which checks their ranges.
 """
 
@@ -122,7 +123,7 @@ def primal_variance(
 ) -> np.ndarray:
     """Optimal variance; structurally independent of the multiplier.
 
-    sigma2_j = (rho + nu) / (a_j + rho * lambda_prec + nu / sigma2_prev_j)
+    sigma2_j = (rho + nu) / (max(a_j, 0) + rho * lambda_prec + nu / sigma2_prev_j)
 
     Computed a block at a time on two threads (baselines.sweep).
     """
@@ -131,7 +132,8 @@ def primal_variance(
     out = np.empty(prev.n)
 
     def block(s: slice, scratch: np.ndarray) -> tuple[float, float]:
-        o = np.add(a[s], rl, out=out[s])
+        o = np.maximum(a[s], 0.0, out=out[s])
+        o += rl
         o += np.divide(nu, prev.sigma2[s], out=scratch[0])
         np.divide(tr.rho + nu, o, out=o)
         return o.min(), o.max()
@@ -150,8 +152,8 @@ def solve_eta(
 ) -> DualSolve:
     """Find eta* >= 0 and the corresponding constrained mean.
 
-    With s = sigma2_prev, w = s * (a + rho*lambda) and
-    z = sqrt(s) * ((a + rho*lambda) * mu_prev + b), the mean step is
+    With s = sigma2_prev, w = s * (max(a, 0) + rho*lambda) and
+    z = sqrt(s) * ((max(a, 0) + rho*lambda) * mu_prev + b), the mean step is
     mu(eta) - mu_prev = -sqrt(s) * z / (w + eta), so
 
         C(eta) = 1/2 * sum_j z_j^2 / (w_j + eta)^2
@@ -185,7 +187,8 @@ def solve_eta(
         # w for the block s in scratch that stays in cache, and z, if asked,
         # into out
         w, root = scratch
-        np.add(a[s], rl, out=w)
+        np.maximum(a[s], 0.0, out=w)
+        w += rl
         if z:
             zs = np.multiply(w, prev.mu[s], out=out[s])
             zs += b[s]
@@ -224,9 +227,9 @@ def solve_eta(
     if tr.mode == "fixed-eta":
         eta = tr.fixed_eta
         if w_min + eta <= 0.0:  # w + eta rounds monotonically in w
-            j = int(np.flatnonzero((a + rl) * prev.sigma2 + eta <= 0.0)[0])
+            j = int(np.flatnonzero((np.maximum(a, 0.0) + rl) * prev.sigma2 + eta <= 0.0)[0])
             raise NonFiniteError(f"non-positive denominator in dimension {j}: "
-                                 f"a={a[j]}, eta={eta}, rho*lambda={rl}")
+                                 f"a={max(a[j], 0.0)}, eta={eta}, rho*lambda={rl}")
         c = secular(eta, z=False)
         sweep(mean, n, 1)
         return DualSolve(eta, out, c, 0)

@@ -96,8 +96,8 @@ def assert_matches_oracle(res, a, b, prev, tr):
 
 
 def checked_solve(a, b, prev, tr):
-    """solve_eta, checked against the reference: a stand-in for the
-    optimizer's `solve_eta` in the fixed-eta mode."""
+    """solve_eta, checked against the reference at the slopes it reads, floored
+    at 0: a stand-in for the optimizer's `solve_eta` in the fixed-eta mode."""
     res = solve_eta(a, b, prev, tr)
-    assert_matches_oracle(res, a, b, prev, tr)
+    assert_matches_oracle(res, np.maximum(a, 0.0), b, prev, tr)
     return res

@@ -395,9 +395,9 @@ def test_a_warm_adam_step_allocates_only_its_new_point(monkeypatch, cpus):
 # the worker's placement needs a thread's CPUs to be settable, the caller's
 # CPU to be readable, and a second CPU to put the worker on
 placement = pytest.mark.skipif(
-    not (hasattr(os, "sched_setaffinity") and os.path.exists("/proc/thread-self"))
+    not (hasattr(os, "sched_setaffinity") and baselines._caller_cpu() is not None)
     or len(os.sched_getaffinity(0)) < 2,
-    reason="needs sched_setaffinity, /proc/thread-self and two CPUs")
+    reason="needs sched_setaffinity, sched_getcpu and two CPUs")
 
 
 def the_worker() -> threading.Thread:
@@ -461,8 +461,9 @@ def test_on_one_allowed_cpu_the_worker_is_not_moved():
               "assert calls == [], calls\n")
 
 
-@pytest.mark.parametrize("missing", ["proc", "setaffinity"])
-def test_without_proc_or_a_settable_affinity_the_split_runs_as_before(monkeypatch, missing):
+@pytest.mark.parametrize("missing", ["sched_getcpu", "sched_getcpu-fails", "setaffinity"])
+def test_without_sched_getcpu_or_a_settable_affinity_the_split_runs_as_before(monkeypatch,
+                                                                              missing):
     def refuse(*args, **kwargs):
         raise PermissionError("refused")
 
@@ -473,7 +474,12 @@ def test_without_proc_or_a_settable_affinity_the_split_runs_as_before(monkeypatc
 
     on_cpus(monkeypatch, 2, lambda: halves(fill, N))  # the worker is started
     with monkeypatch.context() as m:
-        m.setattr(os, "open" if missing == "proc" else "sched_setaffinity", refuse, raising=False)
+        if missing == "sched_getcpu":
+            m.setattr(baselines, "_sched_getcpu", None)
+        elif missing == "sched_getcpu-fails":  # it returns -1
+            m.setattr(baselines, "_sched_getcpu", lambda: -1)
+        else:
+            m.setattr(os, "sched_setaffinity", refuse, raising=False)
         # as if the worker had been kept off no CPU yet
         m.setattr(baselines, "_worker", (*baselines._worker[:4], None))
         out[:] = 0.0

@@ -471,8 +471,10 @@ def _nan_mean_solver(*args, **kwargs):
     return res
 
 
-def _negative_curvature_variance(a, prev, tr):
-    return primal_variance(a - 1e6, prev, tr)
+def _nan_slope_variance(a, prev, tr):
+    a = a.copy()
+    a[0] = np.nan
+    return primal_variance(a, prev, tr)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -490,12 +492,12 @@ def test_diverging_seed_is_isolated(tmp_path, monkeypatch):
         ("trust_region", {"variant": "adam-surrogate", "task_params": overflow},
          "non-finite point or gradient at step"),
         ("trust_region", {"fault": ("filter_update", _broken_filter)}, "positive definite"),
-        # a NaN mean fails at the next step's loss; a negative curvature fails in
+        # a NaN mean fails at the next step's loss; a NaN slope fails in
         # primal_variance, which raises NonFiniteError
         ("trust_region", {"fault": ("solve_eta", _nan_mean_solver)}, "non-finite loss"),
-        ("trust_region", {"fault": ("primal_variance", _negative_curvature_variance)},
+        ("trust_region", {"fault": ("primal_variance", _nan_slope_variance)},
          "non-positive or NaN"),
-        # with eta = 0 and no prior a slope clamped to 0 zeroes a denominator
+        # with eta = 0 and no prior a slope floored at 0 zeroes a denominator
         ("trust_region", {"variant": "fixed-eta",
                           "hyperparams": {"fixed_eta": 0.0, "rho": 0.0},
                           "task_params": {"steps_per_epoch": 10, "noise_scale": 5.0}},

@@ -164,9 +164,16 @@ def test_variance_high_curvature_stays_positive():
 
 def test_variance_rejects_non_positive_or_nan_entries():
     tr = params(rho=1.0, nu=1.0, lam=0.0)
-    for a in ([-2.0, 1.0], [np.nan, 1.0], [1.0, -1.5]):
-        with pytest.raises(NonFiniteError):
-            primal_variance(np.array(a), dist([0.0, 0.0], [1.0, 1.0]), tr)
+    with pytest.raises(NonFiniteError, match="non-positive or NaN"):
+        primal_variance(np.array([np.nan, 1.0]), dist([0.0, 0.0], [1.0, 1.0]), tr)
+
+
+def test_variance_floors_negative_slopes_at_zero():
+    # sigma2_prev = 1 and rho = nu = 1: (rho + nu) / (max(a, 0) + 1)
+    tr = params(rho=1.0, nu=1.0, lam=0.0)
+    for a in ([-2.0, 1.0], [1.0, -1.5], [-1e300, -0.0]):
+        out = primal_variance(np.array(a), dist([0.0, 0.0], [1.0, 1.0]), tr)
+        assert out.tolist() == [2.0 / (max(x, 0.0) + 1.0) for x in a]
 
 
 def test_variance_rejects_an_entry_that_overflows_to_inf():
@@ -476,6 +483,33 @@ def test_solve_properties(instance):
     assert_mean_matches_oracle(res.mu, a, b, prev, res.eta_star, tr)
     # kl_mean_term subtracts mu_prev again, losing up to an ulp of it
     assert res.c_mu == pytest.approx(kl_mean_term(res.mu, prev), rel=1e-10, abs=1e-10 * eps)
+
+
+@st.composite
+def negative_slope_instances(draw):
+    """A dual instance with slopes below 0: one at least, and -0.0 among the draws."""
+    a, b, prev, tr = draw(dual_instances())
+    below = floats(-1e300, -1e-300)
+    for j in draw(st.sets(st.integers(0, len(a) - 1))):
+        a[j] = draw(st.one_of(st.just(-0.0), below))
+    a[draw(st.integers(0, len(a) - 1))] = draw(below)
+    return a, b, prev, tr
+
+
+@settings(max_examples=300, deadline=None)
+@given(negative_slope_instances(), st.data())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # C overflows near a_j = 0
+def test_negative_slopes_are_read_as_zero(instance, data):
+    a, b, prev, tr = instance
+    floored = np.maximum(a, 0.0)
+    assert primal_variance(a, prev, tr).tobytes() == primal_variance(floored, prev, tr).tobytes()
+    eta = data.draw(etas((floored + tr.rho * tr.lambda_prec) * prev.sigma2))
+    for mode in (tr, replace(tr, mode="fixed-eta", fixed_eta=eta)):
+        res, ref = solve_eta(a, b, prev, mode), solve_eta(floored, b, prev, mode)
+        assert (res.eta_star, res.mu.tobytes(), res.c_mu, res.iterations) == (
+            ref.eta_star, ref.mu.tobytes(), ref.c_mu, ref.iterations)
+        if mode is tr:  # the dual's root, on every exit
+            assert res.c_mu <= 1.1 * tr.epsilon
 
 
 def etas(curvature):
