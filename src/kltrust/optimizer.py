@@ -1,8 +1,9 @@
 """KL trust-region optimizer with Kalman-filtered curvature estimates.
 
 One step: feed the new stochastic gradient to the per-dimension filter,
-update the variance via its closed form, solve the dual for the constrained
-mean (both floor the fitted slopes at zero), then apply decoupled weight decay.
+update the variance via its closed form, and solve the dual for the mean,
+which the solve also decays (decoupled weight decay); both closed forms floor
+the fitted slopes at zero, and the solve counts the slopes it floors.
 Two ablation modes replace parts of that pipeline: `fixed-eta` solves for
 the mean at the constant multiplier `fixed_eta` instead of the dual's root,
 `adam-surrogate` derives the quadratic surrogate from Adam's moment
@@ -58,17 +59,11 @@ class TrustRegionOptimizer(Optimizer):
         return self.filter.a, self.filter.b
 
     def step(self, grad: np.ndarray) -> StepDiagnostics:
-        grad = self._check(grad)
+        a, b = self._surrogate(self._check(grad))
         cfg = self.config
-        a, b = self._surrogate(grad)
-        clamped = int(np.count_nonzero(a < 0.0))  # floored at 0 by the trust region
-
         sigma2_new = primal_variance(a, self.dist, cfg)
         res = solve_eta(a, b, self.dist, cfg)  # in fixed-eta mode, at cfg.fixed_eta
-        if cfg.weight_decay > 0.0:
-            np.multiply(res.mu, 1.0 - cfg.weight_decay, out=res.mu)  # the solve's own array
-
         # checked where made: sigma2 by primal_variance, the mean by the next _check
         self.dist.mu = self.mean = res.mu
         self.dist.sigma2 = sigma2_new
-        return StepDiagnostics(res.eta_star, res.c_mu, res.iterations, clamped)
+        return StepDiagnostics(res.eta_star, res.c_mu, res.iterations, res.clamped)

@@ -101,12 +101,13 @@ class ParameterDistribution:
 
 @dataclass(frozen=True)
 class DualSolve:
-    """Result of one dual solve: multiplier, new mean, and diagnostics."""
+    """One dual solve: eta*, C_mu, the mean after the decay, and diagnostics."""
 
     eta_star: float
     mu: np.ndarray
     c_mu: float
     iterations: int
+    clamped: int
 
 
 def _check_lengths(prev: ParameterDistribution, **vectors) -> None:
@@ -150,7 +151,7 @@ def solve_eta(
     prev: ParameterDistribution,
     tr: TrustRegionConfig,
 ) -> DualSolve:
-    """Find eta* >= 0 and the corresponding constrained mean.
+    """Find eta* >= 0 and the corresponding constrained mean, then decay it.
 
     With s = sigma2_prev, w = s * (max(a, 0) + rho*lambda) and
     z = sqrt(s) * ((max(a, 0) + rho*lambda) * mu_prev + b), the mean step is
@@ -171,6 +172,8 @@ def solve_eta(
     ETA_MIN). When every w_j is far below eta*, as on a network, L lies in
     the band and no Newton step is taken. `iterations` counts Newton steps;
     `fixed-eta` mode evaluates tr.fixed_eta alone: no Newton, band or ETA_MAX.
+    The returned mean is mu(eta*) * (1 - weight_decay), decoupled decay
+    (Loshchilov & Hutter 2019); eta_star and c_mu precede it. `clamped` counts a_j < 0.
     One n-vector holds z, then each evaluation's p = z / (w + eta), then the
     returned mean; w, and z after a Newton step, are rebuilt per block from
     a, b and prev. Only Newton allocates a second n-vector, p / (w + eta).
@@ -196,9 +199,9 @@ def solve_eta(
         w *= prev.sigma2[s]
         return w
 
-    def setup(s: slice, scratch: np.ndarray) -> tuple[float, float]:
+    def setup(s: slice, scratch: np.ndarray) -> tuple[float, float, int]:
         w = w_of(s, scratch, z=True)
-        return w.min(), w.max()
+        return w.min(), w.max(), np.count_nonzero(a[s] < 0.0)  # a block-sized mask
 
     def secular(eta: float, z: bool) -> float:
         # p = z / (w + eta) gives C = 1/2 p.p and -C'(eta) = p.(p / (w + eta))
@@ -217,12 +220,14 @@ def solve_eta(
         np.divide(out[s], w, out=dp[s])
 
     def mean(s: slice, scratch: np.ndarray) -> None:
-        # mu(eta*) = mu_prev - sqrt(s) * p, written over p
+        # mu(eta*) = mu_prev - sqrt(s) * p, written over p, then decayed
         p = out[s]
         p *= np.sqrt(prev.sigma2[s], out=scratch[0])
         np.subtract(prev.mu[s], p, out=p)
+        if tr.weight_decay > 0.0:
+            p *= 1.0 - tr.weight_decay
 
-    w_lows, w_highs = zip(*sweep(setup, n, 2))
+    w_lows, w_highs, counts = zip(*sweep(setup, n, 2))
     w_min, w_max = np.min(w_lows), np.max(w_highs)  # a NaN kept
     if tr.mode == "fixed-eta":
         eta = tr.fixed_eta
@@ -232,7 +237,7 @@ def solve_eta(
                                  f"a={max(a[j], 0.0)}, eta={eta}, rho*lambda={rl}")
         c = secular(eta, z=False)
         sweep(mean, n, 1)
-        return DualSolve(eta, out, c, 0)
+        return DualSolve(eta, out, c, 0, sum(counts))
     # below ETA_MIN a w_j makes the eta = 0 step undefined (w_j = 0) or
     # overflow C and C', so the solve starts at the smallest multiplier; a
     # NaN w_j is not below it, and makes z.z NaN, which fails the solve
@@ -266,7 +271,7 @@ def solve_eta(
         c = secular(eta, z=True)
         done = abs(c - eps) <= 0.1 * eps
     sweep(mean, n, 1)
-    return DualSolve(eta, out, c, iterations)
+    return DualSolve(eta, out, c, iterations, sum(counts))
 
 
 def dual_derivative(eta: float, a: np.ndarray, b: np.ndarray, prev: ParameterDistribution,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kltrust import baselines
-from kltrust.harness import RunConfig, run
+from kltrust.harness import RunConfig, read_metrics_csv, run
 from kltrust.optimizer import TrustRegionConfig, TrustRegionOptimizer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -25,9 +25,11 @@ def _load_perfbench(name):
 
 
 def _quadratic_cell(tmp_path, optimizer, **kw):
+    # noisy enough that the trust region floors some slopes in each epoch
     return RunConfig(
         task="synthetic_quadratic", optimizer=optimizer, epochs=2, batch_size=3,
-        seeds=(0,), milestones=(1,), task_params={"n": 4, "steps_per_epoch": 5},
+        seeds=(0,), milestones=(1,),
+        task_params={"n": 4, "steps_per_epoch": 5, "noise_scale": 10.0},
         out_dir=str(tmp_path / optimizer), **kw,
     )
 
@@ -56,6 +58,12 @@ def test_every_seam_exists_and_the_quadratic_cells_call_them(tmp_path):
                  "trust_region.solve_eta"):
         assert names.count(name) == steps, name
     assert "harness.write_metrics_csv" in names
+    # perfbench's optimizer.clamped_frac reads the step's `clamped` attribute:
+    # per epoch, its mean is the CSV's clamped column
+    clamped = [s[4]["clamped"] for s in tracer.spans if s[0] == "optimizer.step"]
+    rows = read_metrics_csv(tr.csv_path)
+    assert [r.clamped for r in rows] == [float(np.mean(clamped[i:i + 5])) for i in (0, 5)]
+    assert all(r.clamped > 0 for r in rows)
 
 
 @pytest.mark.parametrize("epsilon", [0.01, 1e4], ids=["no-newton", "newton"])

@@ -14,6 +14,7 @@ from dual_oracle import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_halves import on_cpus
 
 from kltrust import baselines
 from kltrust.errors import NonFiniteError
@@ -299,7 +300,7 @@ def test_network_shaped_solve_lands_in_the_band_at_its_lower_bound():
     assert res.eta_star > 0.0
     assert abs(res.c_mu - tr.epsilon) <= 0.1 * tr.epsilon
     assert np.allclose(res.mu, primal_mean(a, b, prev, res.eta_star, tr), rtol=1e-12, atol=0.0)
-    # the optimizer applies weight decay to the solve's mean in place
+    # the solve's mean is its own array, which it decays in place
     for held in (prev.mu, prev.sigma2, a, b):
         assert not np.shares_memory(res.mu, held)
 
@@ -510,6 +511,56 @@ def test_negative_slopes_are_read_as_zero(instance, data):
             ref.eta_star, ref.mu.tobytes(), ref.c_mu, ref.iterations)
         if mode is tr:  # the dual's root, on every exit
             assert res.c_mu <= 1.1 * tr.epsilon
+
+
+@st.composite
+def signed_slope_instances(draw):
+    """A dual instance whose slopes mix entries below 0 with -0.0 and
+    subnormals of either sign."""
+    a, b, prev, tr = draw(dual_instances())
+    tiny = float(np.finfo(float).smallest_subnormal)
+    odd = st.sampled_from([-0.0, tiny, -tiny, 1e-310, -1e-310]) | floats(-1e300, -1e-300)
+    for j in draw(st.sets(st.integers(0, len(a) - 1))):
+        a[j] = draw(odd)
+    return a, b, prev, tr
+
+
+@settings(max_examples=50, deadline=None)
+@given(signed_slope_instances(), st.data())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # C overflows near a_j = 0
+def test_the_solve_counts_the_slopes_below_zero(instance, data):
+    # -0.0 is not below 0; tiled to n = 4 BLOCK, on one CPU and on two, the
+    # count is summed over the blocks of both parts
+    a, b, prev, tr = instance
+    n = 4 * baselines.BLOCK
+    tiled = (np.resize(a, n), np.resize(b, n), dist(np.resize(prev.mu, n),
+                                                    np.resize(prev.sigma2, n)))
+    eta = data.draw(etas((np.maximum(a, 0.0) + tr.rho * tr.lambda_prec) * prev.sigma2))
+    for mode in (tr, replace(tr, mode="fixed-eta", fixed_eta=eta)):
+        assert solve_eta(a, b, prev, mode).clamped == np.count_nonzero(a < 0.0)
+        for cpus in (1, 2):
+            res = on_cpus(pytest.MonkeyPatch(), cpus, lambda: solve_eta(*tiled, mode))
+            assert res.clamped == np.count_nonzero(tiled[0] < 0.0)
+
+
+@pytest.mark.parametrize("mode, epsilon", [("standard", 0.01), ("standard", 1e3),
+                                           ("fixed-eta", 0.01)],
+                         ids=["no-newton", "newton", "fixed-eta"])
+@pytest.mark.parametrize("decay", [2e-6, 0.1])
+def test_the_solve_decays_the_mean_it_makes(mode, epsilon, decay):
+    # bitwise the undecayed mean times 1 - weight_decay; the multiplier, C_mu
+    # and the counts are those of the step before the decay
+    rng = np.random.default_rng(38)
+    n = 3 * baselines.BLOCK + 77
+    a, b = rng.normal(size=n), rng.normal(size=n)
+    prev = dist(rng.normal(size=n), rng.uniform(0.5, 1.0, size=n))
+    tr = TrustRegionConfig(epsilon=epsilon, mode=mode, fixed_eta=10.0)
+    plain = solve_eta(a, b, prev, tr)
+    decayed = solve_eta(a, b, prev, replace(tr, weight_decay=decay))
+    assert (plain.iterations > 0) == (epsilon == 1e3)
+    assert (decayed.eta_star, decayed.c_mu, decayed.iterations, decayed.clamped) == (
+        plain.eta_star, plain.c_mu, plain.iterations, plain.clamped)
+    assert decayed.mu.tobytes() == np.multiply(plain.mu, 1.0 - decay).tobytes()
 
 
 def etas(curvature):
