@@ -386,15 +386,14 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 def machine() -> dict:
     """What a run's results or speed may follow besides its config: the
     versions, the platform, the CPUs the process may use (halves splits only
-    on two or more), the BLAS numpy was built with (None where numpy < 1.26
-    cannot say) and the BLAS thread variables (None when unset)."""
-    blas = (np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-            if np.lib.NumpyVersion(np.__version__) >= "1.26.0" else None)
+    on two or more), the BLAS numpy was built with and the BLAS thread
+    variables (None when unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,
             "platform": sys.platform,
             "cpus": baselines._cpus(),
-            "blas": blas and {"name": blas.get("name"), "version": blas.get("version")},
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
 
 

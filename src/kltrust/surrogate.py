@@ -111,16 +111,16 @@ def filter_update(
         a += np.multiply(k, resid, out=k)
         b += np.multiply(resid, k2, out=resid)
         p22 -= np.multiply(t2, k2, out=t2)
-        # the block's check while it is in cache: p11 > 0 and det > 0
-        # imply p22 > 0, and finite p11 and det imply finite p12 and p22.
-        # numpy's min() keeps a NaN, but the builtin min() that merges the
-        # lows drops it, so the sum catches it. An overflowed v zeroes the
+        # the block's check while it is in cache: p11 > 0 and det > 0 imply
+        # p22 > 0, finite p11 and det imply finite p12 and p22, and p11 needs
+        # no sum: p11 > 0 rules out -inf, and a NaN or +inf p11 makes det NaN
+        # or +-inf. numpy's min() keeps a NaN, but the builtin min() merging
+        # the lows drops it, so the sum catches it. An overflowed v zeroes the
         # gain and would leave the state silently unchanged. A NaN or inf in
-        # mu or g always reaches a or b (0 * inf is NaN), so the sum checks
-        # them too
+        # mu or g always reaches a or b (0 * inf is NaN), so the sum checks them
         det = np.multiply(p11, p22, out=t1)
         det -= np.multiply(p12, p12, out=t2)
-        return min(p11.min(), det.min()), a.sum() + b.sum() + p11.sum() + det.sum() + v_sum
+        return min(p11.min(), det.min()), a.sum() + b.sum() + det.sum() + v_sum
 
     lows, sums = zip(*sweep(block, state.n, 5))
     if not (min(lows) > 0.0 and np.isfinite(sum(sums))):

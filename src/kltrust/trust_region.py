@@ -170,13 +170,15 @@ def solve_eta(
     C(0) > epsilon; from eta = 0 the first evaluation is the interior test,
     and when C <= epsilon there the step is returned with eta* = 0 (or
     ETA_MIN). When every w_j is far below eta*, as on a network, L lies in
-    the band and no Newton step is taken. `iterations` counts Newton steps;
-    `fixed-eta` mode evaluates tr.fixed_eta alone: no Newton, band or ETA_MAX.
-    The returned mean is mu(eta*) * (1 - weight_decay), decoupled decay
-    (Loshchilov & Hutter 2019); eta_star and c_mu precede it. `clamped` counts a_j < 0.
-    One n-vector holds z, then each evaluation's p = z / (w + eta), then the
-    returned mean; w, and z after a Newton step, are rebuilt per block from
-    a, b and prev. Only Newton allocates a second n-vector, p / (w + eta).
+    the band and no Newton step is taken. `iterations` counts Newton steps.
+    `fixed-eta` is this solve started at tr.fixed_eta and done after its
+    first evaluation; both modes leave through one exit. The returned mean is
+    mu(eta*) * (1 - weight_decay), decoupled decay (Loshchilov & Hutter 2019);
+    eta_star and c_mu precede it. `clamped` counts a_j < 0. One n-vector
+    holds z, then each evaluation's p = z / (w + eta), then the returned mean;
+    w, and z after a Newton step, are rebuilt per block from a, b and prev.
+    One block function divides by w + eta: in place for C, and for Newton's
+    C' into a second n-vector, p / (w + eta), that only Newton allocates.
     Each sweep runs on two threads (baselines.sweep), and each dot runs
     here on the whole vector, so no result depends on the split.
     """
@@ -203,21 +205,16 @@ def solve_eta(
         w = w_of(s, scratch, z=True)
         return w.min(), w.max(), np.count_nonzero(a[s] < 0.0)  # a block-sized mask
 
-    def secular(eta: float, z: bool) -> float:
-        # p = z / (w + eta) gives C = 1/2 p.p and -C'(eta) = p.(p / (w + eta))
+    def divide(z: bool, into: np.ndarray) -> np.float64:
+        # out / (w + eta) into `into` at the current eta, then out.into: over
+        # out, p = z / (w + eta) and p.p = 2 C; into dp, p.dp = -C'(eta)
         def block(s: slice, scratch: np.ndarray) -> None:
             w = w_of(s, scratch, z)
             w += eta
-            out[s] /= w
+            np.divide(out[s], w, out=into[s])
 
         sweep(block, n, 2)
-        return 0.5 * float(np.dot(out, out))
-
-    def slope(s: slice, scratch: np.ndarray) -> None:
-        # p / (w + eta) into dp, at the current eta
-        w = w_of(s, scratch, z=False)
-        w += eta
-        np.divide(out[s], w, out=dp[s])
+        return np.dot(out, into)
 
     def mean(s: slice, scratch: np.ndarray) -> None:
         # mu(eta*) = mu_prev - sqrt(s) * p, written over p, then decayed
@@ -229,38 +226,37 @@ def solve_eta(
 
     w_lows, w_highs, counts = zip(*sweep(setup, n, 2))
     w_min, w_max = np.min(w_lows), np.max(w_highs)  # a NaN kept
-    if tr.mode == "fixed-eta":
+    fixed = tr.mode == "fixed-eta"
+    if fixed:
         eta = tr.fixed_eta
         if w_min + eta <= 0.0:  # w + eta rounds monotonically in w
             j = int(np.flatnonzero((np.maximum(a, 0.0) + rl) * prev.sigma2 + eta <= 0.0)[0])
             raise NonFiniteError(f"non-positive denominator in dimension {j}: "
                                  f"a={max(a[j], 0.0)}, eta={eta}, rho*lambda={rl}")
-        c = secular(eta, z=False)
-        sweep(mean, n, 1)
-        return DualSolve(eta, out, c, 0, sum(counts))
-    # below ETA_MIN a w_j makes the eta = 0 step undefined (w_j = 0) or
-    # overflow C and C', so the solve starts at the smallest multiplier; a
-    # NaN w_j is not below it, and makes z.z NaN, which fails the solve
-    start = ETA_MIN if w_min < ETA_MIN else 0.0
-    zz = float(np.dot(out, out))
-    # a non-finite z.z (overflow or NaN) bounds nothing, and the start stays
-    bound = math.sqrt(zz) / math.sqrt(2.0 * eps) - w_max if math.isfinite(zz) else -math.inf
-    if bound > ETA_MAX:
-        raise DualSolverError(
-            f"the lower bound eta={bound:g} on the root leaves "
-            f"eta <= {ETA_MAX:g}; surrogate is pathological"
-        )
-    eta = max(start, bound)
-    c = secular(eta, z=False)  # out still holds z
+    else:
+        # below ETA_MIN a w_j makes the eta = 0 step undefined (w_j = 0) or
+        # overflow C and C', so the solve starts at the smallest multiplier; a
+        # NaN w_j is not below it, and makes z.z NaN, which fails the solve
+        start = ETA_MIN if w_min < ETA_MIN else 0.0
+        zz = float(np.dot(out, out))
+        # a non-finite z.z (overflow or NaN) bounds nothing, and the start stays
+        bound = math.sqrt(zz) / math.sqrt(2.0 * eps) - w_max if math.isfinite(zz) else -math.inf
+        if bound > ETA_MAX:
+            raise DualSolverError(
+                f"the lower bound eta={bound:g} on the root leaves "
+                f"eta <= {ETA_MAX:g}; surrogate is pathological"
+            )
+        eta = max(start, bound)
+    c = 0.5 * float(divide(False, out))  # out still holds z
     iterations = 0
-    # from the start this is the interior test; a start at the bound proves
-    # C(0) > epsilon. A NaN C is not done, and its Newton step fails below
-    done = c <= eps if eta == start else abs(c - eps) <= 0.1 * eps
+    # fixed-eta is done here; from the start this is the interior test, and a
+    # start at the bound proves C(0) > epsilon. A NaN C is not done, and its
+    # Newton step fails below
+    done = fixed or (c <= eps if eta == start else abs(c - eps) <= 0.1 * eps)
     dp = None if done else np.empty(n)  # p / (w + eta), only when Newton runs
     while not done:
-        sweep(slope, n, 2)
         # numpy division: a zero C' gives an infinite step, which fails below
-        step = float(2.0 * c * (math.sqrt(c / eps) - 1.0) / np.dot(out, dp))
+        step = float(2.0 * c * (math.sqrt(c / eps) - 1.0) / divide(False, dp))
         iterations += 1
         if not (eta + step <= ETA_MAX and iterations <= MAX_ITER):
             raise DualSolverError(
@@ -268,7 +264,7 @@ def solve_eta(
                 f"eta <= {ETA_MAX:g} or MAX_ITER={MAX_ITER}; surrogate is pathological"
             )
         eta += step
-        c = secular(eta, z=True)
+        c = 0.5 * float(divide(True, out))
         done = abs(c - eps) <= 0.1 * eps
     sweep(mean, n, 1)
     return DualSolve(eta, out, c, iterations, sum(counts))

@@ -253,6 +253,30 @@ def test_an_exception_in_the_workers_half_is_raised_in_the_caller(monkeypatch):
     assert np.all(out[:N // 2] == 1)
 
 
+@pytest.mark.parametrize("over", ["raise", "ignore"])
+def test_the_workers_part_runs_under_the_callers_errstate(monkeypatch, over):
+    # numpy's errstate is a context variable (numpy >= 2.0), and the worker's
+    # part runs in a copy of the caller's context: an overflow in that part
+    # alone raises, or not, as the caller's errstate says
+    x = np.ones(N)
+    x[:5] = 1e300  # in the worker's part only
+    seen = []
+
+    def square(s):
+        seen.append((s, threading.current_thread().name))
+        np.multiply(x[s], x[s], out=x[s])
+
+    with np.errstate(over=over):
+        if over == "raise":
+            with pytest.raises(FloatingPointError):
+                on_cpus(monkeypatch, 2, lambda: halves(square, N))
+        else:
+            on_cpus(monkeypatch, 2, lambda: halves(square, N))
+            assert np.all(x[:5] == np.inf)
+    assert sorted(seen, key=lambda p: p[0].start) == [
+        (slice(0, N // 2), "kltrust-halves"), (slice(N // 2, N), threading.current_thread().name)]
+
+
 def test_concurrent_callers_each_get_their_own_halves(monkeypatch):
     # one worker serves every thread: a second caller must not take the
     # reply meant for the first, and so return before its own half is written

@@ -414,6 +414,24 @@ def test_non_finite_input_in_every_block_is_caught(monkeypatch):
                         filter_update(copied(state), m, gg, 0.02, 1.3)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("p22", [5e-5, 0.0])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_p11_in_either_part_is_caught(monkeypatch, value, p22, cpus):
+    # the check sums no p11: p11 > 0 rules out -inf, and a NaN or +inf p11
+    # makes det NaN or +-inf (and reaches a and b through the gain); q = 0
+    # keeps a p22 of 0 at 0
+    n = 4 * baselines.BLOCK
+    rng = np.random.default_rng(16)
+    mu, g = rng.normal(size=n), rng.normal(size=n)
+    for j in (5, n // 2 + 5):  # in the worker's part, then in the caller's
+        state = init_state(n, 5e-5)
+        state.p11[j], state.p22[j] = value, p22
+        with pytest.raises(FilterConsistencyError):
+            on_cpus(monkeypatch, cpus, lambda: filter_update(state, mu, g, 0.0, 1.0))
+
+
 def test_permutation_equivariance():
     rng = np.random.default_rng(6)
     mu = rng.normal(size=8)

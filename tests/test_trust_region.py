@@ -610,6 +610,32 @@ def test_a_fixed_eta_solve_is_the_reference_mean_at_its_multiplier(instance):
 
 
 @settings(max_examples=100, deadline=None)
+@given(dual_instances(), st.sampled_from([None, 1e3]))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # C overflows near a_j = 0
+def test_a_fixed_eta_solve_at_the_root_is_the_standard_solve(instance, epsilon):
+    # the two modes are one path: started at the standard solve's eta*, the
+    # fixed-eta solve is its last evaluation and its mean, bitwise, with or
+    # without Newton steps before it (epsilon 1e3 takes some), and tiled to
+    # n = 4 BLOCK on one CPU and on two
+    a, b, prev, tr = instance
+    tr = tr if epsilon is None else replace(tr, epsilon=epsilon)
+    n = 4 * baselines.BLOCK
+    tiled = (np.resize(a, n), np.resize(b, n), dist(np.resize(prev.mu, n),
+                                                    np.resize(prev.sigma2, n)))
+
+    def one_path(args):
+        res = solve_eta(*args, tr)
+        fixed = solve_eta(*args, replace(tr, mode="fixed-eta", fixed_eta=res.eta_star))
+        assert fixed.mu.tobytes() == res.mu.tobytes()
+        assert (fixed.eta_star, fixed.c_mu, fixed.clamped, fixed.iterations) == (
+            res.eta_star, res.c_mu, res.clamped, 0)
+
+    one_path((a, b, prev))
+    for cpus in (1, 2):
+        on_cpus(pytest.MonkeyPatch(), cpus, lambda: one_path(tiled))
+
+
+@settings(max_examples=100, deadline=None)
 @given(dual_instances(), st.data())
 def test_a_fixed_eta_zero_denominator_is_named_as_the_reference_names_it(instance, data):
     # at eta = 0 with rho*lambda = 0, w_j = 0 where a_j = 0; the first such j is named
