@@ -1,11 +1,12 @@
 """Benchmark runner: (task x optimizer x seed) grids with CSV/JSON output.
 
-One CSV row per (seed, epoch); a summary JSON with per-epoch means and the
-doubled standard error (2 * sample sd / sqrt(#seeds)) of test accuracy.
-Floats are written with full repr so summaries recomputed from the raw CSV
-reproduce the shipped summary exactly. A seed that hits a numerical fault
-(a non-finite loss or gradient, a broken filter, a failed dual solve) is
-recorded as a failure and the rest of the grid continues.
+One CSV row per (seed, epoch); a summary JSON that holds the resolved config
+the run's hash covers, then its results: per-epoch means and the doubled
+standard error (2 * sample sd / sqrt(#seeds)) of test accuracy. Floats are
+written with full repr so summaries recomputed from the raw CSV reproduce the
+shipped summary exactly. A seed that hits a numerical fault (a non-finite loss
+or gradient, a broken filter, a failed dual solve) is recorded as a failure and
+the rest of the grid continues.
 
 One loop trains every cell: models expose `n_params`, `init_params(seed)` and
 `loss_and_grad(params, batch)`; optimizers `.mean`, `step(grad)`, `on_epoch_end()`.
@@ -116,8 +117,10 @@ class RunConfig:
 
     @property
     def effective_milestones(self) -> tuple[int, ...]:
+        """The milestones that fire: a milestone past the last epoch never does,
+        so its decay is neither checked nor recorded."""
         if self.milestones is not None:
-            return self.milestones
+            return tuple(m for m in self.milestones if m <= self.epochs)
         half, three_quarters = self.epochs // 2, (3 * self.epochs) // 4
         return tuple(sorted({m for m in (half, three_quarters) if m >= 1}))
 
@@ -126,8 +129,7 @@ class RunConfig:
         hp = self.resolved_hyperparams()
         if unread := [name for name in OPTIMIZERS[self.optimizer].UNREAD if name in hp]:
             raise ValueError(f"hyperparams for {self.optimizer}: {unread[0]} is never read")
-        # a milestone past the last epoch never fires, so its decay is not checked
-        milestones = tuple(m for m in self.effective_milestones if m <= self.epochs)
+        milestones = self.effective_milestones
         try:
             if self.optimizer == "trust_region":
                 return TrustRegionConfig(mode=self.variant, schedule_milestones=milestones, **hp)
@@ -142,14 +144,19 @@ class RunConfig:
         out.update(self.hyperparams)
         return out
 
-    def sha256(self) -> str:
-        """The SHA-256 of what the run computes, as canonical JSON: every field
-        but out_dir, with the preset merged into hyperparams and the
-        milestones the run uses."""
+    def resolved(self) -> dict:
+        """What the run computes, as JSON values: every field but out_dir, with
+        the preset merged into hyperparams and the milestones that fire."""
         resolved = {**asdict(self), "hyperparams": self.resolved_hyperparams(),
                     "milestones": self.effective_milestones}
         del resolved["out_dir"], resolved["preset"]
-        text = json.dumps(resolved, sort_keys=True, separators=(",", ":"), default=str)
+        # a numpy scalar is its value; any other object (a data_dir path) is its text
+        return json.loads(json.dumps(
+            resolved, default=lambda o: o.item() if isinstance(o, np.generic) else str(o)))
+
+    def sha256(self) -> str:
+        """The SHA-256 of `resolved()` as canonical JSON."""
+        text = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()
 
     def resolved_data_dir(self) -> Path:
@@ -323,6 +330,11 @@ def aggregate(rows: list[MetricsRecord]) -> list[dict]:
     return out
 
 
+def _statistics(rows: list[MetricsRecord]) -> dict:
+    per_epoch = aggregate(rows)
+    return {"per_epoch": per_epoch, "final": per_epoch[-1] if per_epoch else None}
+
+
 def write_metrics_csv(path, rows: list[MetricsRecord]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -422,45 +434,22 @@ def run(config: RunConfig) -> RunResult:
         # after every seed, so a run cut short keeps the seeds it finished
         _replace(csv_path, lambda tmp: write_metrics_csv(tmp, rows))
 
-    per_epoch = aggregate(rows)
-    summary = {
-        "task": config.task,
-        "optimizer": config.optimizer,
-        "variant": config.variant,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "seeds": list(config.seeds),
-        "milestones": list(config.effective_milestones),
-        "eval_every": config.eval_every,
-        "hyperparams": config.resolved_hyperparams(),
-        "normalization": None if split is None else "pixel/255",
-        "failed_seeds": failed,
-        "per_epoch": per_epoch,
-        "final": per_epoch[-1] if per_epoch else None,
-        "machine": machine(),
-        "config_sha256": config.sha256(),
-    }
+    summary = {**config.resolved(), "normalization": None if split is None else "pixel/255",
+               "failed_seeds": failed, **_statistics(rows), "machine": machine(),
+               "config_sha256": config.sha256()}
     _replace(summary_path, lambda tmp: tmp.write_text(json.dumps(summary, indent=2)))
     return RunResult(csv_path, summary_path, summary)
 
 
 def summarize(in_dir) -> dict:
-    """Recompute per-epoch statistics from every metrics CSV in a directory,
-    with the machine and config hash of the run's summary JSON beside it,
-    where there is one."""
+    """For every metrics CSV in a directory, the run's summary JSON beside it
+    ({} where there is none) with its statistics recomputed from the CSV."""
     in_dir = Path(in_dir)
     out = {}
     for csv_path in sorted(in_dir.glob("*.csv")):
-        per_epoch = aggregate(read_metrics_csv(csv_path))
-        out[csv_path.name] = {
-            "per_epoch": per_epoch,
-            "final": per_epoch[-1] if per_epoch else None,
-        }
         summary_path = csv_path.with_name(f"{csv_path.stem}_summary.json")
-        if summary_path.exists():
-            summary = _read_json(summary_path)
-            out[csv_path.name].update(
-                {key: summary.get(key) for key in ("machine", "config_sha256")})
+        summary = _read_json(summary_path) if summary_path.exists() else {}
+        out[csv_path.name] = {**summary, **_statistics(read_metrics_csv(csv_path))}
     if not out:
         raise FileNotFoundError(f"no metrics CSV files under {in_dir}")
     return out

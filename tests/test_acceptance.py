@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dual_oracle import checked_solve
+from test_bench_seams import _load_perfbench
 
 import kltrust.optimizer as optimizer_mod
+from kltrust import presets
 from kltrust.baselines import Adam, AdamW, BaselineConfig, SGDMomentum
 from kltrust.data import SyntheticQuadraticTask, synthetic_grad
 from kltrust.harness import (
@@ -369,6 +371,39 @@ def test_criterion_08_desk_scale_benchmark(tmp_path):
     assert tr_acc >= adam_acc - 0.005
     assert elapsed < 1800.0
     _report(8, f"trust-region {tr_acc:.4f} vs adam {adam_acc:.4f} in {elapsed:.0f}s")
+
+
+def _last_over_first(rows, seed):
+    """(final train loss, its ratio to epoch 0's, final test accuracy) of one seed."""
+    first, *_, last = [r for r in rows if r.seed == seed]
+    return last.train_loss, last.train_loss / first.train_loss, last.test_accuracy
+
+
+def test_criterion_08_offline_twin(tmp_path):
+    # criterion 08 on perfbench/idxgen data (labels from a random linear teacher
+    # on uniform pixels), where the trust region at the preset walks to chance.
+    # It runs at ROADMAP item 1's setting: epsilon 2e-8 per parameter, and rho
+    # and nu divided by k = 300. The margins are pinned from held-out seeds 5-9,
+    # which read: final / epoch-0 loss 0.437-0.488, accuracy 0.379-0.417, and
+    # a final loss 0.378-0.551 below Adam's
+    data = _load_perfbench("idxgen").write_fashion_mnist(tmp_path / "data", 0, 4096, 1024)
+    n = MLP((784, 256, 10)).n_params
+    hp = {"epsilon": 2e-8 * n, "nu": TrustRegionConfig().nu / 300,
+          "rho": presets.get_preset("trust_region", "fashion_mnist_cnn")["rho"] / 300}
+    seeds = (5, 6)
+    kw = dict(preset="fashion_mnist_cnn", epochs=8, seeds=seeds, data_dir=str(data))
+    tr = run(_desk_config("trust_region", tmp_path / "tr", hyperparams=hp, **kw))
+    adam = run(_desk_config("adam", tmp_path / "adam", **kw))
+    assert tr.summary["failed_seeds"] == {} and adam.summary["failed_seeds"] == {}
+    tr_rows, adam_rows = read_metrics_csv(tr.csv_path), read_metrics_csv(adam.csv_path)
+    for seed in seeds:
+        final, ratio, accuracy = _last_over_first(tr_rows, seed)
+        adam_final = _last_over_first(adam_rows, seed)[0]
+        assert ratio < 0.55, (seed, ratio)
+        assert accuracy > 0.1 + 0.2, (seed, accuracy)
+        assert final < adam_final - 0.2, (seed, final, adam_final)
+    _report(8, f"offline twin: trust-region final {tr.summary['final']['mean_train_loss']:.3f}"
+               f" vs adam {adam.summary['final']['mean_train_loss']:.3f}")
 
 
 # ---------------------------------------------------------------------------

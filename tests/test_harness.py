@@ -52,6 +52,11 @@ def synth_config(tmp_path, optimizer="trust_region", seeds=(0, 1), **kw):
     return RunConfig(**defaults)
 
 
+def timeless(path):
+    """The rows of the metrics CSV at `path`, with wall_seconds zeroed."""
+    return [replace(r, wall_seconds=0.0) for r in read_metrics_csv(path)]
+
+
 def record(seed, epoch, acc, variant="standard"):
     return MetricsRecord(
         seed=seed, epoch=epoch, train_loss=1.0, test_accuracy=acc,
@@ -426,10 +431,28 @@ def test_summarize_matches_shipped_summary(tmp_path, variant):
     # floats are written with full repr, so the CSV reproduces the summary exactly
     config = RunConfig.from_json(CONFIGS / "synthetic_quadratic_trust_region.json")
     result = run(replace(config, variant=variant, out_dir=str(tmp_path)))
-    recomputed = summarize(tmp_path)[result.csv_path.name]
-    # the statistics from the CSV; the machine and config hash from the summary
-    assert recomputed == {key: result.summary[key]
-                          for key in ("per_epoch", "final", "machine", "config_sha256")}
+    assert summarize(tmp_path)[result.csv_path.name] == result.summary
+
+
+def test_a_summary_reruns_its_run(tmp_path):
+    # the summary is the resolved config: its RunConfig fields rebuild the run
+    config = RunConfig.from_json(CONFIGS / "synthetic_quadratic_trust_region.json")
+    first = run(replace(config, seeds=(0, 1), out_dir=str(tmp_path / "first")))
+    names = {f.name for f in fields(RunConfig)}
+    again = RunConfig(**{k: v for k, v in first.summary.items() if k in names},
+                      out_dir=str(tmp_path / "again"))
+    assert again.sha256() == first.summary["config_sha256"]
+    assert timeless(run(again).csv_path) == timeless(first.csv_path)
+
+
+def test_numpy_scalars_in_a_config_are_json_numbers_in_its_summary(tmp_path):
+    config = synth_config(tmp_path, hyperparams={"epsilon": np.float32(0.01)},
+                          task_params={"n": np.int64(6), "steps_per_epoch": 5})
+    result = run(config)
+    assert json.loads(result.summary_path.read_text()) == result.summary
+    recorded = result.summary["hyperparams"]["epsilon"], result.summary["task_params"]["n"]
+    assert recorded == (float(np.float32(0.01)), 6)
+    assert list(map(type, recorded)) == [float, int]
 
 
 def test_the_config_hash_follows_what_the_run_computes(tmp_path):
@@ -620,10 +643,6 @@ def test_an_interrupted_grid_keeps_the_seeds_it_finished(tmp_path, monkeypatch, 
     csv_name = "synthetic_quadratic_trust_region_standard.csv"
     assert [p.name for p in runs.iterdir()] == [csv_name]  # no summary, no temp file
     whole = run(synth_config(tmp_path, seeds=(0, 1), out_dir=str(tmp_path / "whole")))
-
-    def timeless(path):
-        return [replace(r, wall_seconds=0.0) for r in read_metrics_csv(path)]
-
     assert timeless(runs / csv_name) == timeless(whole.csv_path)
     assert cli_main(["summarize", "--in", str(runs)]) == 0
     summary = json.loads(capsys.readouterr().out)[csv_name]
@@ -1131,7 +1150,8 @@ def test_epsilon_decay_past_the_last_epoch_is_not_checked(tmp_path):
                        hyperparams={"epsilon": 1e-5, "epsilon_decay_factor": 1e-300})
     assert cfg.optimizer_config().schedule_milestones == (1,)
     result = run(cfg)
-    assert result.summary["failed_seeds"] == {} and result.summary["milestones"] == [1, 2]
+    assert result.summary["failed_seeds"] == {} and result.summary["milestones"] == [1]
+    assert cfg.sha256() == replace(cfg, milestones=(1,)).sha256()  # equal optimizer configs
     assert len(read_metrics_csv(result.csv_path)) == 2  # both seeds' one epoch
 
 
