@@ -99,12 +99,6 @@ class RunConfig:
         check("count", epochs=self.epochs, batch_size=self.batch_size, eval_every=self.eval_every)
         self.epochs, self.batch_size, self.eval_every = map(
             int, (self.epochs, self.batch_size, self.eval_every))
-        try:  # the task's model judges its settings; building one reads no file
-            TASKS[self.task][0](self.batch_size, 0, **self.task_params)
-        except TypeError as exc:  # a key it does not take; name the task, not the callable
-            raise ValueError(f"task_params: {self.task} {str(exc).split('() ')[-1]}") from None
-        except ValueError as exc:  # its message starts with the key
-            raise ValueError(f"task_params.{exc}") from None
         if not (isinstance(self.seeds, (list, tuple)) and self.seeds and all(
                 isinstance(s, numbers.Integral) and finite(s) and s >= 0 for s in self.seeds)
                 and len(set(self.seeds)) == len(self.seeds)):
@@ -113,23 +107,21 @@ class RunConfig:
         self.seeds = tuple(map(int, self.seeds))
         if self.milestones is not None:
             self.milestones = check_milestones(self.milestones, "milestones")
+        task_params = self.resolved()["task_params"]  # as run() reads them
+        try:  # the task's model judges its settings; building one reads no file
+            TASKS[self.task][0](self.batch_size, 0, **task_params)
+        except TypeError as exc:  # a key it does not take; name the task, not the callable
+            raise ValueError(f"task_params: {self.task} {str(exc).split('() ')[-1]}") from None
+        except ValueError as exc:  # its message starts with the key
+            raise ValueError(f"task_params.{exc}") from None
         self.optimizer_config()  # checks every hyperparameter's name and value
 
-    @property
-    def effective_milestones(self) -> tuple[int, ...]:
-        """The milestones that fire: a milestone past the last epoch never does,
-        so its decay is neither checked nor recorded."""
-        if self.milestones is not None:
-            return tuple(m for m in self.milestones if m <= self.epochs)
-        half, three_quarters = self.epochs // 2, (3 * self.epochs) // 4
-        return tuple(sorted({m for m in (half, three_quarters) if m >= 1}))
-
     def optimizer_config(self) -> TrustRegionConfig | BaselineConfig:
-        """The optimizer's config: resolved hyperparams, mode, milestones."""
-        hp = self.resolved_hyperparams()
+        """The optimizer's config, from the resolved hyperparams and milestones."""
+        resolved = self.resolved()
+        hp, milestones = resolved["hyperparams"], resolved["milestones"]
         if unread := [name for name in OPTIMIZERS[self.optimizer].UNREAD if name in hp]:
             raise ValueError(f"hyperparams for {self.optimizer}: {unread[0]} is never read")
-        milestones = self.effective_milestones
         try:
             if self.optimizer == "trust_region":
                 return TrustRegionConfig(mode=self.variant, schedule_milestones=milestones, **hp)
@@ -137,20 +129,21 @@ class RunConfig:
         except TypeError as exc:  # a name the config does not take, or lacks
             raise ValueError(f"hyperparams for {self.optimizer}: {exc}") from None
 
-    def resolved_hyperparams(self) -> dict:
-        out = {}
-        if self.preset is not None:
-            out.update(presets.get_preset(self.optimizer, self.preset))
-        out.update(self.hyperparams)
-        return out
-
     def resolved(self) -> dict:
-        """What the run computes, as JSON values: every field but out_dir, with
-        the preset merged into hyperparams and the milestones that fire."""
-        resolved = {**asdict(self), "hyperparams": self.resolved_hyperparams(),
-                    "milestones": self.effective_milestones}
+        """What the run computes and reads, as the JSON values its summary records:
+        every field but out_dir and preset; the preset merged under hyperparams; the
+        milestones that fire (one past the last epoch never does); and data_dir, the
+        directory the task reads (the field, else $KLTRUST_DATA_DIR, else data), or
+        None for a task that reads no data."""
+        fire = ((self.epochs // 2, 3 * self.epochs // 4) if self.milestones is None
+                else self.milestones)
+        preset = {} if self.preset is None else presets.get_preset(self.optimizer, self.preset)
+        data_dir = self.data_dir or os.environ.get(DATA_DIR_ENV, "data")
+        resolved = {**asdict(self), "hyperparams": {**preset, **self.hyperparams},
+                    "milestones": sorted({m for m in fire if 1 <= m <= self.epochs}),
+                    "data_dir": None if TASKS[self.task][1] is None else data_dir}
         del resolved["out_dir"], resolved["preset"]
-        # a numpy scalar is its value; any other object (a data_dir path) is its text
+        # a numpy scalar is its value; any other object (a Path, a Fraction) is its text
         return json.loads(json.dumps(
             resolved, default=lambda o: o.item() if isinstance(o, np.generic) else str(o)))
 
@@ -158,9 +151,6 @@ class RunConfig:
         """The SHA-256 of `resolved()` as canonical JSON."""
         text = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()
-
-    def resolved_data_dir(self) -> Path:
-        return Path(self.data_dir or os.environ.get(DATA_DIR_ENV, "data"))
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -187,12 +177,8 @@ def _with_channel(ds: Dataset) -> Dataset:
     return Dataset(ds.pixels[:, None, :, :], ds.labels)
 
 
-def _fashion_mnist(config: RunConfig) -> tuple[Dataset, Dataset]:
-    return load_fashion_mnist(config.resolved_data_dir() / "fashion_mnist")
-
-
-def _cifar(config: RunConfig, classes: int) -> tuple[Dataset, Dataset]:
-    return load_cifar_binary(config.resolved_data_dir() / f"cifar{classes}", classes)
+def _fashion_mnist(data_dir: Path) -> tuple[Dataset, Dataset]:
+    return load_fashion_mnist(data_dir / "fashion_mnist")
 
 
 class _QuadraticModel:
@@ -222,18 +208,18 @@ class _QuadraticModel:
         return self.task.loss(params), synthetic_grad(self.task, params, step, self.batch_size)
 
 
-# task -> (model(batch_size, seed, **task_params), load(config) -> (train, test), or None
+# task -> (model(batch_size, seed, **task_params), load(data_dir) -> (train, test), or None
 # when the model draws its own batches). A loader looks its reader up in this module
 # when it runs, so a patched one is seen.
 TASKS = {
     "synthetic_quadratic": (_QuadraticModel, None),
     "fashion_mnist_mlp": (lambda batch_size, seed: MLP((784, 256, 10)), _fashion_mnist),
     "fashion_mnist_cnn": (lambda batch_size, seed: SmallCNN((1, 28, 28), 10),
-                          lambda config: tuple(map(_with_channel, _fashion_mnist(config)))),
+                          lambda data_dir: tuple(map(_with_channel, _fashion_mnist(data_dir)))),
     "cifar10_cnn": (lambda batch_size, seed: SmallCNN((3, 32, 32), 10),
-                    lambda config: _cifar(config, 10)),
+                    lambda data_dir: load_cifar_binary(data_dir / "cifar10", 10)),
     "cifar100_cnn": (lambda batch_size, seed: SmallCNN((3, 32, 32), 100),
-                     lambda config: _cifar(config, 100)),
+                     lambda data_dir: load_cifar_binary(data_dir / "cifar100", 100)),
 }
 
 
@@ -414,8 +400,9 @@ def run(config: RunConfig) -> RunResult:
     # built once, before any data loads, so a config edited after construction
     # is checked again up front; optimizers only read it
     opt_config = config.optimizer_config()
+    resolved = config.resolved()  # what the run reads is what its summary records
     build, load = TASKS[config.task]
-    split = None if load is None else load(config)
+    split = None if load is None else load(Path(resolved["data_dir"]))
 
     out_dir = Path(config.out_dir)
     # here: a bad dataset leaves no directory, and a bad out_dir wastes no training
@@ -426,7 +413,7 @@ def run(config: RunConfig) -> RunResult:
     rows: list[MetricsRecord] = []
     failed: dict[str, str] = {}
     for seed in config.seeds:
-        model = build(config.batch_size, seed, **config.task_params)
+        model = build(config.batch_size, seed, **resolved["task_params"])
         try:
             _run_seed(config, opt_config, model, split, seed, rows)
         except NumericalFault as exc:
@@ -434,7 +421,7 @@ def run(config: RunConfig) -> RunResult:
         # after every seed, so a run cut short keeps the seeds it finished
         _replace(csv_path, lambda tmp: write_metrics_csv(tmp, rows))
 
-    summary = {**config.resolved(), "normalization": None if split is None else "pixel/255",
+    summary = {**resolved, "normalization": None if split is None else "pixel/255",
                "failed_seeds": failed, **_statistics(rows), "machine": machine(),
                "config_sha256": config.sha256()}
     _replace(summary_path, lambda tmp: tmp.write_text(json.dumps(summary, indent=2)))

@@ -51,7 +51,8 @@ def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
     loss = -float(log_probs[np.arange(batch), targets].mean())
     dlogits = expz / sumexp
     dlogits[np.arange(batch), targets] -= 1.0
-    return loss, dlogits / batch
+    dlogits /= batch
+    return loss, dlogits
 
 
 def _matmul_by_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -152,7 +153,8 @@ class MLP(_FlatParams):
         parts = self.unflatten(np.asarray(params, dtype=np.float64))
         acts = [x]
         for li in range(len(self._shapes)):
-            z = _matmul_by_rows(acts[-1], parts[2 * li]) + parts[2 * li + 1]
+            z = _matmul_by_rows(acts[-1], parts[2 * li])
+            z += parts[2 * li + 1]
             if li < len(self._shapes) - 1:
                 np.maximum(z, 0.0, out=z)
             acts.append(z)
@@ -172,7 +174,8 @@ class MLP(_FlatParams):
             _matmul_by_rows(acts[li].T, delta, out=views[2 * li])
             delta.sum(axis=0, out=views[2 * li + 1])
             if li > 0:
-                delta = (delta @ parts[2 * li].T) * (acts[li] > 0.0)
+                delta = delta @ parts[2 * li].T
+                delta *= acts[li] > 0.0
         return loss, grad
 
 

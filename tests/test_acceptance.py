@@ -6,7 +6,6 @@ $KLTRUST_DATA_DIR/fashion_mnist/ and skip with instructions otherwise.
 """
 
 import math
-import os
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -38,7 +37,9 @@ def _report(num: int, text: str) -> None:
 
 
 def _data_root() -> Path:
-    return Path(os.environ.get(DATA_DIR_ENV, "data"))
+    """The directory a Fashion-MNIST run reads, so a skip and a run agree on it."""
+    return Path(RunConfig(task="fashion_mnist_mlp", optimizer="trust_region")
+                .resolved()["data_dir"])
 
 
 def _fashion_mnist_available() -> bool:

@@ -359,6 +359,9 @@ def test_task_validation():
         SyntheticQuadraticTask(np.zeros(2), np.array([1.0, 0.0]), 0.0)
     with pytest.raises(ValueError):
         SyntheticQuadraticTask(np.zeros(2), np.ones(2), -1.0)
+    for theta_star, diag in [(np.zeros(2), np.ones(3)), (np.zeros((2, 2)), np.ones((2, 2)))]:
+        with pytest.raises(ValueError, match="^theta_star and diag must be 1-d vectors of equal"):
+            SyntheticQuadraticTask(theta_star, diag, 1.0)
     for theta_star, diag, noise_scale in [
         (np.array([np.nan, 0.0]), np.ones(2), 1.0),
         (np.array([0.0, np.inf]), np.ones(2), 1.0),

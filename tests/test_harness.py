@@ -5,6 +5,7 @@ import re
 import struct
 import sys
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,12 @@ def synth_config(tmp_path, optimizer="trust_region", seeds=(0, 1), **kw):
 def timeless(path):
     """The rows of the metrics CSV at `path`, with wall_seconds zeroed."""
     return [replace(r, wall_seconds=0.0) for r in read_metrics_csv(path)]
+
+
+def rebuilt(summary, out_dir):
+    """The RunConfig that a summary's RunConfig fields name, writing to `out_dir`."""
+    names = {f.name for f in fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in summary.items() if k in names}, out_dir=str(out_dir))
 
 
 def record(seed, epoch, acc, variant="standard"):
@@ -178,6 +185,7 @@ def test_config_validation():
         ("steps_per_epoch", 0), ("steps_per_epoch", 2.5), ("n", 0), ("n", -3),
         ("noise_scale", -1.0), ("noise_scale", float("nan")), ("noise_scale", float("inf")),
         ("diag_range", [0.1, 10.0]),  # a constant of the quadratic, not a setting
+        ("noise_scale", Fraction(1, 2)),  # the run reads it as its JSON text, '1/2'
     )
     for key, value in bad_values:
         with pytest.raises(ValueError, match=key):
@@ -219,6 +227,9 @@ def test_run_config_checks_optimizer_values():
         ("adam", "standard", {}, "learning_rate"),
         ("sgd", "standard", {"learning_rate": 0.1, "weight_decay": float("nan")},
          "weight_decay"),
+        # the run reads what the summary records, and JSON holds a Fraction as text
+        ("trust_region", "standard", {"epsilon": Fraction(1, 100)},
+         "^epsilon must be finite and > 0, got '1/100'$"),
     )
     for optimizer, variant, hp, message in bad:
         with pytest.raises(ValueError, match=message):
@@ -228,7 +239,7 @@ def test_run_config_checks_optimizer_values():
                     hyperparams={"learning_rate": 0.1})
     opt_cfg = cfg.optimizer_config()
     assert isinstance(opt_cfg, BaselineConfig)
-    assert opt_cfg.schedule_milestones == cfg.effective_milestones == (2, 3)
+    assert opt_cfg.schedule_milestones == tuple(cfg.resolved()["milestones"]) == (2, 3)
 
 
 def test_run_checks_a_config_edited_after_construction(tmp_path):
@@ -299,13 +310,13 @@ def test_optimizer_configs_accept_their_edge_values():
 
 def test_default_milestones_at_half_and_three_quarters():
     cfg = RunConfig(task="synthetic_quadratic", optimizer="trust_region", epochs=120)
-    assert cfg.effective_milestones == (60, 90)
+    assert cfg.resolved()["milestones"] == [60, 90]
     cfg = RunConfig(task="synthetic_quadratic", optimizer="trust_region", epochs=5)
-    assert cfg.effective_milestones == (2, 3)
+    assert cfg.resolved()["milestones"] == [2, 3]
     cfg = RunConfig(
         task="synthetic_quadratic", optimizer="trust_region", epochs=5, milestones=()
     )
-    assert cfg.effective_milestones == ()
+    assert cfg.resolved()["milestones"] == []
 
 
 def test_preset_resolution_with_override():
@@ -315,7 +326,7 @@ def test_preset_resolution_with_override():
         preset="fashion_mnist_cnn",
         hyperparams={"epsilon": 0.5},
     )
-    hp = cfg.resolved_hyperparams()
+    hp = cfg.resolved()["hyperparams"]
     assert hp["epsilon"] == 0.5  # override wins
     assert hp["rho"] == 0.058657
     assert hp["q"] == 0.017393
@@ -368,6 +379,18 @@ def test_the_summary_records_the_machine(tmp_path, monkeypatch):
     # the BLAS numpy was built with
     assert blas == harness.machine()["blas"]
     assert isinstance(blas["name"], str) and isinstance(blas["version"], str)
+
+
+def test_the_readme_names_every_key_of_the_record(tmp_path):
+    # in backticks in README's harness section: each key of the summary, of its
+    # machine record and of a per-epoch entry, so a new key comes with its words
+    config = RunConfig.from_json(CONFIGS / "synthetic_quadratic_trust_region.json")
+    summary = run(replace(config, seeds=(0,), epochs=1, out_dir=str(tmp_path))).summary
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Benchmark harness\n")[1].split("\n## ")[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)  # no code blocks
+    keys = {*summary, *summary["machine"], *summary["per_epoch"][0]}
+    assert keys - set(re.findall(r"`([^`]+)`", prose)) == set()
 
 
 def test_baseline_run_emits_null_eta(tmp_path):
@@ -434,13 +457,15 @@ def test_summarize_matches_shipped_summary(tmp_path, variant):
     assert summarize(tmp_path)[result.csv_path.name] == result.summary
 
 
-def test_a_summary_reruns_its_run(tmp_path):
-    # the summary is the resolved config: its RunConfig fields rebuild the run
+@pytest.mark.parametrize("epsilon", [None, np.float32(0.01)], ids=["shipped", "float32"])
+def test_a_summary_reruns_its_run(tmp_path, epsilon):
+    # the summary is the resolved config: its RunConfig fields rebuild the run,
+    # and a numpy scalar runs as the number the summary records
     config = RunConfig.from_json(CONFIGS / "synthetic_quadratic_trust_region.json")
+    if epsilon is not None:
+        config = replace(config, hyperparams={**config.hyperparams, "epsilon": epsilon})
     first = run(replace(config, seeds=(0, 1), out_dir=str(tmp_path / "first")))
-    names = {f.name for f in fields(RunConfig)}
-    again = RunConfig(**{k: v for k, v in first.summary.items() if k in names},
-                      out_dir=str(tmp_path / "again"))
+    again = rebuilt(first.summary, tmp_path / "again")
     assert again.sha256() == first.summary["config_sha256"]
     assert timeless(run(again).csv_path) == timeless(first.csv_path)
 
@@ -463,8 +488,8 @@ def test_the_config_hash_follows_what_the_run_computes(tmp_path):
     # a preset is its hyperparameters, and milestones are the ones the run uses
     preset = replace(config, optimizer="adam", preset="fashion_mnist_cnn", milestones=None,
                      epochs=4)
-    spelled = replace(preset, preset=None, hyperparams=preset.resolved_hyperparams(),
-                      milestones=preset.effective_milestones)
+    spelled = replace(preset, preset=None, hyperparams=preset.resolved()["hyperparams"],
+                      milestones=preset.resolved()["milestones"])
     assert preset.sha256() == spelled.sha256()
     assert len(config.sha256()) == 64
     assert run(config).summary["config_sha256"] == config.sha256()
@@ -872,16 +897,24 @@ def test_eval_cadence_controls_accuracy_column(fake_fashion_root, tmp_path):
 
 
 def test_data_dir_env_variable(fake_fashion_root, tmp_path, monkeypatch):
-    monkeypatch.setenv("KLTRUST_DATA_DIR", str(fake_fashion_root))
+    monkeypatch.delenv("KLTRUST_DATA_DIR", raising=False)
     cfg = RunConfig(
         task="fashion_mnist_mlp", optimizer="adam",
         hyperparams={"learning_rate": 0.001},
         epochs=1, batch_size=32, seeds=(0,), milestones=(),
         out_dir=str(tmp_path / "runs"),
     )
-    assert cfg.resolved_data_dir() == fake_fashion_root
+    unset = cfg.sha256()
+    monkeypatch.setenv("KLTRUST_DATA_DIR", str(fake_fashion_root))
     result = run(cfg)
     assert read_metrics_csv(result.csv_path)
+    # the summary names the directory the run read, and the hash covers it
+    assert result.summary["data_dir"] == str(fake_fashion_root)
+    assert result.summary["config_sha256"] != unset
+    monkeypatch.delenv("KLTRUST_DATA_DIR")
+    again = rebuilt(result.summary, tmp_path / "again")
+    assert again.sha256() == result.summary["config_sha256"]
+    assert timeless(run(again).csv_path) == timeless(result.csv_path)
 
 
 def test_missing_dataset_raises(tmp_path):

@@ -94,7 +94,10 @@ def test_forward_shape_mismatch():
     ((8, 8), (2, 3), r"^in_shape must have 3 entries, got \(8, 8\)$"),
     (5, (2, 3), r"^in_shape must have 3 entries, got 5$"),
     ((1, 8, 8), 4, r"^channels must have 2 entries, got 4$"),
-], ids=["three-channels", "one-channel", "no-channel-axis", "scalar-in-shape", "scalar-channels"])
+    ((1, 6, 8), (2, 3), r"^input height/width must be divisible by 4$"),
+    ((1, 8, 10), (2, 3), r"^input height/width must be divisible by 4$"),
+], ids=["three-channels", "one-channel", "no-channel-axis", "scalar-in-shape", "scalar-channels",
+        "height-not-by-4", "width-not-by-4"])
 def test_small_cnn_names_a_mis_sized_shape(in_shape, channels, match):
     # not a bare unpacking error ("too many values to unpack") or a TypeError
     with pytest.raises(ValueError, match=match):
